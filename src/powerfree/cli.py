@@ -12,8 +12,9 @@ Descriptor grammars (documented, parse/print round-trip is identity):
   argmap       "identity" | "prog:m,r" | "beatty:alpha,beta"
                (alpha, beta accept "13/8" style exact rationals)
 
-Exit codes: 0 success, 2 usage error, 3 capacity exceeded, 4 hypothesis
-violation (the message names the violated hypothesis).
+Exit codes: 0 success, 2 usage error (including an --out path that cannot
+be written), 3 capacity exceeded, 4 hypothesis violation (the message names
+the violated hypothesis).
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .ergodic import (AllIntegers, BeattyMap, IdentityMap, KfreeValues,
                       exponent_fit, omega_histogram)
 from .errors import CapacityError, HypothesisViolation
 from .kfree import (count_kfree, kfree_mask, product_kfree_mask,
-                    tail_pair_count, twin_squarefree_mask)
+                    tail_pair_counts, twin_squarefree_mask)
 from .local_roots import local_root_count
 from .poly import (IntPolynomial, has_fixed_kth_power,
                    parse_poly_or_product, profile)
@@ -320,10 +321,11 @@ def cmd_count(args) -> int:
 def cmd_eftail(args) -> int:
     f = IntPolynomial.parse(args.poly)
     checkpoints = args.checkpoints or [args.N]
-    rows = []
-    for n in checkpoints:
-        y = args.Y if args.Y else int(n ** 0.9)
-        rows.append((n, y, tail_pair_count(f, args.k, y, n)))
+    if checkpoints[-1] > args.N:
+        raise ValueError(f"checkpoint {checkpoints[-1]} above --N {args.N}")
+    ny = [(n, args.Y if args.Y else int(n ** 0.9)) for n in checkpoints]
+    rows = [(n, y, pairs)
+            for (n, y), pairs in zip(ny, tail_pair_counts(f, args.k, ny))]
     if args.format == "json":
         write_json(args.out, {
             "config": asdict(ExperimentConfig(name="eftail",
@@ -701,7 +703,7 @@ def main(argv=None) -> int:
     except CapacityError as e:
         _log(f"capacity: {e}")
         return 3
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OSError) as e:
         _log(f"usage: {e}")
         return 2
 

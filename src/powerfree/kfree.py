@@ -2,11 +2,11 @@
 
 The mask sieve marks every n in [1, N] whose value f(n) is k-free (no
 prime to the k-th power divides it). Primes up to P0 = ceil(max|f|^(1/(k+1)))
-are handled by dividing p out at the residue classes where p | f(n); the
-cofactor that survives is a product of primes above P0, and since any two
-of those multiply past max|f| it can only spoil k-freeness by being a
-perfect k-th power itself, which an exact integer root test detects. So the
-sieve is exact, not heuristic.
+are divided out at the residue classes where p | f(n). Why one exact k-th
+root test per cofactor c then finishes the job: every prime factor of c
+exceeds P0 and c <= max|f| <= P0^(k+1), so Omega(c) <= k, and a prime q with
+q^k | c forces c = q^k. The same sieve gives S(n) = {p : p^k | f(n)} for the
+threshold decomposition, so neither needs factorization.
 
 Products of coprime factors get per-factor masks plus an exact correction
 at the finitely many primes dividing a pairwise resultant, the only places
@@ -22,14 +22,13 @@ import numpy as np
 
 from .density import DensityResult, density
 from .errors import CapacityError, HypothesisViolation
-from .factorint import factorize, integer_nth_root
+from .factorint import factorize, integer_nth_root, is_perfect_kth_power
 from .local_roots import batch_roots, lift_roots
 from .poly import (IntPolynomial, coefficient_bound, evaluate_range,
                    has_fixed_kth_power, max_abs_value, profile)
 from .sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
 
 ROOT_LIMIT = 2 * 10 ** 6
-_TABLE_SIEVE_CAP = 3 * 10 ** 5
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -112,19 +111,19 @@ def _divide_out(vals: np.ndarray, seg_bits: np.ndarray, off: int, p: int,
         cur = cur[(sub % p == 0) & (sub > 0)]
 
 
-def _mark_kth_power_cofactors(vals: np.ndarray, seg_bits: np.ndarray, k: int) -> None:
-    """After all p <= P0 are divided out, a surviving value > 1 is a product
-    of primes > P0 and can only break k-freeness by being q^k exactly."""
-    if vals.dtype == object:
-        for i in np.nonzero(vals > 1)[0].tolist():
-            v = int(vals[i])
-            r = integer_nth_root(v, k)
-            if r ** k == v:
-                seg_bits[i] = False
-        return
+def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
+    """Positions i with vals[i] = r^k for an integer r >= 2.
+
+    Once every p <= P0 is divided out, these are exactly the cofactors
+    divisible by a k-th prime power, and r is that prime (module docstring).
+    """
     idx = np.nonzero(vals > 1)[0]
+    if vals.dtype == object:
+        return np.array([i for i in idx.tolist()
+                         if is_perfect_kth_power(int(vals[i]), k)],
+                        dtype=np.intp)
     if not len(idx):
-        return
+        return idx
     v = vals[idx]
     rbound = int(float(_INT64_MAX) ** (1.0 / k)) - 2
     r = np.rint(np.power(v.astype(np.float64), 1.0 / k)).astype(np.int64)
@@ -133,7 +132,7 @@ def _mark_kth_power_cofactors(vals: np.ndarray, seg_bits: np.ndarray, k: int) ->
     for cand in (r - 1, r, r + 1):
         c = np.maximum(cand, 1)
         hit |= c ** k == v
-    seg_bits[idx[hit]] = False
+    return idx[hit]
 
 
 def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots_items,
@@ -155,12 +154,19 @@ def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots_items,
             if off >= m:
                 continue
             _divide_out(vals, seg, off, p, k)
-    _mark_kth_power_cofactors(vals, seg, k)
+    seg[_kth_power_cofactors(vals, k)] = False
     return zero_ns
 
 
-def collect_sieve_roots(f: IntPolynomial, P0: int) -> list[tuple[int, np.ndarray]]:
-    """(p, roots of f mod p) for all primes p <= P0 that have roots."""
+def collect_sieve_roots(f: IntPolynomial, P0: int, root_limit: int = ROOT_LIMIT
+                        ) -> list[tuple[int, np.ndarray]]:
+    """(p, roots of f mod p) for all primes p <= P0 that have roots.
+    Raises CapacityError when P0 exceeds root_limit."""
+    if P0 > root_limit:
+        raise CapacityError(
+            f"sieve needs roots mod all p <= {P0}, above the configured "
+            f"limit {root_limit}; raise root_limit if you mean it"
+        )
     rd = batch_roots(f, primes_up_to(P0))
     return sorted(rd.items())
 
@@ -179,12 +185,7 @@ def kfree_mask(f: IntPolynomial, k: int, N: int, *,
     if N < 1:
         raise ValueError("N >= 1 required")
     P0 = sieve_prime_bound(f, k, N)
-    if P0 > root_limit:
-        raise CapacityError(
-            f"sieve needs roots mod all p <= {P0}, above the configured "
-            f"limit {root_limit}; raise root_limit if you mean it"
-        )
-    roots_items = collect_sieve_roots(f, P0)
+    roots_items = collect_sieve_roots(f, P0, root_limit)
     bits = np.zeros(N, dtype=bool)
     starts = list(range(1, N + 1, segment_size))
     zero_ns: list[int] = []
@@ -306,16 +307,18 @@ def count_kfree(mask: KfreeMask, checkpoints, density_result=None) -> list[Count
     return rows
 
 
-def _kth_power_prime_table(f: IntPolynomial, k: int, N: int):
-    """For each n in [1, N], the sorted tuple of primes p with p^k | f(n).
+def _kth_power_prime_table(f: IntPolynomial, k: int,
+                           N: int) -> dict[int, list[int]]:
+    """{n - 1: ascending primes p with p^k | f(n)}, only for the n in [1, N]
+    where that set is not empty.
 
-    Exact: primes up to min(floor(max|f|^(1/k)), 3e5) are sieved via root
-    positions with full exponent tracking; if the k-th-power range extends
-    beyond that, surviving cofactors are factorized outright.
+    Exact: after every p <= P0 is divided out with full exponent tracking,
+    each cofactor c has only prime factors > P0 and c <= max|f| <= P0^(k+1),
+    so Omega(c) <= k and a prime q with q^k | c forces c = q^k. That q
+    exceeds every sieved prime, so rows stay sorted. Raises CapacityError
+    when P0 exceeds ROOT_LIMIT.
     """
-    maxval = max_abs_value(f, N)
-    kroot = integer_nth_root(maxval, k) if maxval else 0
-    B0 = min(kroot, _TABLE_SIEVE_CAP)
+    P0 = sieve_prime_bound(f, k, N)
     vals = evaluate_range(f, 1, N + 1)
     zeros = (np.nonzero(vals == 0)[0] + 1).tolist()
     if zeros:
@@ -324,27 +327,29 @@ def _kth_power_prime_table(f: IntPolynomial, k: int, N: int):
             f"identity needs nonzero values"
         )
     vals = np.abs(vals)
-    table: list[list[int]] = [[] for _ in range(N)]
+    table: dict[int, list[int]] = {}
     seg_bits = np.ones(N, dtype=bool)  # scratch for _divide_out's marking
 
     def record(pos: np.ndarray, p: int) -> None:
         for i in pos.tolist():
-            table[i].append(p)
+            table.setdefault(i, []).append(p)
 
-    if B0 >= 2:
-        for p, roots in collect_sieve_roots(f, B0):
-            for v in roots.tolist():
-                off = (v - 1) % p
-                if off < N:
-                    _divide_out(vals, seg_bits, off, p, k, record=record)
-    if kroot > B0:
-        idx = np.nonzero(vals > 1)[0]
-        for i in idx.tolist():
-            c = int(vals[i])
-            for q, e in factorize(c).items():
-                if e >= k:
-                    table[i].append(q)
-    return [tuple(sorted(t)) for t in table]
+    for p, roots in collect_sieve_roots(f, P0):
+        for v in roots.tolist():
+            off = (v - 1) % p
+            if off < N:
+                _divide_out(vals, seg_bits, off, p, k, record=record)
+    for i in _kth_power_cofactors(vals, k).tolist():
+        table.setdefault(i, []).append(integer_nth_root(int(vals[i]), k))
+    return table
+
+
+def _signed_subset_products(S) -> list[tuple[int, int]]:
+    """(prod(T), (-1)^|T|) for every subset T of S, the empty one first."""
+    out = [(1, 1)]
+    for p in S:
+        out += [(d * p, -sgn) for d, sgn in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -387,35 +392,16 @@ def decompose_sum(f: IntPolynomial, k: int, Y: int, N: int,
             raise ValueError("need one weight per n in [1, N]")
         w = w.astype(np.int64)
     table = _kth_power_prime_table(f, k, N)
-    small = large = total = 0
-    for i in range(N):
+    # n with S(n) empty contribute only the empty subset: d = 1 <= Y
+    total = sum(w.tolist()) - sum(int(w[i]) for i in table)
+    small, large = total, 0
+    for i, S in table.items():
         wn = int(w[i])
-        if wn == 0:
-            continue
-        S = table[i]
-        if not S:
-            small += wn  # only the empty subset, product 1 <= Y
-            total += wn
-            continue
-        a = b = 0
-        for msk in range(1 << len(S)):
-            prod = 1
-            bitcount = 0
-            mm = msk
-            j = 0
-            while mm:
-                if mm & 1:
-                    prod *= S[j]
-                    bitcount += 1
-                mm >>= 1
-                j += 1
-            sgn = -1 if bitcount & 1 else 1
-            if prod <= Y:
-                a += sgn
+        for d, sgn in _signed_subset_products(S):
+            if d <= Y:
+                small += wn * sgn
             else:
-                b += sgn
-        small += wn * a
-        large += wn * b
+                large += wn * sgn
     return SumDecomposition(Y, N, small, large, total)
 
 
@@ -426,24 +412,22 @@ def tail_pair_count(f: IntPolynomial, k: int, Y: int, N: int) -> int:
     signs dropped), the quantity whose smallness makes truncation at Y
     work. Capped at N <= 10^5.
     """
-    if N > 10 ** 5:
+    return tail_pair_counts(f, k, [(N, Y)])[0]
+
+
+def tail_pair_counts(f: IntPolynomial, k: int, rows) -> list[int]:
+    """tail_pair_count(f, k, Y, N) for each (N, Y) in rows, from one table
+    built up to the largest N. Capped at N <= 10^5."""
+    rows = list(rows)
+    top = max(n for n, _ in rows)
+    if top > 10 ** 5:
         raise CapacityError("tail_pair_count caps N at 10^5")
-    if N < 1 or Y < 1:
+    if min(n for n, _ in rows) < 1 or min(y for _, y in rows) < 1:
         raise ValueError("N >= 1 and Y >= 1 required")
     _check_sieve_hypotheses(f, k)
-    table = _kth_power_prime_table(f, k, N)
-    out = 0
-    for S in table:
-        if not S:
-            continue
-        for msk in range(1, 1 << len(S)):
-            prod = 1
-            mm, j = msk, 0
-            while mm:
-                if mm & 1:
-                    prod *= S[j]
-                mm >>= 1
-                j += 1
-            if prod > Y:
-                out += 1
-    return out
+    table = _kth_power_prime_table(f, k, top)
+    products = [(i, [d for d, _ in _signed_subset_products(S)])
+                for i, S in table.items()]
+    # Y >= 1, so the empty subset (d = 1) is never counted
+    return [sum(d > Y for i, ds in products if i < n for d in ds)
+            for n, Y in rows]

@@ -14,6 +14,8 @@ from powerfree.dynamics import (CyclicRotation, IrrationalRotation,
 from powerfree.ergodic import (AllIntegers, BeattyMap, IdentityMap,
                                KfreeValues, ProductKfree, ProgressionMap,
                                TwinSquarefree)
+from powerfree.kfree import tail_pair_count
+from powerfree.poly import IntPolynomial
 
 SYSTEM_TEXTS = [
     "twopoint:1.0,-1.0,0",
@@ -146,6 +148,10 @@ def test_eftail_output(tmp_path):
     assert lines[0] == "N,Y,pairs"
     n, y, pairs = lines[1].split(",")
     assert int(y) == int(1000 ** 0.9)
+    f = IntPolynomial.parse("1,0,1")
+    for line, n in zip(lines[1:], (1000, 10000)):
+        y = int(n ** 0.9)
+        assert line == f"{n},{y},{tail_pair_count(f, 2, y, n)}"
 
 
 def test_ergodic_csv(tmp_path):
@@ -161,11 +167,15 @@ def test_ergodic_csv(tmp_path):
     assert lines[3].split(",")[2] == "-0.014"
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     assert main(["count", "--poly", "0,0,1", "--k", "2", "--N", "100"]) == 4
     assert main(["density", "--poly", "1,0,1", "--k", "1", "--P", "100"]) == 2
     assert main(["eftail", "--poly", "1,0,1", "--k", "2",
                  "--N", "10000000"]) == 3
+    assert main(["eftail", "--poly", "1,0,1", "--k", "2", "--N", "100",
+                 "--checkpoints", "200"]) == 2
+    assert main(["count", "--poly", "1,0,1", "--k", "2", "--N", "1000",
+                 "--P", "1000", "--out", str(tmp_path / "no" / "x.csv")]) == 2
     assert main(["nonsense"]) == 2
 
 

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerfree.errors import CapacityError, HypothesisViolation
-from powerfree.kfree import (count_kfree, decompose_sum, kfree_mask,
-                             product_kfree_mask, sieve_prime_bound,
-                             tail_pair_count, twin_squarefree_mask)
-from powerfree.poly import IntPolynomial, max_abs_value, parse_poly_or_product
+from powerfree.kfree import (_kth_power_prime_table, count_kfree,
+                             decompose_sum, kfree_mask, product_kfree_mask,
+                             sieve_prime_bound, tail_pair_count,
+                             twin_squarefree_mask)
+from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
+                            parse_poly_or_product)
 from powerfree.sieve import build_tables
 
 
@@ -144,6 +146,54 @@ def test_decompose_rejects_float_weights():
         decompose_sum(f, 2, 10, 100, weights=np.ones(100) * 0.5)
     with pytest.raises(CapacityError):
         decompose_sum(f, 2, 10, 2 * 10 ** 6)
+
+
+def factorint_table(f, k, N):
+    out = {}
+    for n in range(1, N + 1):
+        S = sorted(p for p, e in sympy.factorint(abs(f(n))).items() if e >= k)
+        if S:
+            out[n - 1] = S
+    return out
+
+
+# c = 2 q^3 - 1 with q = nextprime(2 * 10^6): the values pass int64, so the
+# object-dtype path runs, and f(1) = 2 q^3 with q far above P0 = 63246
+_Q = 2000003
+_BIG = f"{2 * _Q ** 3 - 1},0,1"
+
+
+@pytest.mark.parametrize("text,k,N", [("1,0,1", 2, 2000), ("5,0,0,1", 2, 2000),
+                                      ("2,0,0,1", 3, 2000), (_BIG, 3, 100)])
+def test_kth_power_prime_table_matches_factorint(text, k, N):
+    f = IntPolynomial.parse(text)
+    table = _kth_power_prime_table(f, k, N)
+    assert table == factorint_table(f, k, N)
+    P0 = sieve_prime_bound(f, k, N)
+    if text == "1,0,1":
+        # 1393^2 + 1 = 2 * 5^2 * 197^2, and 197 is found by the cofactor test
+        assert P0 == 159 and table[1392] == [5, 197]
+    if text == _BIG:
+        assert evaluate_range(f, 1, N + 1).dtype == object
+        assert table[0] == [_Q] and _Q > P0
+
+
+def test_decompose_total_past_old_table_cap():
+    f = IntPolynomial.parse("1,0,1")
+    N = 300250
+    d = decompose_sum(f, 2, 1000, N)
+    assert d.small_part + d.large_part == d.total == kfree_mask(f, 2, N).count
+
+
+def test_table_path_never_factorizes(monkeypatch):
+    def boom(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr("powerfree.kfree.factorize", boom)
+    f = IntPolynomial.parse("5,0,0,1")  # floor(max|f|^(1/2)) > 3 * 10^5
+    d = decompose_sum(f, 2, 100, 5000)
+    assert d.small_part + d.large_part == d.total == kfree_mask(f, 2, 5000).count
+    assert tail_pair_count(f, 2, 100, 5000) == brute_tail_pairs(f, 2, 100, 5000)
 
 
 def brute_tail_pairs(f, k, Y, N):
