@@ -13,8 +13,9 @@ Descriptor grammars (documented, parse/print round-trip is identity):
                (alpha, beta accept "13/8" style exact rationals)
 
 Exit codes: 0 success, 2 usage error (including an --out path that cannot
-be written), 3 capacity exceeded, 4 hypothesis violation (the message names
-the violated hypothesis).
+be written and a descriptor with the wrong number of fields), 3 capacity
+exceeded (rho --primes above kfree.ROOT_LIMIT among others), 4 hypothesis
+violation (the message names the violated hypothesis).
 """
 from __future__ import annotations
 
@@ -35,9 +36,9 @@ from .ergodic import (AllIntegers, BeattyMap, IdentityMap, KfreeValues,
                       convergence_report, default_j_max, ergodic_average,
                       exponent_fit, omega_histogram)
 from .errors import CapacityError, HypothesisViolation
-from .kfree import (count_kfree, kfree_mask, product_kfree_mask,
+from .kfree import (ROOT_LIMIT, count_kfree, kfree_mask, product_kfree_mask,
                     tail_pair_counts, twin_squarefree_mask)
-from .local_roots import local_root_count
+from .local_roots import batch_root_counts, local_root_count
 from .poly import (IntPolynomial, has_fixed_kth_power,
                    parse_poly_or_product, profile)
 from .sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
@@ -123,16 +124,26 @@ def system_text(system, observable, x) -> str:
     raise TypeError(f"unknown system {system!r}")
 
 
+def _fields(kind: str, text: str, sep: str, grammar: str) -> list[str]:
+    """The fields of text after its "name:" prefix, split at sep. Their
+    number must match grammar, else a ValueError names the grammar."""
+    parts = text.partition(":")[2].split(sep)
+    if len(parts) != grammar.partition(":")[2].count(sep) + 1 or not all(parts):
+        raise ValueError(f"{kind} descriptor {text!r}: expected {grammar}")
+    return parts
+
+
 def parse_condition(text: str):
     if text == "all":
         return AllIntegers()
     if text == "twinsqfree":
         return TwinSquarefree()
     if text.startswith("kfree:"):
-        _, poly, k = text.split(":")
+        poly, k = _fields("condition", text, ":", "kfree:<coeffs>:<k>")
         return KfreeValues(IntPolynomial.parse(poly), int(k))
     if text.startswith("product:"):
-        _, polys, k = text.split(":")
+        polys, k = _fields("condition", text, ":",
+                           "product:<coeffs>*<coeffs>...:<k>")
         return ProductKfree(parse_poly_or_product(polys), int(k))
     raise ValueError(f"unknown condition descriptor {text!r}")
 
@@ -141,10 +152,10 @@ def parse_argmap(text: str):
     if text == "identity":
         return IdentityMap()
     if text.startswith("prog:"):
-        m, r = text[5:].split(",")
+        m, r = _fields("argmap", text, ",", "prog:<m>,<r>")
         return ProgressionMap(int(m), int(r))
     if text.startswith("beatty:"):
-        a, b = text[7:].split(",")
+        a, b = _fields("argmap", text, ",", "beatty:<alpha>,<beta>")
         return BeattyMap(parse_rational(a), parse_rational(b))
     raise ValueError(f"unknown argmap descriptor {text!r}")
 
@@ -248,13 +259,21 @@ def cmd_sieve(args) -> int:
 
 def cmd_rho(args) -> int:
     f = IntPolynomial.parse(args.poly)
+    if args.primes > ROOT_LIMIT:
+        raise CapacityError(f"--primes {args.primes} is above the root "
+                            f"limit {ROOT_LIMIT}")
     prof = profile(f)
-    badset = set(prof.bad_primes or ())
-    rows = []
-    for p in primes_up_to(args.primes).tolist():
-        rows.append((p, p in badset or not prof.is_squarefree_poly,
-                     local_root_count(f, p, 1),
-                     local_root_count(f, p, args.k)))
+    primes = primes_up_to(args.primes)
+    if prof.is_squarefree_poly:
+        badset = set(prof.bad_primes)
+        rho_p = batch_root_counts(f, primes).tolist()
+    else:  # every prime is singular
+        badset = set(primes.tolist())
+        rho_p = [local_root_count(f, p, 1) for p in primes.tolist()]
+    # at a good prime every root lifts uniquely, so rho(p^k) = rho(p)
+    rows = [(p, p in badset, r,
+             local_root_count(f, p, args.k) if p in badset else r)
+            for p, r in zip(primes.tolist(), rho_p)]
     if args.format == "json":
         write_json(args.out, {
             "config": asdict(ExperimentConfig(name="rho",

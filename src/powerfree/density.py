@@ -53,7 +53,10 @@ def density(f: IntPolynomial, k: int, P: int) -> DensityResult:
     product is meaningless and HypothesisViolation is raised); P at least
     the largest singular prime (else ValueError says how far to raise it);
     P^k > 2 deg f so the tail bound's log expansion is valid. A fixed k-th
-    power divisor short-circuits to the exact answer 0.
+    power divisor short-circuits to the exact answer 0. The singular primes
+    come from factoring Res(f, f') * lc(f); when factorint cannot prove a
+    cofactor prime (above 3.3*10^24) that ValueError propagates, exit 2 on
+    the command line, though kfree_mask on the same f works.
     """
     if k < 2:
         raise ValueError("k >= 2 required")

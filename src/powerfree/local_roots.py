@@ -221,40 +221,57 @@ _BATCH_MIN_PRIME = 50
 def batch_root_counts(f: IntPolynomial, primes: np.ndarray) -> np.ndarray:
     """rho_f(p) for every p in primes (sorted ascending), vectorized.
 
-    Primes that are tiny, singular, or divide lc(f) are handled one at a
-    time; the rest go through the batched Frobenius ladder.
+    Primes that are tiny or singular (they include the divisors of lc(f))
+    are handled one at a time; the rest go through batch_split_part.
     """
     primes = np.asarray(primes, dtype=np.int64)
     out = np.zeros(len(primes), dtype=np.int64)
     prof = profile(f)
     if not prof.is_squarefree_poly:
         raise ValueError("repeated factor: counts are not well defined per prime")
-    special = abs(prof.resultant_with_derivative * prof.leading)
-    slow = (primes <= _BATCH_MIN_PRIME)
-    if special > 1:
-        for q in factorize(special):
-            slow |= primes == q
+    slow = (primes <= _BATCH_MIN_PRIME) | np.isin(primes, prof.bad_primes)
     idx_slow = np.nonzero(slow)[0]
     for i in idx_slow.tolist():
         out[i] = count_roots_mod_p(f, int(primes[i]))
     idx_fast = np.nonzero(~slow)[0]
     if len(idx_fast):
-        counts, _ = modpoly.batch_split_part(
-            list(f.coeffs), primes[idx_fast], want_gcds=False
-        )
-        out[idx_fast] = counts
+        out[idx_fast], _ = modpoly.batch_split_part(list(f.coeffs),
+                                                    primes[idx_fast])
     return out
+
+
+def _certify_batch(f: IntPolynomial, primes: np.ndarray, counts: np.ndarray,
+                   lanes: np.ndarray, roots: np.ndarray) -> None:
+    """Per-lane root counts must equal counts, roots within a lane must be
+    distinct, and f(r) = 0 mod p by an exact int64 Horner scheme (r < p <
+    2^31 keeps every product below 2^62)."""
+    if not np.array_equal(np.bincount(lanes, minlength=len(primes)), counts):
+        raise AssertionError(f"batched split lost roots of {f.text()}")
+    if ((lanes[1:] == lanes[:-1]) & (roots[1:] <= roots[:-1])).any():
+        raise AssertionError(f"batched split repeated a root of {f.text()}")
+    C = modpoly.reduce_coeffs(f.coeffs, primes)[:, lanes]
+    P = primes[lanes]
+    acc = np.zeros(len(roots), dtype=np.int64)
+    for c in C[::-1]:
+        acc = (acc * roots + c) % P
+    bad = np.flatnonzero(acc)
+    if len(bad):
+        j = int(bad[0])
+        raise AssertionError(f"uncertified batch root {int(roots[j])} mod "
+                             f"{int(P[j])} for {f.text()}")
 
 
 def batch_roots(f: IntPolynomial, primes: np.ndarray,
                 scan_below: int = 10 ** 4) -> dict[int, np.ndarray]:
     """Root lists mod p for many primes at once: {p: sorted int64 array}.
 
-    Primes up to scan_below (and any singular or lc-dividing stragglers)
-    are scanned; the rest get their linear split part from one batched
-    Frobenius pass, then per-prime equal-degree splitting extracts the
-    roots. All roots are re-verified exactly. Primes with no roots are
-    omitted from the dict.
+    Primes up to scan_below, and any dividing lc(f) or the content, go
+    through roots_mod_p one at a time. The rest stay in numpy throughout:
+    batch_split_part gives gcd(x^p - x, f) for every lane, and
+    batch_linear_roots splits those gcds into roots by batched equal-degree
+    splitting. Each lane's root count must match the degree of its gcd, and
+    every root is re-verified by exact evaluation of f mod p. Primes with
+    no roots are omitted from the dict.
     """
     primes = np.asarray(primes, dtype=np.int64)
     prof = profile(f)
@@ -262,22 +279,17 @@ def batch_roots(f: IntPolynomial, primes: np.ndarray,
     out: dict[int, np.ndarray] = {}
     slow = primes <= max(scan_below, _BATCH_MIN_PRIME)
     if special > 1:
-        for q in factorize(special):
-            slow |= primes == q
+        slow |= np.isin(primes, list(factorize(special)))
     for p in primes[slow].tolist():
         rs = roots_mod_p(f, p)
         if rs:
             out[p] = np.asarray(rs, dtype=np.int64)
     fast = primes[~slow]
     if len(fast):
-        counts, gcds = modpoly.batch_split_part(list(f.coeffs), fast, want_gcds=True)
-        for j in np.nonzero(counts > 0)[0].tolist():
-            p = int(fast[j])
-            rs = sorted(modpoly.split_linear_roots(gcds[j], p))
-            if len(rs) != counts[j]:
-                raise AssertionError(f"split at p={p} lost roots")
-            for r in rs:
-                if f(r) % p != 0:
-                    raise AssertionError(f"uncertified batch root {r} mod {p}")
-            out[p] = np.asarray(rs, dtype=np.int64)
+        counts, G = modpoly.batch_split_part(list(f.coeffs), fast)
+        lanes, roots = modpoly.batch_linear_roots(G, counts, fast)
+        _certify_batch(f, fast, counts, lanes, roots)
+        starts = np.flatnonzero(np.diff(lanes, prepend=-1))
+        for j, rs in zip(lanes[starts].tolist(), np.split(roots, starts[1:])):
+            out[int(fast[j])] = rs
     return out

@@ -1,13 +1,24 @@
 """Polynomial arithmetic over prime fields, per-prime and batched.
 
 Coefficient lists are ascending. The per-prime routines work on plain
-Python ints (degrees here are tiny, 1 through 5). The batched routines
-run one Frobenius ladder x^p mod f across a whole numpy vector of primes
-at once, which is what makes root counting to p ~ 10^6 affordable: the
-ladder is ~2 log2(p) small fixed-shape convolutions on int64 vectors.
+Python ints (degrees here are tiny, 1 through 5); roots_mod_p and the Hensel
+lifts use them one prime at a time.
 
-Intermediate products stay below 2^63: coefficients are reduced below p
-after every convolution and p is capped at 2^31 in the batch path.
+The batched routines find roots mod p for a whole numpy vector of primes
+at once, each prime a lane of fixed-shape int64 arrays, which is what
+makes root collection to p ~ 10^6 affordable:
+
+- batch_split_part runs one Frobenius ladder x^p mod f over all lanes
+  (~2 log2(p) small convolutions), then gcd(x^p - x, f) by a vectorized
+  pseudo-remainder Euclid that needs no inverse until the final monic
+  scaling;
+- batch_linear_roots splits those gcds into their roots by equal-degree
+  splitting (Cantor-Zassenhaus): lanes grouped by degree, the same ladder
+  for (x + a)^((p-1)/2), the same Euclid, an exact vectorized division.
+
+Every batched value is reduced below p after each product and p < 2^31,
+so a product of two values stays below 2^62 and a sum or difference of two
+such products stays inside int64.
 """
 from __future__ import annotations
 
@@ -16,6 +27,9 @@ import math
 import numpy as np
 
 _BATCH_PRIME_CAP = 1 << 31
+# lanes per step of batch_split_part: bounds its int64 temporaries to a few
+# hundred kB each, whatever the number of primes
+_LANE_CHUNK = 1 << 13
 
 
 # ---------------------------------------------------------------- per-prime
@@ -207,6 +221,11 @@ def roots_prime_gcd(coeffs, p: int) -> list[int]:
 
 
 # ------------------------------------------------------------------- batched
+#
+# A batch is a numpy vector P of primes, one lane per prime. A polynomial
+# over the batch is a (rows, n) int64 array whose row j holds the x^j
+# coefficients of every lane; lanes may differ in degree (_degrees).
+
 
 def _pow_vec(base: np.ndarray, expo: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """Elementwise base**expo % mod for int64 vectors (binary ladder)."""
@@ -221,83 +240,208 @@ def _pow_vec(base: np.ndarray, expo: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return result
 
 
-def batch_split_part(coeffs, primes: np.ndarray, want_gcds: bool = True):
+def reduce_coeffs(coeffs, P: np.ndarray) -> np.ndarray:
+    """(len(coeffs), n) array of every coefficient mod every prime, exact
+    for arbitrary-precision coefficients."""
+    out = np.empty((len(coeffs), len(P)), dtype=np.int64)
+    for j, c in enumerate(coeffs):
+        c = int(c)
+        if -(1 << 62) < c < (1 << 62):
+            out[j] = np.mod(np.int64(c), P)
+        else:
+            out[j] = [c % p for p in P.tolist()]
+    return out
+
+
+def _degrees(A: np.ndarray) -> np.ndarray:
+    """Per-lane degree of a batched polynomial, -1 for the zero lanes."""
+    nz = A != 0
+    top = A.shape[0] - 1 - np.argmax(nz[::-1], axis=0)
+    return np.where(nz.any(axis=0), top, -1)
+
+
+def _shift(B: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x^s * B per lane (s >= 0), keeping B's rows; the caller makes sure
+    nothing is shifted out."""
+    rows = np.arange(B.shape[0])[:, None] - s
+    out = np.take_along_axis(B, np.maximum(rows, 0), axis=0)
+    out[rows < 0] = 0
+    return out
+
+
+def _powmod_ladder(a, E: np.ndarray, F: np.ndarray, P: np.ndarray) -> list:
+    """(x + a)^E mod F per lane, as m rows of coefficients.
+
+    F holds the m lower coefficients of a monic modulus of degree m >= 1;
+    a is a vector of shifts, or None for x^E. Left-to-right binary ladder
+    over the bits of E.max(): square, then multiply by x + a where the
+    lane's bit is set, a fixed number of small convolutions per bit.
+    """
+    m, n = F.shape
+
+    def mul(A, B):
+        T = [np.zeros(n, dtype=np.int64) for _ in range(2 * m - 1)]
+        for i in range(m):
+            for j in range(m):
+                T[i + j] = (T[i + j] + A[i] * B[j]) % P
+        for s in range(2 * m - 2, m - 1, -1):
+            t = T[s]
+            for j in range(m):
+                T[s - m + j] = (T[s - m + j] - t * F[j]) % P
+        return T[:m]
+
+    def mul_by_base(A):
+        t = A[m - 1]
+        out = []
+        for j in range(m):
+            c = (A[j - 1] if j else 0) - t * F[j]
+            if a is not None:
+                c = c + a * A[j]
+            out.append(c % P)
+        return out
+
+    R = [np.zeros(n, dtype=np.int64) for _ in range(m)]
+    R[0][:] = 1
+    for i in range(int(E.max()).bit_length() - 1, -1, -1):
+        R = mul(R, R)
+        bit = ((E >> i) & 1) == 1
+        Rb = mul_by_base(R)
+        R = [np.where(bit, Rb[j], R[j]) for j in range(m)]
+    return R
+
+
+def _gcd_vec(A: np.ndarray, B: np.ndarray, P: np.ndarray):
+    """Monic gcd of A and B per lane, and its degree; A nonzero in every lane.
+
+    Euclid by pseudo-remainder steps A <- lc(B) A - lc(A) x^(deg A - deg B) B,
+    each of which lowers deg A and needs no inverse; lanes swap A and B when
+    deg A < deg B and stop once B is zero. One inverse per lane makes the
+    result monic at the end.
+    """
+    A, B = A.copy(), B.copy()
+    da, db = _degrees(A), _degrees(B)
+    cols = np.arange(A.shape[1])
+    while True:
+        live = db >= 0
+        if not live.any():
+            break
+        swap = live & (da < db)
+        if swap.any():
+            A[:, swap], B[:, swap] = B[:, swap], A[:, swap]
+            da, db = np.where(swap, db, da), np.where(swap, da, db)
+            live = db >= 0
+        la = A[da, cols]
+        lb = B[np.maximum(db, 0), cols]
+        s = np.where(live, da - db, 0)
+        step = (lb * A - la * _shift(B, s)) % P
+        A = np.where(live, step, A)
+        da = np.where(live, _degrees(A), da)
+    inv = _pow_vec(A[da, cols], P - 2, P)
+    return A * inv % P, da
+
+
+def _divexact_vec(A: np.ndarray, m: int, B: np.ndarray, k: np.ndarray,
+                  P: np.ndarray) -> np.ndarray:
+    """A / B per lane, A of degree m, B monic of degree k per lane and
+    dividing A exactly (checked: the remainder must vanish)."""
+    R, Q = A.copy(), np.zeros_like(A)
+    cols = np.arange(A.shape[1])
+    for t in range(m, 0, -1):
+        on = t >= k
+        s = np.where(on, t - k, 0)
+        c = np.where(on, R[t], 0)
+        Q[s, cols] = np.where(on, c, Q[s, cols])
+        R = (R - c * _shift(B, s)) % P
+    if R.any():
+        raise ArithmeticError("inexact batched division")
+    return Q
+
+
+def batch_split_part(coeffs, primes: np.ndarray):
     """For each prime p (vector), the monic product of the distinct linear
     factors of f mod p, i.e. gcd(x^p - x, f).
 
-    Returns (counts, gcds): counts[i] is the number of distinct roots of f
-    mod primes[i]; gcds[i] is the ascending coefficient list of the gcd
-    (present only when counts[i] > 0 and want_gcds, else None).
+    Returns (counts, G): counts[i] is the number of distinct roots of f mod
+    primes[i], and column i of the (d+1, n) int64 array G holds the
+    ascending coefficients of that gcd (the constant 1 where counts[i] = 0).
+    x^p mod f comes from one ladder over all lanes, the gcd from the
+    vectorized pseudo-remainder Euclid.
 
     Requires every p to exceed max(3, |lc|'s prime divisors): callers route
     tiny primes and divisors of the leading coefficient to the scan path.
     """
-    primes = np.asarray(primes, dtype=np.int64)
-    if len(primes) == 0:
-        return np.zeros(0, dtype=np.int64), []
-    if int(primes.max()) >= _BATCH_PRIME_CAP:
-        raise ValueError("batch path caps primes at 2^31")
-    d = len(coeffs) - 1
-    P = primes
-    n = len(P)
-    cols = [_big_mod(int(c), P) for c in coeffs]
-    ilc = _pow_vec(cols[d], P - 2, P)
-    F = [cols[j] * ilc % P for j in range(d)]  # monic lower coefficients
-
-    def mul(A, B):
-        T = [np.zeros(n, dtype=np.int64) for _ in range(2 * d - 1)]
-        for i in range(d):
-            Ai = A[i]
-            for j in range(d):
-                T[i + j] = (T[i + j] + Ai * B[j]) % P
-        for s in range(2 * d - 2, d - 1, -1):
-            t = T[s]
-            for j in range(d):
-                T[s - d + j] = (T[s - d + j] - t * F[j]) % P
-        return T[:d]
-
-    def mul_by_x(A):
-        S = [np.zeros(n, dtype=np.int64)] + A[:]
-        t = S[d]
-        return [(S[j] - t * F[j]) % P for j in range(d)]
-
-    R = [np.zeros(n, dtype=np.int64) for _ in range(d)]
-    R[0][:] = 1
-    maxb = int(P.max()).bit_length()
-    for i in range(maxb - 1, -1, -1):
-        R = mul(R, R)
-        bit = ((P >> i) & 1) == 1
-        Rx = mul_by_x(R)
-        for j in range(d):
-            R[j] = np.where(bit, Rx[j], R[j])
-    # h = x^p - x, with x itself reduced mod the monic f (nontrivial for d = 1,
-    # where x = -F[0] in the quotient ring)
-    if d == 1:
-        R[0] = (R[0] + F[0]) % P
-    else:
-        R[1] = (R[1] - 1) % P
-
+    P_all = np.asarray(primes, dtype=np.int64)
+    d, n = len(coeffs) - 1, len(P_all)
     counts = np.zeros(n, dtype=np.int64)
-    gcds: list[list[int] | None] = [None] * n
-    hcols = [r.tolist() for r in R]
-    fcols = [f.tolist() for f in F]
-    plist = P.tolist()
-    for i in range(n):
-        p = plist[i]
-        h = poly_trim([hcols[j][i] for j in range(d)])
-        fm = [fcols[j][i] for j in range(d)] + [1]
-        g = poly_gcd(h, fm, p)
-        dg = poly_deg(g)
-        if dg > 0:
-            counts[i] = dg
-            if want_gcds:
-                gcds[i] = g
-    return counts, gcds
+    G = np.zeros((d + 1, n), dtype=np.int64)
+    if n and int(P_all.max()) >= _BATCH_PRIME_CAP:
+        raise ValueError("batch path caps primes at 2^31")
+    for lo in range(0, n, _LANE_CHUNK):
+        P = P_all[lo:lo + _LANE_CHUNK]
+        C = reduce_coeffs(coeffs, P)
+        Fm = C * _pow_vec(C[d], P - 2, P) % P  # monic f
+        H = np.zeros_like(Fm)
+        H[:d] = _powmod_ladder(None, P, Fm[:d], P)
+        # h = x^p - x, with x itself reduced mod the monic f (nontrivial for
+        # d = 1, where x = -F[0] in the quotient ring)
+        if d == 1:
+            H[0] = (H[0] + Fm[0]) % P
+        else:
+            H[1] = (H[1] - 1) % P
+        G[:, lo:lo + _LANE_CHUNK], counts[lo:lo + _LANE_CHUNK] = _gcd_vec(Fm, H, P)
+    return counts, G
 
 
-def _big_mod(c: int, P: np.ndarray) -> np.ndarray:
-    """c mod p elementwise, exact for arbitrary-precision c."""
-    if -(1 << 62) < c < (1 << 62):
-        return np.mod(np.int64(c), P)
-    out = np.array([c % int(p) for p in P.tolist()], dtype=np.int64)
-    return out
+def batch_linear_roots(G: np.ndarray, counts: np.ndarray, primes: np.ndarray):
+    """Roots of the split parts from batch_split_part, for all lanes at once.
+
+    Returns (lanes, roots), two int64 vectors sorted by lane and then by
+    root: roots[j] is a root mod primes[lanes[j]]. Batched Cantor-Zassenhaus
+    (equal-degree splitting of a product of distinct linear factors): lanes
+    are grouped by the degree m of their current factor g. For m = 1 the
+    root is -g0. For m >= 2, h = (x + a)^((p-1)/2) mod g comes from the
+    same ladder as x^p mod f, w = gcd(h - 1, g) collects the roots r with
+    r + a a nonzero square, and a lane with 0 < deg w < m splits into w and
+    g / w; either way its shift a moves to a + 1. The shift sequence
+    0, 1, 2, ... per factor makes every run reproducible, and for odd p a
+    shift separating two given roots turns up long before a reaches p.
+
+    Every value stays an int64 below p < 2^31, so each product of two is
+    below 2^62 and a product minus another stays inside int64.
+    """
+    P_all = np.asarray(primes, dtype=np.int64)
+    rows = G.shape[0]
+    found_lanes = [np.zeros(0, dtype=np.int64)]
+    found_roots = [np.zeros(0, dtype=np.int64)]
+    lane = np.nonzero(counts > 0)[0]
+    polys, degs = G[:, lane], counts[lane]
+    shift = np.zeros(len(lane), dtype=np.int64)
+    while len(lane):
+        lin = degs == 1
+        found_lanes.append(lane[lin])
+        found_roots.append((-polys[0, lin]) % P_all[lane[lin]])
+        nxt = []  # (lanes, factors padded to G's rows, degrees, shifts)
+        for m in np.unique(degs[~lin]).tolist():
+            sel = degs == m
+            ln, g, a = lane[sel], polys[:m + 1, sel], shift[sel]
+            P = P_all[ln]
+            if (a >= P).any():
+                raise ArithmeticError("batched splitting stalled")
+            H = np.zeros_like(g)
+            H[:m] = _powmod_ladder(a, (P - 1) // 2, g[:m], P)
+            H[0] = (H[0] - 1) % P
+            w, k = _gcd_vec(g, H, P)
+            ok = (k > 0) & (k < m)
+            q = _divexact_vec(g[:, ok], m, w[:, ok], k[ok], P[ok])
+            for on, part, dp in ((ok, w[:, ok], k[ok]), (ok, q, m - k[ok]),
+                                 (~ok, g[:, ~ok], degs[sel][~ok])):
+                nxt.append((ln[on], np.pad(part, ((0, rows - m - 1), (0, 0))),
+                            dp, a[on] + 1))
+        if not nxt:
+            break
+        lane, polys, degs, shift = (np.concatenate(c, axis=-1)
+                                    for c in zip(*nxt))
+    lanes = np.concatenate(found_lanes)
+    roots = np.concatenate(found_roots)
+    order = np.lexsort((roots, lanes))
+    return lanes[order], roots[order]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -377,7 +377,14 @@ def _irreducible_mod_p(f: IntPolynomial, p: int) -> bool:
 
 @dataclass(frozen=True)
 class PolyProfile:
-    """Hypothesis data for one polynomial, computed once and cached."""
+    """Hypothesis data for one polynomial, computed once and cached.
+
+    bad_primes and irreducibility factor integers that grow with the
+    coefficients (the discriminant, lc and f(0)), so each is computed on
+    first use only. The sieve reads just is_squarefree_poly; density, rho
+    and the hypothesis reports read the rest, and there a discriminant too
+    large to factor stays an error.
+    """
 
     poly: IntPolynomial
     degree: int
@@ -386,14 +393,22 @@ class PolyProfile:
     fixed_divisor: int
     resultant_with_derivative: int
     is_squarefree_poly: bool
-    bad_primes: tuple[int, ...] | None  # None when not squarefree
-    irreducibility: str
+
+    @cached_property
+    def bad_primes(self) -> tuple[int, ...] | None:
+        """Primes dividing Res(f, f') * lc(f); None when not squarefree."""
+        if not self.is_squarefree_poly:
+            return None
+        return prime_factors(abs(self.resultant_with_derivative * self.leading))
+
+    @cached_property
+    def irreducibility(self) -> str:
+        return irreducibility_check(self.poly)
 
 
 @lru_cache(maxsize=256)
 def profile(f: IntPolynomial) -> PolyProfile:
     res = resultant_with_derivative(f)
-    sf = res != 0
     return PolyProfile(
         poly=f,
         degree=f.degree,
@@ -401,9 +416,7 @@ def profile(f: IntPolynomial) -> PolyProfile:
         content=f.content,
         fixed_divisor=fixed_divisor(f),
         resultant_with_derivative=res,
-        is_squarefree_poly=sf,
-        bad_primes=prime_factors(abs(res * f.leading)) if sf else None,
-        irreducibility=irreducibility_check(f),
+        is_squarefree_poly=res != 0,
     )
 
 

@@ -15,7 +15,9 @@ from powerfree.ergodic import (AllIntegers, BeattyMap, IdentityMap,
                                KfreeValues, ProductKfree, ProgressionMap,
                                TwinSquarefree)
 from powerfree.kfree import tail_pair_count
-from powerfree.poly import IntPolynomial
+from powerfree.local_roots import local_root_count
+from powerfree.poly import IntPolynomial, profile
+from powerfree.sieve import primes_up_to
 
 SYSTEM_TEXTS = [
     "twopoint:1.0,-1.0,0",
@@ -68,6 +70,14 @@ def test_condition_descriptors():
     assert isinstance(pr, ProductKfree)
     with pytest.raises(ValueError):
         parse_condition("nonsense")
+    for text, grammar in [("kfree:1,0,1", "kfree:<coeffs>:<k>"),
+                          ("kfree:1,0,1:2:3", "kfree:<coeffs>:<k>"),
+                          ("product:1,0,1*2,0,1",
+                           "product:<coeffs>*<coeffs>...:<k>")]:
+        with pytest.raises(ValueError) as e:
+            parse_condition(text)
+        assert str(e.value) == (f"condition descriptor {text!r}: "
+                                f"expected {grammar}")
 
 
 def test_argmap_descriptors():
@@ -81,6 +91,12 @@ def test_argmap_descriptors():
     assert bm.alpha == Fraction(13, 8)
     with pytest.raises(ValueError):
         parse_argmap("wat:1")
+    for text, grammar in [("prog:3", "prog:<m>,<r>"),
+                          ("beatty:1/2,", "beatty:<alpha>,<beta>")]:
+        with pytest.raises(ValueError) as e:
+            parse_argmap(text)
+        assert str(e.value) == (f"argmap descriptor {text!r}: "
+                                f"expected {grammar}")
 
 
 def test_experiment_config_round_trip():
@@ -111,6 +127,20 @@ def test_rho_csv_output(tmp_path):
     two_at = sorted(p for p, r in rows.items() if r[3] == "2")
     assert two_at == [5, 13, 17, 29, 37, 41]
     assert rows[2][1] == "1"            # p = 2 flagged bad
+
+
+def test_rho_csv_matches_per_prime_counts(tmp_path):
+    # rho takes rho_p from the batched counts and lifts only at singular
+    # primes; the CSV must equal the one built from local_root_count alone
+    f = IntPolynomial.parse("5,0,0,1")
+    bad = set(profile(f).bad_primes)
+    want = ["p,is_bad,rho_p,rho_pk"] + [
+        f"{p},{int(p in bad)},{local_root_count(f, p, 1)},"
+        f"{local_root_count(f, p, 2)}" for p in primes_up_to(10000).tolist()]
+    out = tmp_path / "rho.csv"
+    assert main(["rho", "--poly", "5,0,0,1", "--k", "2", "--primes", "1e4",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == want
 
 
 def test_density_json_output(tmp_path):
@@ -177,6 +207,19 @@ def test_exit_codes(tmp_path):
     assert main(["count", "--poly", "1,0,1", "--k", "2", "--N", "1000",
                  "--P", "1000", "--out", str(tmp_path / "no" / "x.csv")]) == 2
     assert main(["nonsense"]) == 2
+    for cond in ("kfree:1,0,1", "product:1,0,1:"):
+        assert main(["ergodic", "--system", "twopoint:1.0,-1.0,0",
+                     "--condition", cond, "--N", "100"]) == 2
+    for argmap in ("prog:3", "beatty:1/2", "beatty:1,2,3"):
+        assert main(["ergodic", "--system", "twopoint:1.0,-1.0,0",
+                     "--argmap", argmap, "--N", "100"]) == 2
+    assert main(["rho", "--poly", "5,0,0,1", "--k", "2",
+                 "--primes", "1e9"]) == 3
+    # the singular primes of this quadratic need a 31-digit cofactor of its
+    # discriminant proved prime, which factorint refuses; the sieve alone
+    # does not need them (test_mask_on_large_coefficient_quadratic)
+    assert main(["density", "--poly=-4999999993,-4999999994,3000000008",
+                 "--k", "3", "--P", "1000"]) == 2
 
 
 def test_csv_byte_determinism(tmp_path):

@@ -10,7 +10,7 @@ from powerfree.kfree import (_kth_power_prime_table, count_kfree,
                              sieve_prime_bound, tail_pair_count,
                              twin_squarefree_mask)
 from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
-                            parse_poly_or_product)
+                            parse_poly_or_product, profile)
 from powerfree.sieve import build_tables
 
 
@@ -241,3 +241,12 @@ def test_random_quadratic_masks_match_brute(b, c):
         assert disc == 0 or has_fixed_kth_power(f, 2) is not None
         return
     assert np.array_equal(mask.bits, brute_mask(f, 2, 400))
+
+
+def test_mask_on_large_coefficient_quadratic():
+    # the discriminant has a 31-digit cofactor that factorint cannot prove
+    # prime; the sieve needs only squarefreeness, so it must never factor it
+    f = IntPolynomial.from_coeffs([-4999999993, -4999999994, 3000000008])
+    for k in (3, 2):
+        assert kfree_mask(f, k, 300).count == int(brute_mask(f, k, 300).sum())
+    assert "bad_primes" not in vars(profile(f))

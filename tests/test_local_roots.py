@@ -1,15 +1,18 @@
+import random
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerfree import modpoly
 from powerfree.errors import CapacityError
-from powerfree.local_roots import (batch_root_counts, batch_roots,
+from powerfree.local_roots import (SCAN_LIMIT, batch_root_counts, batch_roots,
                                    count_roots_mod_p, is_bad_prime,
                                    lift_roots, local_root_count,
                                    local_root_count_squarefree, roots_mod_p)
-from powerfree.poly import IntPolynomial
+from powerfree.poly import IntPolynomial, profile
 from powerfree.sieve import primes_up_to
 
 TEST_POLYS = [
@@ -138,6 +141,74 @@ def test_batch_roots_vs_scalar():
         want = enum_roots(f, p)
         got = sorted(table.get(p, np.array([], dtype=np.int64)).tolist())
         assert got == want, p
+
+
+# squarefree over Q, degrees 1 to 5: negative leading coefficients,
+# content 3 and 6, lc divisible by 53, and discriminants divisible by 61,
+# 67, 181 and 241, all primes above the batch path's lower cutoff of 50
+BATCH_POLYS = [
+    "7,-1", "0,1,0,-53", "-18,12,6", "0,-335,201,-3",
+    "-244,-244,-731,1,3", "3,0,0,0,0,-3", "-6,-3,0,0,0,-6",
+]
+
+
+def _batch_cases():
+    rng = random.Random(5)
+    polys = [IntPolynomial.parse(t) for t in BATCH_POLYS]
+    while len(polys) < len(BATCH_POLYS) + 12:
+        d = rng.randrange(1, 6)
+        cs = [rng.randrange(-30, 31) for _ in range(d)]
+        cs.append(rng.choice([-5, -2, -1, 1, 4]))
+        f = IntPolynomial.from_coeffs(cs)
+        if f.degree == d and profile(f).is_squarefree_poly:
+            polys.append(f)
+    return polys
+
+
+def test_batch_paths_vs_residue_scan():
+    primes = primes_up_to(1100)
+    for f in _batch_cases():
+        assert profile(f).is_squarefree_poly, f.text()
+        counts = batch_root_counts(f, primes)
+        # scan_below=50 sends every p > 50 through the batched split
+        table = batch_roots(f, primes, scan_below=50)
+        for i, p in enumerate(primes.tolist()):
+            want = enum_roots(f, p)
+            got = table.get(p, np.array([], dtype=np.int64)).tolist()
+            assert got == want, (f.text(), p)
+            assert counts[i] == len(want), (f.text(), p)
+
+
+def test_batch_paths_near_int64_bound():
+    primes = np.array([2147483549, 2147483563, 2147483579, 2147483587,
+                       2147483629, 2147483647], dtype=np.int64)
+    for f in [IntPolynomial.parse("5,0,0,1"), IntPolynomial.parse("-6,11,-6,1"),
+              IntPolynomial.parse("3,1,4,1,5,-9")]:
+        table = batch_roots(f, primes)
+        counts = batch_root_counts(f, primes)
+        for i, p in enumerate(primes.tolist()):
+            got = table.get(p, np.array([], dtype=np.int64)).tolist()
+            assert got == list(roots_mod_p(f, p)), (f.text(), p)
+            assert counts[i] == len(got)
+    assert batch_roots(IntPolynomial.parse("-6,11,-6,1"),
+                       primes)[2147483647].tolist() == [1, 2, 3]
+
+
+def test_batch_roots_stays_off_the_scalar_split(monkeypatch):
+    f = IntPolynomial.parse("5,0,0,1")
+    primes = primes_up_to(2 * 10 ** 5)
+    want = batch_roots(f, primes)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("scalar routine called on the batch path")
+
+    monkeypatch.setattr(modpoly, "split_linear_roots", boom)
+    monkeypatch.setattr(modpoly, "poly_gcd", boom)
+    # primes up to SCAN_LIMIT are scanned; everything above is batched
+    got = batch_roots(f, primes, scan_below=SCAN_LIMIT)
+    assert sorted(got) == sorted(want)
+    assert all(np.array_equal(got[p], want[p]) for p in want)
+    assert sum(len(v) for v in got.values()) > 10 ** 4
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,13 +1,15 @@
 import random
 
 import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerfree.modpoly import (batch_split_part, count_roots_prime, poly_gcd,
-                               poly_powmod, poly_rem, roots_prime_gcd,
-                               split_linear_roots, sqrt_mod_p)
+from powerfree.modpoly import (batch_linear_roots, batch_split_part,
+                               count_roots_prime, poly_gcd, poly_powmod,
+                               poly_rem, roots_prime_gcd, split_linear_roots,
+                               sqrt_mod_p)
 from powerfree.sieve import primes_up_to
 
 
@@ -77,24 +79,64 @@ def test_batch_split_part_counts_match_scalar():
     primes = primes[primes > 50]
     for coeffs in [[1, 0, 1], [2, 0, 0, 1], [4, 1, 0, 1], [2, 0, 1, 0, 1],
                    [1, 1, 1, 1, 1]]:
-        counts, gcds = batch_split_part(coeffs, primes)
+        counts, G = batch_split_part(coeffs, primes)
+        assert G.shape == (len(coeffs), len(primes))
         for i, p in enumerate(primes.tolist()):
             want = len(brute_roots(coeffs, p))
             assert counts[i] == want, (coeffs, p)
-            if want and gcds[i] is not None:
-                # the split part must vanish exactly on the roots
-                assert sorted(brute_roots(gcds[i], p)) == \
-                    sorted(brute_roots(coeffs, p))
-                assert len(gcds[i]) - 1 == want
+            g = G[:, i].tolist()
+            # the split part is monic of degree count and vanishes exactly
+            # on the roots
+            assert g[want] == 1 and not any(g[want + 1:]), (coeffs, p)
+            assert brute_roots(g, p) == brute_roots(coeffs, p)
 
 
-def test_batch_split_part_want_gcds_false():
-    primes = primes_up_to(500)
+def _random_polys(rng, n):
+    """Squarefree-over-Q polynomials of degree 1 to 5 with nonzero lc,
+    some with negative lc or content > 1."""
+    out = []
+    while len(out) < n:
+        d = rng.randrange(1, 6)
+        cs = [rng.randrange(-40, 41) for _ in range(d)] + [
+            rng.choice([1, -1, 2, -3, 7])]
+        content = rng.choice([1, 1, 3])
+        cs = [c * content for c in cs]
+        if sympy.Poly(list(reversed(cs)), sympy.symbols("x")).is_sqf:
+            out.append(cs)
+    return out
+
+
+def test_batch_linear_roots_vs_brute():
+    primes = primes_up_to(1200)
     primes = primes[primes > 50]
-    c1, g1 = batch_split_part([1, 0, 1], primes, want_gcds=False)
-    c2, g2 = batch_split_part([1, 0, 1], primes, want_gcds=True)
-    assert np.array_equal(c1, c2)
-    assert all(g is None for g in g1)
+    for coeffs in _random_polys(random.Random(11), 25):
+        lane_ok = np.array([coeffs[-1] % p != 0 for p in primes.tolist()])
+        P = primes[lane_ok]
+        counts, G = batch_split_part(coeffs, P)
+        lanes, roots = batch_linear_roots(G, counts, P)
+        assert np.array_equal(np.bincount(lanes, minlength=len(P)), counts)
+        for i, p in enumerate(P.tolist()):
+            assert roots[lanes == i].tolist() == brute_roots(coeffs, p), \
+                (coeffs, p)
+
+
+def test_batch_path_near_int64_bound():
+    # primes just below 2^31: every product in the ladder, the Euclid and
+    # the split must still fit int64
+    primes = np.array([2147483647, 2147483629, 2147483587, 2147483579,
+                       2147483563, 2147483549], dtype=np.int64)
+    for coeffs in [[5, 0, 0, 1], [-6, 11, -6, 1], [2, 0, 1, 0, 1],
+                   [-120, 274, -225, 85, -15, 1], [3, -7]]:
+        counts, G = batch_split_part(coeffs, primes)
+        lanes, roots = batch_linear_roots(G, counts, primes)
+        for i, p in enumerate(primes.tolist()):
+            assert counts[i] == count_roots_prime(coeffs, p), (coeffs, p)
+            got = roots[lanes == i].tolist()
+            assert got == sorted(roots_prime_gcd(coeffs, p)), (coeffs, p)
+            assert all(sum(c * r ** j for j, c in enumerate(coeffs)) % p == 0
+                       for r in got)
+    with pytest.raises(ValueError):
+        batch_split_part([1, 0, 1], np.array([2147483659], dtype=np.int64))
 
 
 def test_poly_powmod_matches_sympy():
