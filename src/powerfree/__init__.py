@@ -16,7 +16,7 @@ from .ergodic import (AllIntegers, BeattyMap, IdentityMap, KfreeValues,
                       MaskCondition, OmegaHistogram, ProductKfree,
                       ProgressionMap, ReportRow, TwinSquarefree,
                       convergence_report, default_j_max, ergodic_average,
-                      exponent_fit, omega_histogram)
+                      exponent_fit, omega_histogram, omega_histograms)
 from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power, is_prime
 from .kfree import (CountRow, KfreeMask, SumDecomposition, count_kfree,
@@ -30,7 +30,7 @@ from .poly import (IntPolynomial, PolyProfile, bad_primes, fixed_divisor,
                    has_fixed_kth_power, irreducibility_check, max_abs_value,
                    profile, rational_roots, resultant,
                    resultant_with_derivative)
-from .sieve import ArithTables, build_tables, primes_up_to, shared_tables
+from .sieve import ArithTables, build_tables, primes_up_to
 
 __version__ = "0.1.0"
 
@@ -51,9 +51,10 @@ __all__ = [
     "is_perfect_kth_power", "is_prime", "kfree_mask", "legendre",
     "lift_roots", "local_factor", "local_root_count",
     "local_root_count_squarefree", "max_abs_value", "omega_histogram",
+    "omega_histograms",
     "orbit_table", "primes_up_to", "product_kfree_mask", "profile",
     "quadratic_pair_constant", "rational_roots", "resultant",
-    "resultant_with_derivative", "roots_mod_p", "shared_tables",
+    "resultant_with_derivative", "roots_mod_p",
     "sieve_prime_bound", "tail_pair_count", "twin_constant",
     "twin_squarefree_mask",
 ]

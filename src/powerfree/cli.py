@@ -34,7 +34,7 @@ from .dynamics import (GOLDEN_ROTATION, CyclicRotation, IrrationalRotation,
 from .ergodic import (AllIntegers, BeattyMap, IdentityMap, KfreeValues,
                       ProductKfree, ProgressionMap, TwinSquarefree,
                       convergence_report, default_j_max, ergodic_average,
-                      exponent_fit, omega_histogram)
+                      exponent_fit, omega_histograms)
 from .errors import CapacityError, HypothesisViolation
 from .kfree import (ROOT_LIMIT, count_kfree, kfree_mask, product_kfree_mask,
                     tail_pair_counts, twin_squarefree_mask)
@@ -540,19 +540,18 @@ def repro_thm31(outdir, threads):
     N = 10 ** 7
     _log(f"[{name}] progression grid at N={N}")
     header = ["m", "r", "N", "selected", "average", "target", "residual"]
+    grid = [(m, r) for m in (2, 3, 4) for r in range(m)]
+    hists = dict(zip(grid, omega_histograms(
+        N, [ProgressionMap(m, r) for m, r in grid], threads=threads)))
     out_rows = []
     within = {}
     for m in (2, 3, 4):
-        tables = build_tables(1, m * N + m, threads=threads)
         system = CyclicRotation(m)
         observable = VectorObservable(tuple([1.0] + [0.0] * (m - 1)))
-        jm = default_j_max(m * N + m - 1)
-        orb = orbit_table(system, observable, 0, jm)
+        orb = orbit_table(system, observable, 0, default_j_max(m * N + m - 1))
         ok = True
         for r in range(m):
-            argmap = ProgressionMap(m, r)
-            hist = omega_histogram(N, AllIntegers(), argmap, j_max=jm,
-                                   tables=tables, threads=threads)
+            hist = hists[m, r]
             avg = ergodic_average(hist, orb)
             resid = avg - 1.0 / m
             ok = ok and abs(resid) <= 1e-2

@@ -7,10 +7,18 @@ mask, or an arbitrary precomputed mask), then a histogram of Omega(a(n))
 over the selected n. Any orbit average collapses to a dot product against
 that histogram, so convergence studies across many checkpoints reuse one
 pass of sieve work.
+
+The histograms stream: the argument axis is sieved one window at a time,
+and every map is non-decreasing, so the n whose arguments fall in a window
+form one contiguous range. Windows hand back integer histograms only, so
+memory beyond the condition mask is O(segment_size * threads) and the sums
+are the same for any thread count and segment size.
 """
 from __future__ import annotations
 
+import bisect
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +28,7 @@ from . import kfree
 from .density import density, twin_constant
 from .dynamics import OrbitTable
 from .poly import IntPolynomial
-from .sieve import DEFAULT_SEGMENT, build_tables
+from .sieve import DEFAULT_SEGMENT, _fill_segment, primes_up_to
 
 
 # ---------------------------------------------------------------- maps
@@ -32,6 +40,14 @@ class IdentityMap:
 
     def max_argument(self, N: int) -> int:
         return N
+
+    def first_index(self, A: int) -> int:
+        """Smallest n >= 1 with a(n) >= A."""
+        return max(1, A)
+
+    def window_index(self, lo: int, hi: int, A: int) -> slice:
+        """a(n) - A for n in [lo, hi), as an index into a window at A."""
+        return slice(lo - A, hi - A)
 
     def label(self) -> str:
         return "identity"
@@ -53,6 +69,13 @@ class ProgressionMap:
 
     def max_argument(self, N: int) -> int:
         return self.m * N + self.r
+
+    def first_index(self, A: int) -> int:
+        return max(1, -((self.r - A) // self.m))
+
+    def window_index(self, lo: int, hi: int, A: int) -> slice:
+        start = self.m * lo + self.r - A
+        return slice(start, start + self.m * (hi - lo), self.m)
 
     def label(self) -> str:
         return f"prog:{self.m},{self.r}"
@@ -92,6 +115,14 @@ class BeattyMap:
     def max_argument(self, N: int) -> int:
         return math.floor(Fraction(self.alpha) * N + Fraction(self.beta))
 
+    def first_index(self, A: int) -> int:
+        # floor(alpha n + beta) >= A exactly when n >= (A - beta) / alpha
+        return max(1, math.ceil((A - Fraction(self.beta))
+                                / Fraction(self.alpha)))
+
+    def window_index(self, lo: int, hi: int, A: int) -> np.ndarray:
+        return self.map_values(np.arange(lo, hi, dtype=np.int64)) - A
+
     def label(self) -> str:
         return f"beatty:{self.alpha},{self.beta}"
 
@@ -118,16 +149,15 @@ class KfreeValues:
     def __init__(self, f: IntPolynomial, k: int):
         self.f = f
         self.k = k
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        self._cache: dict[int, np.ndarray] = {}
 
     def mask(self, N: int, *, segment_size: int = DEFAULT_SEGMENT,
              threads: int = 1) -> np.ndarray:
-        key = (N, segment_size)
-        if key not in self._cache:
-            self._cache[key] = kfree.kfree_mask(
+        if N not in self._cache:
+            self._cache[N] = kfree.kfree_mask(
                 self.f, self.k, N, segment_size=segment_size, threads=threads
             ).bits
-        return self._cache[key]
+        return self._cache[N]
 
     def density(self, P: int, N: int) -> float:
         return density(self.f, self.k, P).value
@@ -140,15 +170,14 @@ class TwinSquarefree:
     """n counts when n and n+1 are both squarefree."""
 
     def __init__(self):
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        self._cache: dict[int, np.ndarray] = {}
 
     def mask(self, N: int, *, segment_size: int = DEFAULT_SEGMENT,
              threads: int = 1) -> np.ndarray:
-        key = (N, segment_size)
-        if key not in self._cache:
-            self._cache[key] = kfree.twin_squarefree_mask(
+        if N not in self._cache:
+            self._cache[N] = kfree.twin_squarefree_mask(
                 N, segment_size=segment_size, threads=threads)
-        return self._cache[key]
+        return self._cache[N]
 
     def density(self, P: int, N: int) -> float:
         return twin_constant(P).value
@@ -163,19 +192,18 @@ class ProductKfree:
     def __init__(self, factors, k: int):
         self.factors = tuple(factors)
         self.k = k
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        self._cache: dict[int, np.ndarray] = {}
         self._expanded = self.factors[0]
         for g in self.factors[1:]:
             self._expanded = self._expanded * g
 
     def mask(self, N: int, *, segment_size: int = DEFAULT_SEGMENT,
              threads: int = 1) -> np.ndarray:
-        key = (N, segment_size)
-        if key not in self._cache:
-            self._cache[key] = kfree.product_kfree_mask(
+        if N not in self._cache:
+            self._cache[N] = kfree.product_kfree_mask(
                 self.factors, self.k, N, segment_size=segment_size,
                 threads=threads).bits
-        return self._cache[key]
+        return self._cache[N]
 
     def density(self, P: int, N: int) -> float:
         return density(self._expanded, self.k, P).value
@@ -226,32 +254,90 @@ def default_j_max(max_arg: int) -> int:
     return 1 + int(math.log2(max(2, max_arg)))
 
 
+def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
+                     threads: int, segment_size: int, tables) -> np.ndarray:
+    """counts[i, c, j] = #{selected n in (cuts[c], cuts[c + 1]] :
+    Omega(argmaps[i](n)) = j}, for ascending cuts from 0 to N.
+
+    One pass over the argument axis [1, max argument] in windows of
+    segment_size on the thread pool. A window takes Omega from the segment
+    sieve (or from tables.omega when given), and each map gathers it over
+    the n with a(n) in the window, in runs of at most segment_size n so
+    that a map with alpha < 1 stays bounded too.
+    """
+    if segment_size < 8:
+        raise ValueError("segment_size too small")
+    top = max(am.max_argument(N) for am in argmaps)
+    if tables is None:
+        primes = primes_up_to(math.isqrt(top))
+    elif tables.lo > 1 or tables.hi <= top:
+        raise ValueError("tables do not cover the argument range")
+    bits = condition.mask(N, segment_size=segment_size, threads=threads)
+    width = j_max + 1
+
+    def window(A: int) -> np.ndarray:
+        B = min(A + segment_size, top + 1)
+        if tables is None:
+            omega = _fill_segment(A, B, primes)[0]
+        else:
+            omega = tables.omega[A - tables.lo:B - tables.lo]
+        out = np.zeros((len(argmaps), len(cuts) - 1, width), dtype=np.int64)
+        for i, am in enumerate(argmaps):
+            hi = min(am.first_index(B), N + 1)
+            for s in range(am.first_index(A), hi, segment_size):
+                e = min(s + segment_size, hi)
+                om = omega[am.window_index(s, e, A)]
+                c = bisect.bisect_left(cuts, s) - 1
+                while cuts[c] < e - 1:
+                    a, b = max(s, cuts[c] + 1), min(e, cuts[c + 1] + 1)
+                    h = np.bincount(om[a - s:b - s][bits[a - 1:b - 1]],
+                                    minlength=width)
+                    if len(h) > width:
+                        raise ValueError(f"j_max={j_max} too small: "
+                                         f"saw Omega={len(h) - 1}")
+                    out[i, c] += h
+                    c += 1
+        return out
+
+    starts = range(1, top + 1, segment_size)
+    if threads <= 1 or len(starts) == 1:
+        return sum(map(window, starts))
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return sum(ex.map(window, starts))
+
+
+def omega_histograms(N: int, argmaps, condition=None, *, threads: int = 1,
+                     segment_size: int = DEFAULT_SEGMENT,
+                     j_max: int | None = None,
+                     tables=None) -> list[OmegaHistogram]:
+    """Histograms of Omega(a(n)) over the selected n <= N, one per map a in
+    argmaps, from a single sieve pass over the largest argument window.
+
+    All share j_max, by default enough for the largest argument; tables,
+    when given, must cover [1, that argument].
+    """
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    argmaps = list(argmaps)
+    if not argmaps:
+        raise ValueError("need at least one argument map")
+    condition = condition if condition is not None else AllIntegers()
+    if j_max is None:
+        j_max = default_j_max(max(am.max_argument(N) for am in argmaps))
+    counts = _interval_counts(N, argmaps, condition, [0, N], j_max,
+                              threads=threads, segment_size=segment_size,
+                              tables=tables)
+    return [OmegaHistogram(c[0], N, int(c[0].sum())) for c in counts]
+
+
 def omega_histogram(N: int, condition=None, argmap=None, *,
                     threads: int = 1, segment_size: int = DEFAULT_SEGMENT,
                     j_max: int | None = None, tables=None) -> OmegaHistogram:
     """Histogram of Omega over mapped arguments of the selected n <= N."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    condition = condition if condition is not None else AllIntegers()
     argmap = argmap if argmap is not None else IdentityMap()
-    n = np.arange(1, N + 1, dtype=np.int64)
-    args = argmap.map_values(n)
-    if args.min() < 1:
-        raise ValueError("argument map produced values below 1")
-    max_arg = int(args.max())
-    if j_max is None:
-        j_max = default_j_max(max_arg)
-    if tables is None:
-        tables = build_tables(1, max_arg + 1, segment_size=segment_size,
-                              threads=threads)
-    if tables.lo > 1 or tables.hi <= max_arg:
-        raise ValueError("tables do not cover the argument range")
-    sel = condition.mask(N, segment_size=segment_size, threads=threads)
-    om = tables.omega[args - tables.lo][sel]
-    counts = np.bincount(om, minlength=j_max + 1).astype(np.int64)
-    if len(counts) > j_max + 1:
-        raise ValueError(f"j_max={j_max} too small: saw Omega={len(counts) - 1}")
-    return OmegaHistogram(counts, N, int(sel.sum()))
+    return omega_histograms(N, [argmap], condition, threads=threads,
+                            segment_size=segment_size, j_max=j_max,
+                            tables=tables)[0]
 
 
 def ergodic_average(hist: OmegaHistogram, orbit: OrbitTable) -> float:
@@ -281,7 +367,8 @@ def convergence_report(system, observable, x, *, N_values, condition=None,
 
     The limit is (density of the condition) * (space mean of g): the sieve
     controls how often n is selected, the unique ergodicity of the system
-    spreads the orbit uniformly. One table build at max(N) serves all rows.
+    spreads the orbit uniformly. One streamed pass to max(N) serves all
+    rows.
     """
     from .dynamics import orbit_table
 
@@ -290,23 +377,15 @@ def convergence_report(system, observable, x, *, N_values, condition=None,
     Ns = sorted(int(v) for v in N_values)
     if not Ns or Ns[0] < 1:
         raise ValueError("need positive checkpoints")
-    N = Ns[-1]
-    n = np.arange(1, N + 1, dtype=np.int64)
-    args = argmap.map_values(n)
-    max_arg = int(args.max())
-    tables = build_tables(1, max_arg + 1, segment_size=segment_size,
-                          threads=threads)
-    sel = condition.mask(N, segment_size=segment_size, threads=threads)
-    om_all = tables.omega[args - tables.lo]
-    jm = default_j_max(max_arg)
+    jm = default_j_max(argmap.max_argument(Ns[-1]))
+    counts = np.cumsum(_interval_counts(
+        Ns[-1], [argmap], condition, [0] + Ns, jm, threads=threads,
+        segment_size=segment_size, tables=None)[0], axis=0)
     orb = orbit_table(system, observable, x, jm, iterated=iterated)
-    dens = condition.density(P, N)
-    target = dens * orb.mean
+    target = condition.density(P, Ns[-1]) * orb.mean
     rows = []
-    for Ni in Ns:
-        om = om_all[:Ni][sel[:Ni]]
-        counts = np.bincount(om, minlength=jm + 1).astype(np.int64)
-        hist = OmegaHistogram(counts, Ni, int(counts.sum()))
+    for Ni, c in zip(Ns, counts):
+        hist = OmegaHistogram(c, Ni, int(c.sum()))
         avg = ergodic_average(hist, orb)
         rows.append(ReportRow(Ni, hist.selected, avg, target, avg - target))
     return rows

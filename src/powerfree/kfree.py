@@ -30,6 +30,7 @@ from .sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
 
 ROOT_LIMIT = 2 * 10 ** 6
 _INT64_MAX = (1 << 63) - 1
+_COFACTOR_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -116,23 +117,25 @@ def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
 
     Once every p <= P0 is divided out, these are exactly the cofactors
     divisible by a k-th prime power, and r is that prime (module docstring).
+    The int64 test runs in chunks of _COFACTOR_CHUNK positions, so its
+    float and candidate copies stay small next to the segment.
     """
-    idx = np.nonzero(vals > 1)[0]
     if vals.dtype == object:
-        return np.array([i for i in idx.tolist()
+        return np.array([i for i in np.flatnonzero(vals > 1).tolist()
                          if is_perfect_kth_power(int(vals[i]), k)],
                         dtype=np.intp)
-    if not len(idx):
-        return idx
-    v = vals[idx]
     rbound = int(float(_INT64_MAX) ** (1.0 / k)) - 2
-    r = np.rint(np.power(v.astype(np.float64), 1.0 / k)).astype(np.int64)
-    r = np.minimum(np.maximum(r, 1), rbound)
-    hit = np.zeros(len(idx), dtype=bool)
-    for cand in (r - 1, r, r + 1):
-        c = np.maximum(cand, 1)
-        hit |= c ** k == v
-    return idx[hit]
+    found = [np.zeros(0, dtype=np.intp)]
+    for s in range(0, len(vals), _COFACTOR_CHUNK):
+        idx = np.flatnonzero(vals[s:s + _COFACTOR_CHUNK] > 1) + s
+        v = vals[idx]
+        r = np.rint(np.power(v.astype(np.float64), 1.0 / k)).astype(np.int64)
+        np.clip(r, 2, rbound, out=r)
+        hit = np.zeros(len(idx), dtype=bool)
+        for cand in (r - 1, r, r + 1):
+            hit |= cand ** k == v
+        found.append(idx[hit])
+    return np.concatenate(found)
 
 
 def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots_items,
@@ -147,7 +150,7 @@ def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots_items,
     if len(zeros):
         vals[zeros] = 1
         seg[zeros] = False
-    vals = np.abs(vals)
+    vals = np.abs(vals, out=vals)
     for p, roots in roots_items:
         for v in roots.tolist():
             off = (v - a) % p

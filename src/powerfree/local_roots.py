@@ -261,13 +261,12 @@ def _certify_batch(f: IntPolynomial, primes: np.ndarray, counts: np.ndarray,
                              f"{int(P[j])} for {f.text()}")
 
 
-def batch_roots(f: IntPolynomial, primes: np.ndarray,
-                scan_below: int = 10 ** 4) -> dict[int, np.ndarray]:
+def batch_roots(f: IntPolynomial, primes: np.ndarray) -> dict[int, np.ndarray]:
     """Root lists mod p for many primes at once: {p: sorted int64 array}.
 
-    Primes up to scan_below, and any dividing lc(f) or the content, go
-    through roots_mod_p one at a time. The rest stay in numpy throughout:
-    batch_split_part gives gcd(x^p - x, f) for every lane, and
+    Primes up to _BATCH_MIN_PRIME, and any dividing lc(f) or the content,
+    go through roots_mod_p one at a time. The rest stay in numpy
+    throughout: batch_split_part gives gcd(x^p - x, f) for every lane, and
     batch_linear_roots splits those gcds into roots by batched equal-degree
     splitting. Each lane's root count must match the degree of its gcd, and
     every root is re-verified by exact evaluation of f mod p. Primes with
@@ -277,7 +276,7 @@ def batch_roots(f: IntPolynomial, primes: np.ndarray,
     prof = profile(f)
     special = abs(prof.leading * prof.content)
     out: dict[int, np.ndarray] = {}
-    slow = primes <= max(scan_below, _BATCH_MIN_PRIME)
+    slow = primes <= _BATCH_MIN_PRIME
     if special > 1:
         slow |= np.isin(primes, list(factorize(special)))
     for p in primes[slow].tolist():

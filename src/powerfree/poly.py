@@ -154,7 +154,8 @@ def evaluate_range(f: IntPolynomial, start: int, stop: int) -> np.ndarray:
         n = np.arange(start, stop, dtype=np.int64)
         acc = np.full(stop - start, f.coeffs[-1], dtype=np.int64)
         for c in reversed(f.coeffs[:-1]):
-            acc = acc * n + c
+            acc *= n
+            acc += c
         return acc
     n = np.arange(start, stop, dtype=object)
     acc = np.full(stop - start, f.coeffs[-1], dtype=object)

@@ -151,22 +151,3 @@ def build_tables(
         mobius[i : i + len(om)] = mo
         sqfree[i : i + len(om)] = sq
     return ArithTables(lo=lo, hi=hi, omega=omega, mobius=mobius, squarefree=sqfree)
-
-
-# Process-level cache: the ergodic engine asks for [1, hi) windows over and
-# over with growing hi; keep the largest one built so far.
-_shared: ArithTables | None = None
-
-
-def shared_tables(hi: int, segment_size: int = DEFAULT_SEGMENT, threads: int = 1) -> ArithTables:
-    """A cached [1, hi') table with hi' >= hi. Callers index by n, so a
-    larger window than asked for is always safe to hand back."""
-    global _shared
-    if _shared is None or _shared.hi < hi:
-        _shared = build_tables(1, hi, segment_size=segment_size, threads=threads)
-    return _shared
-
-
-def clear_shared_tables() -> None:
-    global _shared
-    _shared = None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,10 +13,11 @@ from powerfree.dynamics import (CyclicRotation, PairObservable, TwoPointSwap,
 from powerfree.ergodic import (AllIntegers, BeattyMap, IdentityMap,
                                KfreeValues, MaskCondition, ProductKfree,
                                ProgressionMap, TwinSquarefree,
-                               convergence_report, default_j_max,
-                               ergodic_average, exponent_fit,
-                               omega_histogram)
+                               _interval_counts, convergence_report,
+                               default_j_max, ergodic_average, exponent_fit,
+                               omega_histogram, omega_histograms)
 from powerfree.poly import IntPolynomial, parse_poly_or_product
+from powerfree.sieve import build_tables
 
 
 def big_omega(n):
@@ -188,3 +190,93 @@ def test_default_j_max_covers_omega():
     for N in (10, 1000, 10 ** 6):
         jm = default_j_max(N)
         assert 2 ** (jm + 1) > N
+
+
+# ------------------------------------------------------ streaming core
+
+STREAM_N = 20000
+STREAM_MAPS = [IdentityMap()] + [ProgressionMap(m, r) for m in (2, 3, 4)
+                                 for r in range(m)] + [
+    BeattyMap(Fraction(5, 13), Fraction(8, 13)),      # alpha < 1
+    BeattyMap(Fraction(13, 8), Fraction(1, 2)),       # alpha > 1, exact hits
+    # alpha n + beta sits 10^-6 (n - 1) below the integer n
+    BeattyMap(Fraction(999999, 1000000), Fraction(1, 1000000)),
+]
+# checkpoints on both sides of the window edges for both segment sizes
+STREAM_CUTS = [0, 1, 1023, 1024, 1025, 7776, 7777, 7778, 12345, 15554,
+               15555, STREAM_N]
+
+
+def _omega_upto(M):
+    """Omega(0..M) from a smallest-prime-factor table, one n at a time."""
+    spf = list(range(M + 1))
+    for p in range(2, math.isqrt(M) + 1):
+        if spf[p] == p:
+            for q in range(p * p, M + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    om = [0] * (M + 1)
+    for n in range(2, M + 1):
+        om[n] = om[n // spf[n]] + 1
+    return np.array(om)
+
+
+@pytest.fixture(scope="module")
+def stream_case():
+    rng = np.random.default_rng(5)
+    bits = rng.random(STREAM_N) < 0.7
+    n = np.arange(1, STREAM_N + 1, dtype=np.int64)
+    args = [[am.max_argument(i) for i in range(1, STREAM_N + 1)]
+            if isinstance(am, BeattyMap) else am.map_values(n).tolist()
+            for am in STREAM_MAPS]
+    om = _omega_upto(max(max(a) for a in args))
+    jm = default_j_max(max(max(a) for a in args))
+    want = np.zeros((len(STREAM_MAPS), len(STREAM_CUTS) - 1, jm + 1),
+                    dtype=np.int64)
+    for i, a in enumerate(args):
+        for c in range(len(STREAM_CUTS) - 1):
+            lo, hi = STREAM_CUTS[c], STREAM_CUTS[c + 1]
+            vals = om[np.asarray(a[lo:hi])][bits[lo:hi]]
+            want[i, c] = np.bincount(vals, minlength=jm + 1)
+    return MaskCondition(bits, "random"), jm, want
+
+
+@pytest.mark.parametrize("segment_size", [1024, 7777])
+def test_streamed_counts_match_brute_omega(stream_case, segment_size):
+    cond, jm, want = stream_case
+    got = _interval_counts(STREAM_N, STREAM_MAPS, cond, STREAM_CUTS, jm,
+                           threads=1, segment_size=segment_size, tables=None)
+    assert got.tolist() == want.tolist()
+    hists = omega_histograms(STREAM_N, STREAM_MAPS, cond, j_max=jm,
+                             segment_size=segment_size)
+    for h, w in zip(hists, want.sum(axis=1)):
+        assert h.counts.tolist() == w.tolist()
+        assert h.selected == int(w.sum())
+
+
+def test_streamed_counts_thread_and_table_invariant(stream_case):
+    cond, jm, want = stream_case
+    top = max(am.max_argument(STREAM_N) for am in STREAM_MAPS)
+    tables = build_tables(1, top + 1)
+    runs = [_interval_counts(STREAM_N, STREAM_MAPS, cond, STREAM_CUTS, jm,
+                             threads=t, segment_size=1024, tables=tb)
+            for t in (1, 2) for tb in (None, tables)]
+    assert all(r.tobytes() == runs[0].tobytes() for r in runs)
+    assert runs[0].tolist() == want.tolist()
+
+
+def test_convergence_report_streams_in_bounded_memory():
+    # today's cost is the condition mask (1 byte per n) plus O(segment);
+    # whole-window int64 arguments and Omega tables took about 30 bytes per n
+    N = 2 * 10 ** 6
+    cond = KfreeValues(IntPolynomial.parse("1,0,1"), 2)
+    tracemalloc.start()
+    try:
+        rows = convergence_report(TwoPointSwap(), PairObservable(1.0, -1.0),
+                                  0, N_values=[10 ** 5, N], condition=cond,
+                                  P=10 ** 4, segment_size=2 ** 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[-1].selected == int(cond.mask(N).sum())
+    assert peak < 4 * N, f"peak {peak / N:.2f} bytes per n"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from powerfree import modpoly
 from powerfree.errors import CapacityError
-from powerfree.local_roots import (SCAN_LIMIT, batch_root_counts, batch_roots,
+from powerfree.local_roots import (batch_root_counts, batch_roots,
                                    count_roots_mod_p, is_bad_prime,
                                    lift_roots, local_root_count,
                                    local_root_count_squarefree, roots_mod_p)
@@ -170,8 +170,8 @@ def test_batch_paths_vs_residue_scan():
     for f in _batch_cases():
         assert profile(f).is_squarefree_poly, f.text()
         counts = batch_root_counts(f, primes)
-        # scan_below=50 sends every p > 50 through the batched split
-        table = batch_roots(f, primes, scan_below=50)
+        # every p > 50 goes through the batched split
+        table = batch_roots(f, primes)
         for i, p in enumerate(primes.tolist()):
             want = enum_roots(f, p)
             got = table.get(p, np.array([], dtype=np.int64)).tolist()
@@ -204,8 +204,8 @@ def test_batch_roots_stays_off_the_scalar_split(monkeypatch):
 
     monkeypatch.setattr(modpoly, "split_linear_roots", boom)
     monkeypatch.setattr(modpoly, "poly_gcd", boom)
-    # primes up to SCAN_LIMIT are scanned; everything above is batched
-    got = batch_roots(f, primes, scan_below=SCAN_LIMIT)
+    # primes up to 50 are scanned; everything above is batched
+    got = batch_roots(f, primes)
     assert sorted(got) == sorted(want)
     assert all(np.array_equal(got[p], want[p]) for p in want)
     assert sum(len(v) for v in got.values()) > 10 ** 4

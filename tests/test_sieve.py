@@ -4,8 +4,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerfree.sieve import (DEFAULT_SEGMENT, build_tables, primes_up_to,
-                             shared_tables)
+from powerfree.sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
 
 
 def brute_omega(n: int) -> int:
@@ -66,16 +65,6 @@ def test_thread_count_invariance():
     assert bytes(a.omega) == bytes(b.omega)
     assert bytes(a.mobius) == bytes(b.mobius)
     assert bytes(a.squarefree) == bytes(b.squarefree)
-
-
-def test_shared_tables_grows_and_caches():
-    t1 = shared_tables(1000)
-    assert t1.hi >= 1000
-    t2 = shared_tables(500)
-    assert t2 is t1
-    t3 = shared_tables(2000)
-    assert t3.hi >= 2000
-    assert t3.mobius_of(1999) == sympy.mobius(1999)
 
 
 def test_index_bounds_checked():
