@@ -8,7 +8,7 @@ on top sits an engine for averages of observables along uniquely ergodic
 systems sampled at Omega of sieved arguments.
 """
 from .density import (DensityResult, density, estermann_constant, legendre,
-                      local_factor, quadratic_pair_constant, twin_constant)
+                      quadratic_pair_constant, twin_constant)
 from .dynamics import (GOLDEN_ROTATION, CyclicRotation, IrrationalRotation,
                        OrbitTable, PairObservable, TrigObservable,
                        TwoPointSwap, VectorObservable, orbit_table)
@@ -22,9 +22,9 @@ from .factorint import factorize, integer_nth_root, is_perfect_kth_power, is_pri
 from .kfree import (CountRow, KfreeMask, SumDecomposition, count_kfree,
                     decompose_sum, kfree_mask, product_kfree_mask,
                     sieve_prime_bound, tail_pair_count, twin_squarefree_mask)
-from .local_roots import (LocalRootData, batch_root_counts, batch_roots,
-                          count_roots_mod_p, is_bad_prime, lift_roots,
-                          local_root_count, local_root_count_squarefree,
+from .local_roots import (LocalRootData, RootTable, batch_root_counts,
+                          batch_roots, count_roots_mod_p, is_bad_prime,
+                          lift_roots, local_root_count, root_table,
                           roots_mod_p)
 from .poly import (IntPolynomial, PolyProfile, bad_primes, fixed_divisor,
                    has_fixed_kth_power, irreducibility_check, max_abs_value,
@@ -40,7 +40,7 @@ __all__ = [
     "HypothesisViolation", "IdentityMap", "IntPolynomial",
     "IrrationalRotation", "KfreeMask", "KfreeValues", "LocalRootData",
     "MaskCondition", "OmegaHistogram", "OrbitTable", "PairObservable",
-    "PolyProfile", "ProductKfree", "ProgressionMap", "ReportRow",
+    "PolyProfile", "ProductKfree", "ProgressionMap", "ReportRow", "RootTable",
     "SumDecomposition", "TrigObservable", "TwinSquarefree", "TwoPointSwap",
     "VectorObservable", "bad_primes", "batch_root_counts", "batch_roots",
     "build_tables", "convergence_report", "count_kfree", "count_roots_mod_p",
@@ -49,12 +49,11 @@ __all__ = [
     "exponent_fit", "factorize", "fixed_divisor", "has_fixed_kth_power",
     "integer_nth_root", "irreducibility_check", "is_bad_prime",
     "is_perfect_kth_power", "is_prime", "kfree_mask", "legendre",
-    "lift_roots", "local_factor", "local_root_count",
-    "local_root_count_squarefree", "max_abs_value", "omega_histogram",
+    "lift_roots", "local_root_count", "max_abs_value", "omega_histogram",
     "omega_histograms",
     "orbit_table", "primes_up_to", "product_kfree_mask", "profile",
     "quadratic_pair_constant", "rational_roots", "resultant",
-    "resultant_with_derivative", "roots_mod_p",
+    "resultant_with_derivative", "root_table", "roots_mod_p",
     "sieve_prime_bound", "tail_pair_count", "twin_constant",
     "twin_squarefree_mask",
 ]

@@ -313,7 +313,7 @@ def cmd_count(args) -> int:
     checkpoints = args.checkpoints or [args.N]
     factors = parse_poly_or_product(args.poly)
     mask = _build_mask(args.poly, args.k, args.N, args.threads, args.segment)
-    dens = density(mask.poly, args.k, args.P)
+    dens = density(mask.poly, args.k, args.P, mask.roots)
     rows = count_kfree(mask, checkpoints, dens)
     fit = (exponent_fit([(r.N, abs(r.abs_error)) for r in rows])
            if len(rows) >= 2 else None)
@@ -401,7 +401,7 @@ def _count_experiment(name, polytext, k, checkpoints, P, rel_tol, threads,
         mask = kfree_mask(factors[0], k, N, threads=threads)
     else:
         mask = product_kfree_mask(factors, k, N, threads=threads)
-    dens = density(mask.poly, k, P)
+    dens = density(mask.poly, k, P, mask.roots)
     rows = count_kfree(mask, checkpoints, dens)
     fit = exponent_fit([(r.N, abs(r.abs_error)) for r in rows])
     meta = {
@@ -464,7 +464,7 @@ def repro_carlitz(outdir, threads):
     checkpoints = [10 ** 5, 10 ** 6, 10 ** 7]
     N = checkpoints[-1]
     _log(f"[{name}] twin squarefree to N={N}")
-    bits = twin_squarefree_mask(N, threads=threads)
+    bits = twin_squarefree_mask(N)
     c = twin_constant(10 ** 6)
     rows = []
     for n in checkpoints:

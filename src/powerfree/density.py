@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation
-from .local_roots import batch_root_counts, lift_roots, local_root_count
+from .local_roots import RootTable, batch_root_counts, lift_roots
 from .poly import IntPolynomial, has_fixed_kth_power, profile
 from .sieve import primes_up_to
 
@@ -46,7 +46,8 @@ class DensityResult:
         return self.upper - self.lower
 
 
-def density(f: IntPolynomial, k: int, P: int) -> DensityResult:
+def density(f: IntPolynomial, k: int, P: int,
+            roots: RootTable | None = None) -> DensityResult:
     """prod_{p <= P} (1 - rho_f(p^k)/p^k) with a rigorous tail bound.
 
     Preconditions enforced: k >= 2; f squarefree as a polynomial (else the
@@ -57,6 +58,11 @@ def density(f: IntPolynomial, k: int, P: int) -> DensityResult:
     come from factoring Res(f, f') * lc(f); when factorint cannot prove a
     cofactor prime (above 3.3*10^24) that ValueError propagates, exit 2 on
     the command line, though kfree_mask on the same f works.
+
+    roots, a RootTable of f such as KfreeMask.roots, supplies rho_p at the
+    good primes it covers; only the others go through batch_root_counts.
+    The counts agree either way and fsum is correctly rounded, so the value
+    is bit for bit the same with or without it.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
@@ -79,15 +85,23 @@ def density(f: IntPolynomial, k: int, P: int) -> DensityResult:
         raise ValueError(f"P^k must exceed 2*deg={2 * d} for the tail bound")
 
     primes = primes_up_to(P)
-    badset = set(bad)
-    good = np.array([p for p in primes.tolist() if p not in badset],
-                    dtype=np.int64)
-    counts = batch_root_counts(f, good)
-    logs = []
-    for p, rho in zip(good.tolist(), counts.tolist()):
-        if rho:
-            logs.append(math.log1p(-rho / p ** k))
-    for p in sorted(badset):
+    good = primes[~np.isin(primes, bad)]
+    counts = np.zeros(len(good), dtype=np.int64)
+    known = np.zeros(len(good), dtype=bool)
+    if roots is not None:
+        if roots.poly != f:
+            raise ValueError(f"root table of {roots.poly.text()} passed "
+                             f"for {f.text()}")
+        idx = np.searchsorted(roots.primes, good)
+        known = idx < len(roots.primes)
+        known[known] = roots.primes[idx[known]] == good[known]
+        counts[known] = roots.counts[idx[known]]
+    if not known.all():
+        counts[~known] = batch_root_counts(f, good[~known])
+    nz = counts > 0
+    logs = [math.log1p(-rho / p ** k)
+            for p, rho in zip(good[nz].tolist(), counts[nz].tolist())]
+    for p in sorted(bad):
         rho = lift_roots(f, p, k).rho
         pk = p ** k
         if rho == pk:
@@ -161,8 +175,3 @@ def quadratic_pair_constant(P: int) -> DensityResult:
     value = math.exp(math.fsum(logs))
     tail = 8.0 / P
     return DensityResult(value, value * math.exp(-tail), value, P, 2, 4, (2,))
-
-
-def local_factor(f: IntPolynomial, p: int, k: int) -> float:
-    """The single Euler factor 1 - rho_f(p^k)/p^k."""
-    return 1.0 - local_root_count(f, p, k) / p ** k

@@ -175,8 +175,7 @@ class TwinSquarefree:
     def mask(self, N: int, *, segment_size: int = DEFAULT_SEGMENT,
              threads: int = 1) -> np.ndarray:
         if N not in self._cache:
-            self._cache[N] = kfree.twin_squarefree_mask(
-                N, segment_size=segment_size, threads=threads)
+            self._cache[N] = kfree.twin_squarefree_mask(N)
         return self._cache[N]
 
     def density(self, P: int, N: int) -> float:

@@ -23,14 +23,18 @@ import numpy as np
 from .density import DensityResult, density
 from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power
-from .local_roots import batch_roots, lift_roots
+from .local_roots import RootTable, lift_roots, root_table
 from .poly import (IntPolynomial, coefficient_bound, evaluate_range,
                    has_fixed_kth_power, max_abs_value, profile)
-from .sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
+from .sieve import DEFAULT_SEGMENT, primes_up_to
 
 ROOT_LIMIT = 2 * 10 ** 6
 _INT64_MAX = (1 << 63) - 1
 _COFACTOR_CHUNK = 1 << 14
+# primes above this hit a default segment at most 256 times per root, so
+# their hits are gathered into one vectorized pass (_divide_out_roots)
+_BUCKET_MIN_PRIME = 4096
+_HIT_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,9 @@ class KfreeMask:
     """Indicator of k-free values of f on [1, N]; bits[n - 1] is n's flag.
 
     zero_hits lists the n with f(n) = 0 (never k-free; 0 is divisible by
-    everything). prime_bound is the sieving bound P0 actually used.
+    everything). prime_bound is the sieving bound P0 actually used, and
+    roots the table of roots mod every p <= P0 it sieved with (None for a
+    product of factors), which density can reuse.
     """
 
     poly: IntPolynomial
@@ -47,6 +53,7 @@ class KfreeMask:
     bits: np.ndarray
     zero_hits: tuple[int, ...]
     prime_bound: int
+    roots: RootTable | None = None
 
     @property
     def count(self) -> int:
@@ -90,7 +97,7 @@ def _check_sieve_hypotheses(f: IntPolynomial, k: int) -> None:
 def _divide_out(vals: np.ndarray, seg_bits: np.ndarray, off: int, p: int,
                 k: int, record=None) -> None:
     """Divide the full p-part out of vals[off::p]; clear seg_bits where the
-    exponent reaches k. record(global_slice_indices) hooks exponent >= k.
+    exponent reaches k. record(positions, primes) hooks exponent >= k.
 
     The sl > 0 guard matters: zero values of f were replaced by 1 upstream
     and sit at a root position of every prime, so the first (unconditional)
@@ -106,10 +113,82 @@ def _divide_out(vals: np.ndarray, seg_bits: np.ndarray, off: int, p: int,
             pos = off + cur * p
             seg_bits[pos] = False
             if record is not None:
-                record(pos, p)
+                record(pos, np.full(len(pos), p, dtype=np.int64))
         e += 1
         sub = sl[cur]
         cur = cur[(sub % p == 0) & (sub > 0)]
+
+
+def _divide_out_hits(vals: np.ndarray, seg_bits: np.ndarray, pos: np.ndarray,
+                     pr: np.ndarray, k: int, record=None) -> None:
+    """_divide_out for scattered hits: pr[j] divides vals[pos[j]], and each
+    (position, prime) pair occurs once, but a position may repeat with
+    different primes.
+
+    np.floor_divide.at is unbuffered, so a repeated position is divided by
+    each of its primes in turn; that stays exact because distinct primes are
+    coprime, so q | v still holds after v is divided by p. Each round keeps
+    only the hits whose prime still divides, as in _divide_out.
+    """
+    if vals.dtype == object:
+        pr = pr.astype(object)  # Python-int division, no int64 overflow
+    np.floor_divide.at(vals, pos, pr)
+    e = 1
+    while True:
+        v = vals[pos]
+        live = (v % pr == 0) & (v > 0)
+        pos, pr = pos[live], pr[live]
+        if not len(pos):
+            return
+        np.floor_divide.at(vals, pos, pr)
+        e += 1
+        if e == k:
+            seg_bits[pos] = False
+            if record is not None:
+                record(pos, pr.astype(np.int64, copy=False))
+
+
+def _divide_out_roots(vals: np.ndarray, seg_bits: np.ndarray, a: int,
+                      roots: RootTable, k: int, record=None) -> None:
+    """Divide every prime of roots fully out of vals, which holds |f(n)|
+    for n in [a, a + len(vals)); clear seg_bits where an exponent reaches k.
+
+    Primes up to _BUCKET_MIN_PRIME take the strided _divide_out, one slice
+    per root. Above it a root hits a segment only a few times, so all hits
+    of the larger (p, root) pairs are built at once with np.repeat, in
+    groups of about _HIT_CHUNK hits to bound the transient arrays, and
+    divided by _divide_out_hits (the bucket sieve of Oliveira e Silva,
+    Herzog and Pardi, Math. Comp. 83, 2014). Hits reaching exponent k go to
+    record in ascending prime order for each position.
+    """
+    m = len(vals)
+    split = int(np.searchsorted(roots.p, _BUCKET_MIN_PRIME, side="right"))
+    for p, r in zip(roots.p[:split].tolist(), roots.roots[:split].tolist()):
+        off = (r - a) % p
+        if off < m:
+            _divide_out(vals, seg_bits, off, p, k, record)
+    P = roots.p[split:]
+    off = (roots.roots[split:] - a) % P
+    inside = off < m
+    P, off = P[inside], off[inside]
+    if not len(P):
+        return
+    cnt = (m - 1 - off) // P + 1
+    ends = np.cumsum(cnt)
+    cuts = np.searchsorted(ends, np.arange(_HIT_CHUNK, int(ends[-1]),
+                                           _HIT_CHUNK), side="right")
+    bounds = [0, *np.unique(cuts).tolist(), len(P)]
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if s == e:
+            continue
+        c = cnt[s:e]
+        first = np.cumsum(c) - c
+        pr = np.repeat(P[s:e], c)
+        # hit t of pair i sits at off_i + (t - first_i) p_i
+        pos = np.arange(len(pr), dtype=np.int64)
+        pos *= pr
+        pos += np.repeat(off[s:e] - first * P[s:e], c)
+        _divide_out_hits(vals, seg_bits, pos, pr, k, record)
 
 
 def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
@@ -138,10 +217,9 @@ def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots_items,
+def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots: RootTable,
                   bits: np.ndarray) -> list[int]:
     """Sieve n in [a, b) (1-based values of n), writing bits[n - 1]."""
-    m = b - a
     vals = evaluate_range(f, a, b)
     seg = bits[a - 1:b - 1]
     seg[:] = True
@@ -151,27 +229,21 @@ def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots_items,
         vals[zeros] = 1
         seg[zeros] = False
     vals = np.abs(vals, out=vals)
-    for p, roots in roots_items:
-        for v in roots.tolist():
-            off = (v - a) % p
-            if off >= m:
-                continue
-            _divide_out(vals, seg, off, p, k)
+    _divide_out_roots(vals, seg, a, roots, k)
     seg[_kth_power_cofactors(vals, k)] = False
     return zero_ns
 
 
-def collect_sieve_roots(f: IntPolynomial, P0: int, root_limit: int = ROOT_LIMIT
-                        ) -> list[tuple[int, np.ndarray]]:
-    """(p, roots of f mod p) for all primes p <= P0 that have roots.
-    Raises CapacityError when P0 exceeds root_limit."""
+def collect_sieve_roots(f: IntPolynomial, P0: int,
+                 root_limit: int = ROOT_LIMIT) -> RootTable:
+    """Roots of f mod every prime p <= P0. Raises CapacityError when P0
+    exceeds root_limit."""
     if P0 > root_limit:
         raise CapacityError(
             f"sieve needs roots mod all p <= {P0}, above the configured "
             f"limit {root_limit}; raise root_limit if you mean it"
         )
-    rd = batch_roots(f, primes_up_to(P0))
-    return sorted(rd.items())
+    return root_table(f, primes_up_to(P0))
 
 
 def kfree_mask(f: IntPolynomial, k: int, N: int, *,
@@ -188,22 +260,22 @@ def kfree_mask(f: IntPolynomial, k: int, N: int, *,
     if N < 1:
         raise ValueError("N >= 1 required")
     P0 = sieve_prime_bound(f, k, N)
-    roots_items = collect_sieve_roots(f, P0, root_limit)
+    roots = collect_sieve_roots(f, P0, root_limit)
     bits = np.zeros(N, dtype=bool)
     starts = list(range(1, N + 1, segment_size))
     zero_ns: list[int] = []
     if threads <= 1 or len(starts) == 1:
         for a in starts:
             zero_ns += _mask_segment(f, k, a, min(a + segment_size, N + 1),
-                                     roots_items, bits)
+                                     roots, bits)
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             futs = [ex.submit(_mask_segment, f, k, a,
-                              min(a + segment_size, N + 1), roots_items, bits)
+                              min(a + segment_size, N + 1), roots, bits)
                     for a in starts]
             for fu in futs:
                 zero_ns += fu.result()
-    return KfreeMask(f, k, N, bits, tuple(sorted(zero_ns)), P0)
+    return KfreeMask(f, k, N, bits, tuple(sorted(zero_ns)), P0, roots)
 
 
 def _shared_correction_primes(factors) -> set[int]:
@@ -272,14 +344,14 @@ def product_kfree_mask(factors, k: int, N: int, *,
                      max(mk.prime_bound for mk in masks))
 
 
-def twin_squarefree_mask(N: int, *, segment_size: int = DEFAULT_SEGMENT,
-                         threads: int = 1) -> np.ndarray:
+def twin_squarefree_mask(N: int) -> np.ndarray:
     """bits[n - 1] set when n and n + 1 are both squarefree, n in [1, N]."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    tables = build_tables(1, N + 2, segment_size=segment_size, threads=threads)
-    sq = tables.squarefree
-    return sq[:N] & sq[1:N + 1]
+    sq = np.ones(N + 2, dtype=bool)  # sq[n] for n in [0, N + 1]
+    for p in primes_up_to(math.isqrt(N + 1)).tolist():
+        sq[::p * p] = False
+    return sq[1:N + 1] & sq[2:N + 2]
 
 
 @dataclass(frozen=True)
@@ -298,7 +370,7 @@ def count_kfree(mask: KfreeMask, checkpoints, density_result=None) -> list[Count
     the mask's polynomial with P = 10^6).
     """
     if density_result is None:
-        density_result = density(mask.poly, mask.k, 10 ** 6)
+        density_result = density(mask.poly, mask.k, 10 ** 6, mask.roots)
     c = density_result.value if isinstance(density_result, DensityResult) \
         else float(density_result)
     rows = []
@@ -333,15 +405,12 @@ def _kth_power_prime_table(f: IntPolynomial, k: int,
     table: dict[int, list[int]] = {}
     seg_bits = np.ones(N, dtype=bool)  # scratch for _divide_out's marking
 
-    def record(pos: np.ndarray, p: int) -> None:
-        for i in pos.tolist():
+    def record(pos: np.ndarray, primes: np.ndarray) -> None:
+        for i, p in zip(pos.tolist(), primes.tolist()):
             table.setdefault(i, []).append(p)
 
-    for p, roots in collect_sieve_roots(f, P0):
-        for v in roots.tolist():
-            off = (v - 1) % p
-            if off < N:
-                _divide_out(vals, seg_bits, off, p, k, record=record)
+    roots = collect_sieve_roots(f, P0)
+    _divide_out_roots(vals, seg_bits, 1, roots, k, record)
     for i in _kth_power_cofactors(vals, k).tolist():
         table.setdefault(i, []).append(integer_nth_root(int(vals[i]), k))
     return table

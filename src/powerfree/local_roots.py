@@ -193,28 +193,6 @@ def local_root_count(f: IntPolynomial, p: int, k: int) -> int:
     return lift_roots(f, p, k).rho
 
 
-def local_root_count_squarefree(f: IntPolynomial, d: int, k: int = 1) -> int:
-    """rho_f(d^k) for squarefree d >= 1, by multiplicativity (CRT).
-
-    Rejects d with a repeated prime factor: the multiplicative splitting
-    rho(ab) = rho(a) rho(b) needs gcd(a, b) = 1, which squarefree d
-    guarantees across its prime powers.
-    """
-    if d < 1:
-        raise ValueError("d >= 1 required")
-    if d == 1:
-        return 1
-    fac = factorize(d)
-    if any(e > 1 for e in fac.values()):
-        raise ValueError(f"d={d} is not squarefree")
-    out = 1
-    for p in fac:
-        out *= local_root_count(f, p, k)
-        if out == 0:
-            return 0
-    return out
-
-
 _BATCH_MIN_PRIME = 50
 
 
@@ -261,34 +239,61 @@ def _certify_batch(f: IntPolynomial, primes: np.ndarray, counts: np.ndarray,
                              f"{int(P[j])} for {f.text()}")
 
 
-def batch_roots(f: IntPolynomial, primes: np.ndarray) -> dict[int, np.ndarray]:
-    """Root lists mod p for many primes at once: {p: sorted int64 array}.
+@dataclass(frozen=True)
+class RootTable:
+    """Roots of poly mod p for every prime queried, in flat form.
+
+    primes holds the queried primes, ascending, and counts[i] = rho(primes[i])
+    (zero when there are no roots). p and roots are parallel int64 vectors
+    sorted by (p, root): roots[j] is a root of poly mod p[j], each root once.
+    """
+
+    poly: IntPolynomial
+    primes: np.ndarray
+    counts: np.ndarray
+    p: np.ndarray
+    roots: np.ndarray
+
+
+def root_table(f: IntPolynomial, primes: np.ndarray) -> RootTable:
+    """Roots of f mod p for many primes (sorted ascending) at once.
 
     Primes up to _BATCH_MIN_PRIME, and any dividing lc(f) or the content,
     go through roots_mod_p one at a time. The rest stay in numpy
     throughout: batch_split_part gives gcd(x^p - x, f) for every lane, and
     batch_linear_roots splits those gcds into roots by batched equal-degree
     splitting. Each lane's root count must match the degree of its gcd, and
-    every root is re-verified by exact evaluation of f mod p. Primes with
-    no roots are omitted from the dict.
+    every root is re-verified by exact evaluation of f mod p.
     """
     primes = np.asarray(primes, dtype=np.int64)
     prof = profile(f)
     special = abs(prof.leading * prof.content)
-    out: dict[int, np.ndarray] = {}
     slow = primes <= _BATCH_MIN_PRIME
     if special > 1:
         slow |= np.isin(primes, list(factorize(special)))
+    ps, rs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for p in primes[slow].tolist():
-        rs = roots_mod_p(f, p)
-        if rs:
-            out[p] = np.asarray(rs, dtype=np.int64)
+        found = roots_mod_p(f, p)
+        ps.append(np.full(len(found), p, dtype=np.int64))
+        rs.append(np.asarray(found, dtype=np.int64))
     fast = primes[~slow]
     if len(fast):
         counts, G = modpoly.batch_split_part(list(f.coeffs), fast)
         lanes, roots = modpoly.batch_linear_roots(G, counts, fast)
         _certify_batch(f, fast, counts, lanes, roots)
-        starts = np.flatnonzero(np.diff(lanes, prepend=-1))
-        for j, rs in zip(lanes[starts].tolist(), np.split(roots, starts[1:])):
-            out[int(fast[j])] = rs
-    return out
+        ps.append(fast[lanes])
+        rs.append(roots)
+    p, roots = np.concatenate(ps), np.concatenate(rs)
+    # each prime's roots arrive sorted, so a stable sort on p suffices
+    order = np.argsort(p, kind="stable")
+    p, roots = p[order], roots[order]
+    counts = np.bincount(np.searchsorted(primes, p), minlength=len(primes))
+    return RootTable(f, primes, counts, p, roots)
+
+
+def batch_roots(f: IntPolynomial, primes: np.ndarray) -> dict[int, np.ndarray]:
+    """{p: sorted int64 roots of f mod p} for the primes that have roots,
+    a dict view of root_table(f, primes) for callers that want one."""
+    t = root_table(f, primes)
+    starts = np.flatnonzero(np.diff(t.p, prepend=-1))
+    return dict(zip(t.p[starts].tolist(), np.split(t.roots, starts[1:])))

@@ -79,7 +79,8 @@ class ArithTables:
 
 
 def _fill_segment(a: int, b: int, primes: np.ndarray):
-    """Tables for the window [a, b), given all primes <= sqrt of the global top."""
+    """Omega and squarefree flags for the window [a, b), given all primes
+    <= sqrt of the global top."""
     m = b - a
     rem = np.arange(a, b, dtype=np.int64)
     omega = np.zeros(m, dtype=np.uint8)
@@ -101,8 +102,7 @@ def _fill_segment(a: int, b: int, primes: np.ndarray):
             level += 1
     big = rem > 1
     omega[big] += 1
-    mobius = np.where(sqfree, 1 - 2 * (omega & 1).astype(np.int8), 0).astype(np.int8)
-    return omega, mobius, sqfree
+    return omega, sqfree
 
 
 def build_tables(
@@ -128,7 +128,6 @@ def build_tables(
     primes = primes_up_to(math.isqrt(hi - 1))
     n = hi - lo
     omega = np.empty(n, dtype=np.uint8)
-    mobius = np.empty(n, dtype=np.int8)
     sqfree = np.empty(n, dtype=bool)
 
     bounds = [(a, min(a + segment_size, hi)) for a in range(lo, hi, segment_size)]
@@ -145,9 +144,13 @@ def build_tables(
             results = list(pool.map(run, bounds))
         finally:
             pool.shutdown()
-    for a, (om, mo, sq) in results:
+    for a, (om, sq) in results:
         i = a - lo
         omega[i : i + len(om)] = om
-        mobius[i : i + len(om)] = mo
         sqfree[i : i + len(om)] = sq
+    # mu(n) = (-1)^Omega(n) on squarefree n, else 0; in place, no temporaries
+    mobius = np.bitwise_and(omega, 1).view(np.int8)
+    mobius *= -2
+    mobius += 1
+    mobius *= sqfree
     return ArithTables(lo=lo, hi=hi, omega=omega, mobius=mobius, squarefree=sqfree)

@@ -78,7 +78,8 @@ def small_masks_pair():
 
 @pytest.fixture(scope="module")
 def twin_pair():
-    return _timed_pair(lambda t: twin_squarefree_mask(N7, threads=t))
+    # twin_squarefree_mask takes no thread count, so both calls are serial
+    return _timed_pair(lambda t: twin_squarefree_mask(N7))
 
 
 @pytest.fixture(scope="module")

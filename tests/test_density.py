@@ -4,10 +4,12 @@ import pytest
 import sympy
 
 from powerfree.density import (density, estermann_constant, legendre,
-                               local_factor, quadratic_pair_constant,
-                               twin_constant)
+                               quadratic_pair_constant, twin_constant)
 from powerfree.errors import HypothesisViolation
+from powerfree.kfree import kfree_mask
+from powerfree.local_roots import root_table
 from powerfree.poly import IntPolynomial
+from powerfree.sieve import primes_up_to
 
 # reference values recomputed with 30-digit arithmetic over enumerated
 # local root counts; they pin both the math and the summation order
@@ -110,11 +112,22 @@ def test_legendre_matches_sympy():
                 assert legendre(a, p) == sympy.jacobi_symbol(a, p), (a, p)
 
 
-def test_local_factor_values():
-    f = IntPolynomial.parse("1,0,1")
-    assert local_factor(f, 5, 2) == 1.0 - 2.0 / 25.0
-    assert local_factor(f, 3, 2) == 1.0
-    assert local_factor(f, 2, 2) == 1.0   # rho(4) = 0
+@pytest.mark.parametrize("text,k", [("5,0,0,1", 2), ("2,0,0,1", 3),
+                                    ("4,1,0,1", 2), ("7,0,0,5", 2)])
+def test_density_from_mask_roots_is_bit_identical(text, k):
+    # 7 + 5x^3 has the prime 5 dividing its leading coefficient
+    f = IntPolynomial.parse(text)
+    mask = kfree_mask(f, k, 10 ** 4)
+    P0 = mask.prime_bound
+    # P below, at and above the table's bound: above it the remaining
+    # primes go through batch_root_counts
+    for P in (P0 // 3, P0, 3 * P0):
+        a = density(f, k, P)
+        b = density(f, k, P, mask.roots)
+        assert (a.value, a.lower, a.upper) == (b.value, b.lower, b.upper), P
+    with pytest.raises(ValueError):
+        density(f, k, P0, root_table(IntPolynomial.parse("1,0,1"),
+                                     primes_up_to(100)))
 
 
 def test_tail_bound_is_sound_against_refinement():

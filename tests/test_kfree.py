@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerfree.errors import CapacityError, HypothesisViolation
-from powerfree.kfree import (_kth_power_prime_table, count_kfree,
-                             decompose_sum, kfree_mask, product_kfree_mask,
-                             sieve_prime_bound, tail_pair_count,
-                             twin_squarefree_mask)
+from powerfree.kfree import (_BUCKET_MIN_PRIME, _kth_power_prime_table,
+                             count_kfree, decompose_sum, kfree_mask,
+                             product_kfree_mask, sieve_prime_bound,
+                             tail_pair_count, twin_squarefree_mask)
+from powerfree.local_roots import lift_roots
 from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
                             parse_poly_or_product, profile)
 from powerfree.sieve import build_tables
@@ -250,3 +251,65 @@ def test_mask_on_large_coefficient_quadratic():
     for k in (3, 2):
         assert kfree_mask(f, k, 300).count == int(brute_mask(f, k, 300).sum())
     assert "bad_primes" not in vars(profile(f))
+
+
+# ------------------------------------------------ bucketed large primes
+
+def _designed_constant(d, hits):
+    """c with f = x^d + c divisible by each modulus m at its n, by CRT."""
+    c, M = 0, 1
+    for m, n in hits:
+        want = -n ** d % m
+        c += M * ((want - c) * pow(M, -1, m) % m)
+        M *= m
+    return c
+
+
+# two primes just above _BUCKET_MIN_PRIME: their squares collide at n0,
+# and a cube of the first sits at n1
+_P1, _P2, _N0, _N1 = 4099, 4111, 777, 1234
+_CUBIC_DESIGNED = _designed_constant(3, [((_P1 * _P2) ** 2, _N0)])
+_QUINTIC_SQUARES = _designed_constant(5, [((_P1 * _P2) ** 2, _N0)])
+_QUINTIC_CUBE = _designed_constant(5, [(_P1 ** 3, _N1)])
+
+BUCKET_CASES = [
+    (f"{_CUBIC_DESIGNED},0,0,1", 2, 3000),
+    (f"{_QUINTIC_SQUARES},0,0,0,0,1", 3, 1500),
+    (f"{_QUINTIC_CUBE},0,0,0,0,1", 3, 1500),
+    ("5,0,0,1", 2, 6000),
+    ("-27,0,0,1", 2, 6000),                   # f(3) = 0
+    ("-12,-3,0,-3", 2, 6000),                 # negative lc, content 3
+]
+
+
+@pytest.mark.parametrize("text,k,N", BUCKET_CASES)
+def test_bucketed_pass_matches_factorint(text, k, N):
+    f = IntPolynomial.parse(text)
+    masks = [kfree_mask(f, k, N, segment_size=1000, threads=t)
+             for t in (1, 2)]
+    masks.append(kfree_mask(f, k, N))
+    assert masks[0].prime_bound > _BUCKET_MIN_PRIME
+    want = brute_mask(f, k, N)
+    for m in masks:
+        assert m.bits.tobytes() == want.tobytes(), text
+        assert m.zero_hits == masks[0].zero_hits
+    if text == BUCKET_CASES[4][0]:
+        assert masks[0].zero_hits == (3,)
+
+
+def test_bucketed_pass_designed_hits():
+    cubic, squares, cube = (IntPolynomial.parse(t) for t, _, _ in
+                            BUCKET_CASES[:3])
+    # the Hensel lifts of the root n0 mod each prime reach its square
+    for r in (_P1, _P2):
+        assert _N0 in lift_roots(cubic, r, 2).roots
+    assert cube(_N1) % _P1 ** 3 == 0
+    assert not kfree_mask(cubic, 2, 3000, segment_size=1000).bits[_N0 - 1]
+    # p1^2 p2^2 is no cube: each division at the collision counts once
+    assert squares(_N0) % _P1 ** 3 and squares(_N0) % _P2 ** 3
+    assert kfree_mask(squares, 3, 1500, segment_size=1000).bits[_N0 - 1]
+    assert not kfree_mask(cube, 3, 1500, segment_size=1000).bits[_N1 - 1]
+    table = _kth_power_prime_table(cubic, 2, 3000)
+    assert table[_N0 - 1] == [_P1, _P2]
+    assert table == factorint_table(cubic, 2, 3000)
+    assert _kth_power_prime_table(cube, 3, 1500)[_N1 - 1] == [_P1]

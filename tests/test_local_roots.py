@@ -10,8 +10,8 @@ from powerfree import modpoly
 from powerfree.errors import CapacityError
 from powerfree.local_roots import (batch_root_counts, batch_roots,
                                    count_roots_mod_p, is_bad_prime,
-                                   lift_roots, local_root_count,
-                                   local_root_count_squarefree, roots_mod_p)
+                                   lift_roots, local_root_count, root_table,
+                                   roots_mod_p)
 from powerfree.poly import IntPolynomial, profile
 from powerfree.sieve import primes_up_to
 
@@ -115,15 +115,6 @@ def test_capacity_error_on_exploding_lift():
         lift_roots(f, 2, 50, cap=100)
 
 
-def test_local_root_count_squarefree_crt():
-    f = IntPolynomial.parse("1,0,1")
-    for d in [1, 2, 5, 10, 13, 65, 130, 85]:
-        want = len([r for r in range(d) if f(r) % d == 0])
-        assert local_root_count_squarefree(f, d) == want, d
-    with pytest.raises(ValueError):
-        local_root_count_squarefree(f, 4)
-
-
 def test_batch_root_counts_vs_scalar():
     primes = primes_up_to(2000)
     for coeffs in TEST_POLYS:
@@ -133,14 +124,30 @@ def test_batch_root_counts_vs_scalar():
             assert got[i] == count_roots_mod_p(f, p), (coeffs, p)
 
 
-def test_batch_roots_vs_scalar():
+def roots_at(table, p):
+    return table.roots[table.p == p].tolist()
+
+
+def check_table_layout(table):
+    # flat (p, root) pairs sorted by p then root, counts by prime
+    key = table.p * (1 << 32) + table.roots
+    assert (np.diff(key) > 0).all()
+    assert np.isin(table.p, table.primes).all()
+    assert np.array_equal(
+        table.counts, [int((table.p == p).sum()) for p in table.primes])
+
+
+def test_root_table_vs_scalar():
     primes = primes_up_to(3000)
     f = IntPolynomial.parse("5,0,0,1")
-    table = batch_roots(f, primes)
+    table = root_table(f, primes)
+    check_table_layout(table)
+    assert np.array_equal(table.primes, primes)
     for p in primes.tolist():
-        want = enum_roots(f, p)
-        got = sorted(table.get(p, np.array([], dtype=np.int64)).tolist())
-        assert got == want, p
+        assert roots_at(table, p) == enum_roots(f, p), p
+    as_dict = batch_roots(f, primes)
+    assert {p: r.tolist() for p, r in as_dict.items()} == {
+        p: roots_at(table, p) for p in primes.tolist() if roots_at(table, p)}
 
 
 # squarefree over Q, degrees 1 to 5: negative leading coefficients,
@@ -171,11 +178,12 @@ def test_batch_paths_vs_residue_scan():
         assert profile(f).is_squarefree_poly, f.text()
         counts = batch_root_counts(f, primes)
         # every p > 50 goes through the batched split
-        table = batch_roots(f, primes)
+        table = root_table(f, primes)
+        check_table_layout(table)
+        assert np.array_equal(table.counts, counts), f.text()
         for i, p in enumerate(primes.tolist()):
             want = enum_roots(f, p)
-            got = table.get(p, np.array([], dtype=np.int64)).tolist()
-            assert got == want, (f.text(), p)
+            assert roots_at(table, p) == want, (f.text(), p)
             assert counts[i] == len(want), (f.text(), p)
 
 
@@ -184,20 +192,21 @@ def test_batch_paths_near_int64_bound():
                        2147483629, 2147483647], dtype=np.int64)
     for f in [IntPolynomial.parse("5,0,0,1"), IntPolynomial.parse("-6,11,-6,1"),
               IntPolynomial.parse("3,1,4,1,5,-9")]:
-        table = batch_roots(f, primes)
+        table = root_table(f, primes)
         counts = batch_root_counts(f, primes)
+        assert np.array_equal(table.counts, counts), f.text()
         for i, p in enumerate(primes.tolist()):
-            got = table.get(p, np.array([], dtype=np.int64)).tolist()
+            got = roots_at(table, p)
             assert got == list(roots_mod_p(f, p)), (f.text(), p)
             assert counts[i] == len(got)
-    assert batch_roots(IntPolynomial.parse("-6,11,-6,1"),
-                       primes)[2147483647].tolist() == [1, 2, 3]
+    assert roots_at(root_table(IntPolynomial.parse("-6,11,-6,1"), primes),
+                    2147483647) == [1, 2, 3]
 
 
-def test_batch_roots_stays_off_the_scalar_split(monkeypatch):
+def test_root_table_stays_off_the_scalar_split(monkeypatch):
     f = IntPolynomial.parse("5,0,0,1")
     primes = primes_up_to(2 * 10 ** 5)
-    want = batch_roots(f, primes)
+    want = root_table(f, primes)
 
     def boom(*args, **kwargs):
         raise AssertionError("scalar routine called on the batch path")
@@ -205,10 +214,11 @@ def test_batch_roots_stays_off_the_scalar_split(monkeypatch):
     monkeypatch.setattr(modpoly, "split_linear_roots", boom)
     monkeypatch.setattr(modpoly, "poly_gcd", boom)
     # primes up to 50 are scanned; everything above is batched
-    got = batch_roots(f, primes)
-    assert sorted(got) == sorted(want)
-    assert all(np.array_equal(got[p], want[p]) for p in want)
-    assert sum(len(v) for v in got.values()) > 10 ** 4
+    got = root_table(f, primes)
+    assert np.array_equal(got.p, want.p)
+    assert np.array_equal(got.roots, want.roots)
+    assert np.array_equal(got.counts, want.counts)
+    assert len(got.roots) > 10 ** 4
 
 
 @settings(max_examples=60, deadline=None)
