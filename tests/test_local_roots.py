@@ -137,7 +137,7 @@ def check_table_layout(table):
         table.counts, [int((table.p == p).sum()) for p in table.primes])
 
 
-def test_root_table_vs_scalar():
+def test_batch_roots_vs_scalar():
     primes = primes_up_to(3000)
     f = IntPolynomial.parse("5,0,0,1")
     table = root_table(f, primes)
@@ -203,7 +203,7 @@ def test_batch_paths_near_int64_bound():
                     2147483647) == [1, 2, 3]
 
 
-def test_root_table_stays_off_the_scalar_split(monkeypatch):
+def test_batch_roots_stays_off_the_scalar_split(monkeypatch):
     f = IntPolynomial.parse("5,0,0,1")
     primes = primes_up_to(2 * 10 ** 5)
     want = root_table(f, primes)
@@ -219,6 +219,8 @@ def test_root_table_stays_off_the_scalar_split(monkeypatch):
     assert np.array_equal(got.roots, want.roots)
     assert np.array_equal(got.counts, want.counts)
     assert len(got.roots) > 10 ** 4
+    as_dict = batch_roots(f, primes)
+    assert sum(len(r) for r in as_dict.values()) == len(want.roots)
 
 
 @settings(max_examples=60, deadline=None)
