@@ -16,9 +16,13 @@ makes root collection to p ~ 10^6 affordable:
   splitting (Cantor-Zassenhaus): lanes grouped by degree, the same ladder
   for (x + a)^((p-1)/2), the same Euclid, an exact vectorized division.
 
-Every batched value is reduced below p after each product and p < 2^31,
-so a product of two values stays below 2^62 and a sum or difference of two
-such products stays inside int64.
+Every batched value that enters a product is a residue in [0, p), with
+p < 2^31, so one product is at most (p - 1)^2 < 2^62. The Euclid and the
+exact division reduce once per coefficient per step, where a sum or
+difference of two products stays inside int64. The ladder reduces lazily:
+an accumulator absorbs up to _product_budget(max p) products on top of one
+residue, which keeps it below 2^63 (the bound and its proof are at
+_product_budget).
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ import math
 import numpy as np
 
 _BATCH_PRIME_CAP = 1 << 31
+_INT64_MAX = (1 << 63) - 1
 # lanes per step of batch_split_part: bounds its int64 temporaries to a few
 # hundred kB each, whatever the number of primes
 _LANE_CHUNK = 1 << 13
@@ -233,8 +238,9 @@ def _pow_vec(base: np.ndarray, expo: np.ndarray, mod: np.ndarray) -> np.ndarray:
     b = base % mod
     e = expo.copy()
     while e.max() > 0:
-        odd = (e & 1) == 1
-        result[odd] = result[odd] * b[odd] % mod[odd]
+        # multiply every lane, by b where the exponent bit is set and by 1
+        # elsewhere: arithmetic, so there is no gather, scatter or branch
+        result = result * (1 + (e & 1) * (b - 1)) % mod
         e >>= 1
         b = b * b % mod
     return result
@@ -269,44 +275,100 @@ def _shift(B: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product_budget(pmax: int) -> int:
+    """How many products of two residues mod p <= pmax an int64 accumulator
+    may absorb on top of one residue before it must be reduced.
+
+    A residue is in [0, p), so one product of two is at most (pmax - 1)^2.
+    An accumulator that holds one residue and K products, all nonnegative,
+    is at most (pmax - 1) + K (pmax - 1)^2, and this returns the largest K
+    for which that is at most 2^63 - 1. For pmax < 2^31 it is at least 2:
+    2 (2^31 - 2)^2 + 2^31 - 2 = 2^63 - 2^34 + 2^31 + 6 < 2^63 - 1, so a
+    doubled product always fits on top of a residue. For pmax <= 2^29 it
+    is at least 32. One ladder step of degree m puts at most 2m - 1
+    products into a slot (the middle one: m from the square, m - 1 from
+    the fold), so there one reduction per slot and step is enough for
+    every m <= 16; near 2^31 the same loop reduces after almost every term.
+    """
+    r = pmax - 1
+    return (_INT64_MAX - r) // (r * r)
+
+
 def _powmod_ladder(a, E: np.ndarray, F: np.ndarray, P: np.ndarray) -> list:
     """(x + a)^E mod F per lane, as m rows of coefficients.
 
     F holds the m lower coefficients of a monic modulus of degree m >= 1;
     a is a vector of shifts, or None for x^E. Left-to-right binary ladder
-    over the bits of E.max(): square, then multiply by x + a where the
-    lane's bit is set, a fixed number of small convolutions per bit.
+    over the bits of E.max(), one fused step per bit:
+
+    - square R into 2m - 1 slots, m(m+1)/2 products with the cross terms
+      doubled;
+    - fold the top slots down through x^m = sum_j G_j x^j, G = -F mod p,
+      reducing each top slot t only before it multiplies G;
+    - multiply by x + a on the lanes whose bit is set (an arithmetic
+      select, no branch per lane);
+    - reduce each of the m output coefficients once.
+
+    Lazy reduction. R, G, a and every t are residues, and each term added
+    to a slot is one product of two of them (counted twice for a doubled
+    cross term), so every slot is nonnegative. A slot that would pass
+    K = _product_budget(P.max()) products is first reduced in place, back
+    to one residue, so no slot exceeds (p - 1) + K (p - 1)^2 <= 2^63 - 1.
+    On set lanes the output is t G_j + (slot j - 1) + a (slot j): for x^E
+    slot j - 1 takes one more product within the budget, for (x + a)^E the
+    slots are reduced first and the sum is at most (p - 1) + 2 (p - 1)^2.
+    That is 2m reductions per bit for x^E and 3m - 1 for (x + a)^E,
+    against m(2m - 1) + m for reducing after every product.
     """
     m, n = F.shape
+    K = _product_budget(int(P.max()))
+    G = (-F) % P
+    held = [0] * (2 * m - 1)
 
-    def mul(A, B):
-        T = [np.zeros(n, dtype=np.int64) for _ in range(2 * m - 1)]
-        for i in range(m):
-            for j in range(m):
-                T[i + j] = (T[i + j] + A[i] * B[j]) % P
-        for s in range(2 * m - 2, m - 1, -1):
-            t = T[s]
-            for j in range(m):
-                T[s - m + j] = (T[s - m + j] - t * F[j]) % P
-        return T[:m]
+    def absorb(T, s, term, w=1):
+        # T[s] += term, a sum of w products; T[s] is the step's own array
+        if T[s] is None:
+            T[s], held[s] = term, w
+            return
+        if held[s] + w > K:
+            np.remainder(T[s], P, out=T[s])
+            held[s] = 0
+        T[s] += term
+        held[s] += w
 
-    def mul_by_base(A):
-        t = A[m - 1]
-        out = []
-        for j in range(m):
-            c = (A[j - 1] if j else 0) - t * F[j]
-            if a is not None:
-                c = c + a * A[j]
-            out.append(c % P)
-        return out
-
-    R = [np.zeros(n, dtype=np.int64) for _ in range(m)]
-    R[0][:] = 1
+    R = [np.ones(n, dtype=np.int64)] + [np.zeros(n, dtype=np.int64)
+                                        for _ in range(m - 1)]
     for i in range(int(E.max()).bit_length() - 1, -1, -1):
-        R = mul(R, R)
-        bit = ((E >> i) & 1) == 1
-        Rb = mul_by_base(R)
-        R = [np.where(bit, Rb[j], R[j]) for j in range(m)]
+        T = [None] * (2 * m - 1)
+        for j in range(m):
+            absorb(T, 2 * j, R[j] * R[j])
+        for j in range(1, m):
+            twice = R[j] + R[j]
+            for k in range(j):
+                absorb(T, j + k, R[k] * twice, 2)
+        for s in range(2 * m - 2, m - 1, -1):
+            t = T[s] % P
+            for j in range(m):
+                absorb(T, s - m + j, t * G[j])
+        t = T[m - 1] % P
+        if a is None:
+            # the slots below the top take one more product on set lanes
+            for j in range(m - 1):
+                if held[j] + 1 > K:
+                    np.remainder(T[j], P, out=T[j])
+            keep = T[:m - 1] + [t]
+        else:
+            # a multiplies every slot, so all of them become residues
+            keep = [T[j] % P for j in range(m - 1)] + [t]
+        bit = (E >> i) & 1
+        R = []
+        for j in range(m):
+            up = t * G[j]
+            if j:
+                up += keep[j - 1]
+            if a is not None:
+                up += a * keep[j]
+            R.append((keep[j] + bit * (up - keep[j])) % P)
     return R
 
 
@@ -406,8 +468,10 @@ def batch_linear_roots(G: np.ndarray, counts: np.ndarray, primes: np.ndarray):
     0, 1, 2, ... per factor makes every run reproducible, and for odd p a
     shift separating two given roots turns up long before a reaches p.
 
-    Every value stays an int64 below p < 2^31, so each product of two is
-    below 2^62 and a product minus another stays inside int64.
+    Every factor of a product is a residue below p < 2^31, so each product
+    is below 2^62; the Euclid and the division keep a product minus another
+    inside int64, and the ladder's accumulators stay inside the budget
+    proved at _product_budget.
     """
     P_all = np.asarray(primes, dtype=np.int64)
     rows = G.shape[0]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from powerfree import modpoly
 from powerfree.errors import CapacityError
-from powerfree.local_roots import (batch_root_counts, batch_roots,
-                                   count_roots_mod_p, is_bad_prime,
-                                   lift_roots, local_root_count, root_table,
-                                   roots_mod_p)
+from powerfree.local_roots import (_scan_roots, batch_root_counts,
+                                   batch_roots, count_roots_mod_p,
+                                   is_bad_prime, lift_roots, local_root_count,
+                                   root_table, roots_mod_p)
 from powerfree.poly import IntPolynomial, profile
 from powerfree.sieve import primes_up_to
 
@@ -185,6 +186,30 @@ def test_batch_paths_vs_residue_scan():
             want = enum_roots(f, p)
             assert roots_at(table, p) == want, (f.text(), p)
             assert counts[i] == len(want), (f.text(), p)
+
+
+def test_root_table_above_degree_five():
+    # the ladder's reduction schedule depends on the degree, and the random
+    # cases above stop at degree 5: degrees 6 to 9, negative lc, content 3
+    rng = random.Random(29)
+    polys = []
+    while len(polys) < 6:
+        d = 6 + len(polys) % 4
+        cs = [rng.randrange(-30, 31) for _ in range(d)]
+        cs.append(rng.choice([-7, -2, -1]))
+        if math.gcd(*cs) != 1:
+            continue
+        f = IntPolynomial.from_coeffs([3 * c for c in cs])
+        if profile(f).is_squarefree_poly:
+            polys.append(f)
+    primes = primes_up_to(3000)
+    primes = primes[primes > 50]
+    for f in polys:
+        table = root_table(f, primes)
+        check_table_layout(table)
+        for p in primes.tolist():
+            assert roots_at(table, p) == list(_scan_roots(f, p)), \
+                (f.text(), p)
 
 
 def test_batch_paths_near_int64_bound():

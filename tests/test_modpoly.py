@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerfree import modpoly
 from powerfree.modpoly import (batch_linear_roots, batch_split_part,
                                count_roots_prime, poly_gcd, poly_powmod,
                                poly_rem, roots_prime_gcd, split_linear_roots,
@@ -137,6 +139,103 @@ def test_batch_path_near_int64_bound():
                        for r in got)
     with pytest.raises(ValueError):
         batch_split_part([1, 0, 1], np.array([2147483659], dtype=np.int64))
+
+
+NEAR_2_31 = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+             2147483549]
+
+
+def _budget_edges(m):
+    """(K, below, above): the primes on both sides of the point where the
+    ladder's product budget drops from K to K - 1, for every K a fused
+    step of degree m can reach. No slot takes more than 2m - 1 products
+    in one step, so from K = 2m - 1 up the step needs no extra reduction;
+    K = 2 holds from the K = 3 edge up to the 2^31 cap."""
+    out = []
+    for K in range(3, 2 * m):
+        # r = p - 1 for the last p whose budget is still K
+        r = math.isqrt(modpoly._INT64_MAX // K)
+        while K * r * r + r > modpoly._INT64_MAX:
+            r -= 1
+        out.append((K, sympy.prevprime(r + 2), sympy.nextprime(r + 1)))
+    return out
+
+
+def test_product_budget_edges():
+    edges = _budget_edges(8)
+    for K, below, above in edges:
+        assert modpoly._product_budget(below) >= K > \
+            modpoly._product_budget(above), (K, below, above)
+    for p in [q for _, *pair in edges for q in pair] + NEAR_2_31 + [
+            53, 1009, 1048573]:
+        b, r = modpoly._product_budget(p), p - 1
+        # the largest count of products that still fits an int64 slot
+        # holding one residue
+        assert b * r * r + r <= 2 ** 63 - 1 < (b + 1) * r * r + r, p
+    assert modpoly._product_budget(NEAR_2_31[0]) == 2
+
+
+def _check_ladder(rng, p, m, lanes=4):
+    """_powmod_ladder against poly_powmod on monic moduli of degree m mod
+    p, for x^E and (x + a)^E with E = p and random E. One modulus has
+    every lower coefficient 1, so the fold multiplies by p - 1 throughout;
+    the others are random."""
+    F = [[1] * m] + [[rng.randrange(p) for _ in range(m)]
+                     for _ in range(lanes - 1)]
+    P = np.full(lanes, p, dtype=np.int64)
+    E = np.array([p] + [rng.randrange(1, p) for _ in range(lanes - 1)],
+                 dtype=np.int64)
+    a = np.array([rng.randrange(p) for _ in range(lanes)], dtype=np.int64)
+    for shift in (None, a):
+        R = modpoly._powmod_ladder(shift, E, np.array(F, dtype=np.int64).T,
+                                   P)
+        for i in range(lanes):
+            base = [0 if shift is None else int(a[i]), 1]
+            want = poly_powmod(base, int(E[i]), F[i] + [1], p)
+            got = [int(row[i]) for row in R]
+            assert got == want + [0] * (m - len(want)), \
+                (p, m, i, shift is not None)
+
+
+def _ladder_bands():
+    """(prime, degree) cases: primes below 2^20 and just below 2^31 at
+    every degree 1-8, and the budget edges of degrees 3, 5 and 8."""
+    rng = random.Random(21)
+    small = sorted({sympy.nextprime(rng.randrange(50, 1 << 20))
+                    for _ in range(6)})
+    cases = [(p, m) for p in small + NEAR_2_31 for m in range(1, 9)]
+    for m in (3, 5, 8):
+        cases += [(p, m) for _, *pair in _budget_edges(m) for p in pair]
+    return cases
+
+
+def test_powmod_ladder_matches_scalar_at_budget_edges():
+    rng = random.Random(17)
+    for p, m in _ladder_bands():
+        # one prime per call: the budget comes from the largest lane
+        _check_ladder(rng, p, m)
+
+
+def test_batch_split_part_matches_scalar_at_budget_edges():
+    rng = random.Random(19)
+    for p, m in _ladder_bands():
+        # monic of degree m with up to m planted roots and a random cofactor
+        planted = [rng.randrange(p) for _ in range(rng.randrange(m + 1))]
+        coeffs = [1]
+        for r in planted:
+            coeffs = [(-r * coeffs[0]) % p] + [
+                (coeffs[i - 1] - r * coeffs[i]) % p
+                for i in range(1, len(coeffs))] + [1]
+        rest = [rng.randrange(p) for _ in range(m - len(planted))] + [1]
+        coeffs = [sum(coeffs[i] * rest[k - i] for i in range(len(coeffs))
+                      if 0 <= k - i < len(rest)) % p for k in range(m + 1)]
+        counts, G = batch_split_part(coeffs, np.array([p], dtype=np.int64))
+        want = count_roots_prime(coeffs, p)
+        assert counts[0] == want, (p, m, coeffs)
+        g = G[:, 0].tolist()
+        assert g[want] == 1 and not any(g[want + 1:]), (p, m, coeffs)
+        for r in planted:
+            assert sum(c * pow(r, j, p) for j, c in enumerate(g)) % p == 0
 
 
 def test_poly_powmod_matches_sympy():
