@@ -1,6 +1,6 @@
 """Command-line front end for the sieves, densities, and ergodic averages.
 
-Descriptor grammars (documented, parse/print round-trip is identity):
+Descriptor grammars:
 
   polynomial   ascending coefficients "c0,c1,...": "1,0,1" is 1 + x^2;
                a '*' joins factors for product sieves: "1,0,1*2,0,1"
@@ -12,19 +12,26 @@ Descriptor grammars (documented, parse/print round-trip is identity):
   argmap       "identity" | "prog:m,r" | "beatty:alpha,beta"
                (alpha, beta accept "13/8" style exact rationals)
 
-Exit codes: 0 success, 2 usage error (including an --out path that cannot
-be written and a descriptor with the wrong number of fields), 3 capacity
-exceeded (rho --primes above kfree.ROOT_LIMIT among others), 4 hypothesis
-violation (the message names the violated hypothesis).
+Every artifact goes through emit, as CSV rows or a JSON document. `count`
+and the count experiments share count_rows, `ergodic` and the ergodic ones
+report_rows. REPRO holds the `repro` experiments as Experiment specs; only
+thm31's progression grid is a function.
+
+Exit codes: 0 success, 2 usage error (including a checkpoint above --N, an
+--out path that cannot be written and a descriptor with the wrong number of
+fields), 3 capacity exceeded (rho --primes above kfree.ROOT_LIMIT among
+others), 4 hypothesis violation (the message names the violated hypothesis).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 
 from .density import DensityResult, density, twin_constant
@@ -36,8 +43,9 @@ from .ergodic import (AllIntegers, BeattyMap, IdentityMap, KfreeValues,
                       convergence_report, default_j_max, ergodic_average,
                       exponent_fit, omega_histograms)
 from .errors import CapacityError, HypothesisViolation
-from .kfree import (ROOT_LIMIT, count_kfree, kfree_mask, product_kfree_mask,
-                    tail_pair_counts, twin_squarefree_mask)
+from .kfree import (ROOT_LIMIT, KfreeMask, count_kfree, kfree_mask,
+                    product_kfree_mask, tail_pair_counts,
+                    twin_squarefree_mask)
 from .local_roots import batch_root_counts, local_root_count
 from .poly import (IntPolynomial, has_fixed_kth_power,
                    parse_poly_or_product, profile)
@@ -50,19 +58,15 @@ def _log(msg: str) -> None:
 
 # ------------------------------------------------------------ descriptors
 
-def parse_number(text: str) -> float:
-    if text == "golden":
-        return GOLDEN_ROTATION
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
-
-
 def parse_rational(text: str):
     """Exact Fraction for a/b strings, float otherwise (kept as given)."""
     if "/" in text:
         return Fraction(text)
     return float(text)
+
+
+def parse_number(text: str) -> float:
+    return GOLDEN_ROTATION if text == "golden" else float(parse_rational(text))
 
 
 _TRIG_TERM = re.compile(r"^([+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)(?:(cos|sin)(\d+))?$")
@@ -89,13 +93,6 @@ def parse_trig(text: str) -> TrigObservable:
     return TrigObservable(const, tuple(cos_terms), tuple(sin_terms))
 
 
-def trig_text(obs: TrigObservable) -> str:
-    parts = [repr(obs.constant)]
-    parts += [f"{a!r}cos{h}" for h, a in obs.cos_terms]
-    parts += [f"{b!r}sin{h}" for h, b in obs.sin_terms]
-    return "+".join(parts)
-
-
 def parse_system(text: str):
     """-> (system, observable, starting point x)."""
     kind, _, rest = text.partition(":")
@@ -111,17 +108,6 @@ def parse_system(text: str):
         return (IrrationalRotation(parse_number(alpha)), parse_trig(trig),
                 float(x))
     raise ValueError(f"unknown system descriptor {text!r}")
-
-
-def system_text(system, observable, x) -> str:
-    if isinstance(system, TwoPointSwap):
-        return f"twopoint:{observable.g0!r},{observable.g1!r},{x}"
-    if isinstance(system, CyclicRotation):
-        vals = ";".join(repr(v) for v in observable.values)
-        return f"cyclic:{system.m},{x},{vals}"
-    if isinstance(system, IrrationalRotation):
-        return f"circle:{system.alpha!r},{x!r},{trig_text(observable)}"
-    raise TypeError(f"unknown system {system!r}")
 
 
 def _fields(kind: str, text: str, sep: str, grammar: str) -> list[str]:
@@ -160,11 +146,11 @@ def parse_argmap(text: str):
     raise ValueError(f"unknown argmap descriptor {text!r}")
 
 
-# ------------------------------------------------------------- config
+# ------------------------------------------------------------- artifacts
 
 @dataclass
 class ExperimentConfig:
-    """The JSON-serializable record of one experiment's inputs."""
+    """The inputs of one run, echoed as "config" in its JSON artifact."""
 
     name: str
     coeffs: list[int] = field(default_factory=list)
@@ -177,15 +163,10 @@ class ExperimentConfig:
     P: int = 0
     out: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+def _config(**kw) -> dict:
+    return asdict(ExperimentConfig(**kw))
 
-
-# ------------------------------------------------------------- writers
 
 def _fmt(v) -> str:
     if isinstance(v, bool):
@@ -196,10 +177,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: str | None, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -207,13 +185,20 @@ def write_csv(path: str | None, header: list[str], rows) -> None:
             fh.write(text)
 
 
-def write_json(path: str | None, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def emit(path: str | None, fmt: str, header, rows, doc: dict) -> None:
+    """Write one artifact to path (None or '-' for stdout): the rows under
+    header as CSV, or doc as JSON. In JSON the rows, unless None, are
+    {column: value} records under "rows", inside doc["results"] when doc
+    has one."""
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        _write(path, "\n".join(lines) + "\n")
+        return
+    if rows is not None:
+        doc.get("results", doc)["rows"] = [dict(zip(header, row))
+                                           for row in rows]
+    _write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _density_dict(d: DensityResult) -> dict:
@@ -233,27 +218,73 @@ def _hypothesis_report(f: IntPolynomial, k: int) -> dict:
     }
 
 
+# -------------------------------------------------------------- pipelines
+
+COUNT_HEADER = ["N", "count", "target", "abs_error", "rel_error"]
+REPORT_HEADER = ["N", "selected", "average", "target", "residual"]
+
+
+def count_rows(condition: str, k: int, N: int, checkpoints, P: int, *,
+               threads: int, segment: int):
+    """Sieve [1, N] for the n with f(n) k-free, f a polynomial or a
+    '*'-product, or with n and n + 1 squarefree ("twinsqfree"), and count
+    at the checkpoints against the density to P. -> (factors, mask, doc,
+    rows): doc holds "density" and "exponent_fit" (None below two rows)."""
+    if condition == "twinsqfree":
+        # n and n + 1 are both squarefree exactly when n(n + 1) is
+        factors = ()
+        mask = KfreeMask(IntPolynomial((0, 1, 1)), 2, N,
+                         twin_squarefree_mask(N), (), math.isqrt(N + 1))
+        dens = twin_constant(P)
+    else:
+        factors = parse_poly_or_product(condition)
+        if len(factors) == 1:
+            mask = kfree_mask(factors[0], k, N, segment_size=segment,
+                              threads=threads)
+        else:
+            mask = product_kfree_mask(factors, k, N, segment_size=segment,
+                                      threads=threads)
+        dens = density(mask.poly, k, P, mask.roots)
+    rows = [astuple(r) for r in count_kfree(mask, checkpoints, dens)]
+    fit = (exponent_fit([(r[0], abs(r[3])) for r in rows])
+           if len(rows) >= 2 else None)
+    return factors, mask, {"density": _density_dict(dens),
+                           "exponent_fit": fit}, rows
+
+
+def report_rows(system: str, condition: str, argmap: str, checkpoints,
+                P: int, *, threads: int, segment: int) -> list[tuple]:
+    """The REPORT_HEADER rows of convergence_report for the descriptors."""
+    system_, observable, x = parse_system(system)
+    rows = convergence_report(system_, observable, x, N_values=checkpoints,
+                              condition=parse_condition(condition),
+                              argmap=parse_argmap(argmap), P=P,
+                              threads=threads, segment_size=segment)
+    return [astuple(r) for r in rows]
+
+
 # --------------------------------------------------------- subcommands
 
+def _checkpoints(args) -> list[int]:
+    """--checkpoints, or [--N] without them; none may lie above --N."""
+    checkpoints = args.checkpoints or [args.N]
+    if checkpoints[-1] > args.N:
+        raise ValueError(f"checkpoint {checkpoints[-1]} above --N {args.N}")
+    return checkpoints
+
+
 def cmd_sieve(args) -> int:
-    lo = args.lo
-    tables = build_tables(lo, args.N + 1, segment_size=args.segment,
+    tables = build_tables(args.lo, args.N + 1, segment_size=args.segment,
                           threads=args.threads)
     rows = []
-    for n in range(lo, args.N + 1):
+    for n in range(args.lo, args.N + 1):
         i = tables.index(n)
-        rows.append((n, int(tables.omega[i]), int(tables.mobius[i]),
-                     bool(tables.squarefree[i]),
-                     1 - 2 * (int(tables.omega[i]) & 1)))
-    if args.format == "json":
-        write_json(args.out, {
-            "config": asdict(ExperimentConfig(name="sieve", N=args.N)),
-            "rows": [{"n": r[0], "omega": r[1], "mobius": r[2],
-                      "squarefree": r[3], "liouville": r[4]} for r in rows],
-        })
-    else:
-        write_csv(args.out, ["n", "omega", "mobius", "squarefree", "liouville"],
-                  rows)
+        omega = int(tables.omega[i])
+        rows.append((n, omega, int(tables.mobius[i]),
+                     bool(tables.squarefree[i]), 1 - 2 * (omega & 1)))
+    emit(args.out, args.format,
+         ["n", "omega", "mobius", "squarefree", "liouville"], rows,
+         {"config": _config(name="sieve", N=args.N)})
     return 0
 
 
@@ -274,344 +305,202 @@ def cmd_rho(args) -> int:
     rows = [(p, p in badset, r,
              local_root_count(f, p, args.k) if p in badset else r)
             for p, r in zip(primes.tolist(), rho_p)]
-    if args.format == "json":
-        write_json(args.out, {
-            "config": asdict(ExperimentConfig(name="rho",
-                                              coeffs=list(f.coeffs),
-                                              k=args.k, P=args.primes)),
-            "rows": [{"p": r[0], "is_bad": r[1], "rho_p": r[2],
-                      "rho_pk": r[3]} for r in rows],
-        })
-    else:
-        write_csv(args.out, ["p", "is_bad", "rho_p", "rho_pk"], rows)
+    emit(args.out, args.format, ["p", "is_bad", "rho_p", "rho_pk"], rows,
+         {"config": _config(name="rho", coeffs=list(f.coeffs), k=args.k,
+                            P=args.primes)})
     return 0
 
 
 def cmd_density(args) -> int:
     f = IntPolynomial.parse(args.poly)
     d = density(f, args.k, args.P)
-    write_json(args.out, {
-        "config": asdict(ExperimentConfig(name="density",
-                                          coeffs=list(f.coeffs), k=args.k,
-                                          P=args.P)),
+    emit(args.out, "json", None, None, {
+        "config": _config(name="density", coeffs=list(f.coeffs), k=args.k,
+                          P=args.P),
         "density": _density_dict(d),
         "hypothesis_checks": _hypothesis_report(f, args.k),
     })
     return 0
 
 
-def _build_mask(polytext: str, k: int, N: int, threads: int, segment: int):
-    factors = parse_poly_or_product(polytext)
-    if len(factors) == 1:
-        return kfree_mask(factors[0], k, N, segment_size=segment,
-                          threads=threads)
-    return product_kfree_mask(factors, k, N, segment_size=segment,
-                              threads=threads)
-
-
 def cmd_count(args) -> int:
-    checkpoints = args.checkpoints or [args.N]
-    factors = parse_poly_or_product(args.poly)
-    mask = _build_mask(args.poly, args.k, args.N, args.threads, args.segment)
-    dens = density(mask.poly, args.k, args.P, mask.roots)
-    rows = count_kfree(mask, checkpoints, dens)
-    fit = (exponent_fit([(r.N, abs(r.abs_error)) for r in rows])
-           if len(rows) >= 2 else None)
-    coeffs = list(factors[0].coeffs) if len(factors) == 1 else []
-    if args.format == "json":
-        write_json(args.out, {
-            "config": asdict(ExperimentConfig(name="count", coeffs=coeffs,
-                                              k=args.k, N=args.N,
-                                              checkpoints=checkpoints,
-                                              condition=args.poly,
-                                              P=args.P)),
-            "density": _density_dict(dens),
-            "exponent_fit": fit,
-            "rows": [asdict(r) for r in rows],
-            "zero_hits": list(mask.zero_hits),
-        })
-    else:
-        write_csv(args.out, ["N", "count", "target", "abs_error", "rel_error"],
-                  [(r.N, r.count, r.target, r.abs_error, r.rel_error)
-                   for r in rows])
+    checkpoints = _checkpoints(args)
+    factors, mask, doc, rows = count_rows(
+        args.poly, args.k, args.N, checkpoints, args.P,
+        threads=args.threads, segment=args.segment)
+    doc["config"] = _config(
+        name="count", k=args.k, N=args.N, checkpoints=checkpoints,
+        coeffs=list(factors[0].coeffs) if len(factors) == 1 else [],
+        condition=args.poly, P=args.P)
+    doc["zero_hits"] = list(mask.zero_hits)
+    emit(args.out, args.format, COUNT_HEADER, rows, doc)
     return 0
 
 
 def cmd_eftail(args) -> int:
     f = IntPolynomial.parse(args.poly)
-    checkpoints = args.checkpoints or [args.N]
-    if checkpoints[-1] > args.N:
-        raise ValueError(f"checkpoint {checkpoints[-1]} above --N {args.N}")
-    ny = [(n, args.Y if args.Y else int(n ** 0.9)) for n in checkpoints]
+    checkpoints = _checkpoints(args)
+    ny = [(n, int(n ** 0.9) if args.Y is None else args.Y)
+          for n in checkpoints]
     rows = [(n, y, pairs)
             for (n, y), pairs in zip(ny, tail_pair_counts(f, args.k, ny))]
-    if args.format == "json":
-        write_json(args.out, {
-            "config": asdict(ExperimentConfig(name="eftail",
-                                              coeffs=list(f.coeffs),
-                                              k=args.k, N=args.N,
-                                              checkpoints=checkpoints)),
-            "rows": [{"N": r[0], "Y": r[1], "pairs": r[2]} for r in rows],
-        })
-    else:
-        write_csv(args.out, ["N", "Y", "pairs"], rows)
+    emit(args.out, args.format, ["N", "Y", "pairs"], rows,
+         {"config": _config(name="eftail", coeffs=list(f.coeffs), k=args.k,
+                            N=args.N, checkpoints=checkpoints)})
     return 0
 
 
 def cmd_ergodic(args) -> int:
-    system, observable, x = parse_system(args.system)
-    condition = parse_condition(args.condition)
-    argmap = parse_argmap(args.argmap)
-    checkpoints = args.checkpoints or [args.N]
-    rows = convergence_report(system, observable, x, N_values=checkpoints,
-                              condition=condition, argmap=argmap, P=args.P,
-                              threads=args.threads,
-                              segment_size=args.segment)
-    if args.format == "json":
-        write_json(args.out, {
-            "config": asdict(ExperimentConfig(
-                name="ergodic", N=max(checkpoints),
-                checkpoints=checkpoints, system=args.system,
-                condition=args.condition, argmap=args.argmap, P=args.P)),
-            "rows": [asdict(r) for r in rows],
-        })
-    else:
-        write_csv(args.out, ["N", "selected", "average", "target", "residual"],
-                  [(r.N, r.selected, r.average, r.target, r.residual)
-                   for r in rows])
+    checkpoints = _checkpoints(args)
+    rows = report_rows(args.system, args.condition, args.argmap, checkpoints,
+                       args.P, threads=args.threads, segment=args.segment)
+    emit(args.out, args.format, REPORT_HEADER, rows,
+         {"config": _config(name="ergodic", N=checkpoints[-1],
+                            checkpoints=checkpoints, system=args.system,
+                            condition=args.condition, argmap=args.argmap,
+                            P=args.P)})
     return 0
 
 
 # ------------------------------------------------------------- repro
 
-REPORT_HEADER = ["N", "selected", "average", "target", "residual"]
-COUNT_HEADER = ["N", "count", "target", "abs_error", "rel_error"]
+@dataclass(frozen=True)
+class Experiment:
+    """One `repro` experiment, run to the last checkpoint with P = 10^6.
+    Without a system it is a count_rows count with k, checked against the
+    tolerances; with one, a report_rows average whose hypothesis checks,
+    if any, come from checks."""
+
+    condition: str
+    checkpoints: tuple[int, ...]
+    tolerances: dict
+    k: int = 0
+    system: str = ""
+    checks: Callable[[], dict] | None = None
 
 
-def _report_rows(rows):
-    return [(r.N, r.selected, r.average, r.target, r.residual) for r in rows]
+def _within_tolerance(tolerances: dict, rows, fit) -> bool:
+    """exponent_max bounds the fitted error exponent; any other count
+    tolerance (rel_error_at_<N>) bounds |rel_error| of the last row."""
+    return all(fit < tol if key == "exponent_max" else abs(rows[-1][4]) <= tol
+               for key, tol in tolerances.items())
 
 
-def _count_experiment(name, polytext, k, checkpoints, P, rel_tol, threads,
-                      outdir):
-    factors = parse_poly_or_product(polytext)
-    N = max(checkpoints)
-    _log(f"[{name}] sieving {polytext} k={k} to N={N}")
-    if len(factors) == 1:
-        mask = kfree_mask(factors[0], k, N, threads=threads)
+def _artifacts(name: str, outdir: str, header, rows, doc: dict) -> int:
+    """<name>.csv and <name>.json in outdir, the JSON under "experiment"."""
+    doc["experiment"] = name
+    for fmt in ("csv", "json"):
+        emit(os.path.join(outdir, f"{name}.{fmt}"), fmt, header, rows, doc)
+    return 0
+
+
+def run_experiment(name: str, exp: Experiment, outdir: str, threads: int,
+                   segment: int) -> int:
+    N, P = exp.checkpoints[-1], 10 ** 6
+    if exp.system:
+        _log(f"[{name}] averaging {exp.system} over {exp.condition}")
+        rows = report_rows(exp.system, exp.condition, "identity",
+                           exp.checkpoints, P, threads=threads,
+                           segment=segment)
+        doc = {"hypothesis_checks": exp.checks() if exp.checks else {},
+               "results": {}}
     else:
-        mask = product_kfree_mask(factors, k, N, threads=threads)
-    dens = density(mask.poly, k, P, mask.roots)
-    rows = count_kfree(mask, checkpoints, dens)
-    fit = exponent_fit([(r.N, abs(r.abs_error)) for r in rows])
-    meta = {
-        "experiment": name,
-        "config": asdict(ExperimentConfig(name=name, coeffs=[], k=k, N=N,
-                                          checkpoints=list(checkpoints),
-                                          condition=polytext, P=P,
-                                          out=outdir)),
-        "density": _density_dict(dens),
-        "exponent_fit": fit,
-        "tolerances": {"rel_error_at_max_N": rel_tol},
-        "hypothesis_checks": {g.text(): _hypothesis_report(g, k)
-                              for g in factors},
-        "results": {"rows": [asdict(r) for r in rows],
-                    "within_tolerance": abs(rows[-1].rel_error) <= rel_tol},
-    }
-    write_csv(os.path.join(outdir, f"{name}.csv"), COUNT_HEADER,
-              [(r.N, r.count, r.target, r.abs_error, r.rel_error)
-               for r in rows])
-    write_json(os.path.join(outdir, f"{name}.json"), meta)
-    return 0
+        _log(f"[{name}] counting {exp.condition} k={exp.k} to N={N}")
+        factors, _, doc, rows = count_rows(exp.condition, exp.k, N,
+                                           exp.checkpoints, P,
+                                           threads=threads, segment=segment)
+        doc["hypothesis_checks"] = {g.text(): _hypothesis_report(g, exp.k)
+                                    for g in factors}
+        doc["results"] = {"within_tolerance": _within_tolerance(
+            exp.tolerances, rows, doc["exponent_fit"])}
+    doc["tolerances"] = exp.tolerances
+    doc["config"] = _config(name=name, k=exp.k, N=N,
+                            checkpoints=list(exp.checkpoints),
+                            system=exp.system, condition=exp.condition,
+                            argmap="identity" if exp.system else "", P=P,
+                            out=outdir)
+    header = REPORT_HEADER if exp.system else COUNT_HEADER
+    return _artifacts(name, outdir, header, rows, doc)
 
 
-def _ergodic_experiment(name, systext, condtext, checkpoints, tolerances,
-                        threads, outdir, P=10 ** 6, extra_checks=None,
-                        argtext="identity"):
-    system, observable, x = parse_system(systext)
-    condition = parse_condition(condtext)
-    argmap = parse_argmap(argtext)
-    _log(f"[{name}] averaging {systext} over {condtext}")
-    rows = convergence_report(system, observable, x, N_values=checkpoints,
-                              condition=condition, argmap=argmap, P=P,
-                              threads=threads)
-    meta = {
-        "experiment": name,
-        "config": asdict(ExperimentConfig(name=name, N=max(checkpoints),
-                                          checkpoints=list(checkpoints),
-                                          system=systext, condition=condtext,
-                                          argmap=argtext, P=P, out=outdir)),
-        "tolerances": tolerances,
-        "hypothesis_checks": extra_checks or {},
-        "results": {"rows": [asdict(r) for r in rows]},
-    }
-    write_csv(os.path.join(outdir, f"{name}.csv"), REPORT_HEADER,
-              _report_rows(rows))
-    write_json(os.path.join(outdir, f"{name}.json"), meta)
-    return 0
-
-
-def repro_pnt(outdir, threads):
-    return _ergodic_experiment(
-        "pnt", "twopoint:1.0,-1.0,0", "all", [10, 10 ** 6, 10 ** 7],
-        {"abs_average_at_1e6": 5e-3, "abs_average_at_1e7": 2e-3,
-         "exact_zero_at_10": True},
-        threads, outdir)
-
-
-def repro_carlitz(outdir, threads):
-    name = "carlitz"
-    checkpoints = [10 ** 5, 10 ** 6, 10 ** 7]
-    N = checkpoints[-1]
-    _log(f"[{name}] twin squarefree to N={N}")
-    bits = twin_squarefree_mask(N)
-    c = twin_constant(10 ** 6)
-    rows = []
-    for n in checkpoints:
-        cnt = int(bits[:n].sum())
-        target = c.value * n
-        rows.append((n, cnt, target, cnt - target,
-                     abs(cnt - target) / target))
-    fit = exponent_fit([(r[0], abs(r[3])) for r in rows])
-    meta = {
-        "experiment": name,
-        "config": asdict(ExperimentConfig(name=name, N=N,
-                                          checkpoints=checkpoints,
-                                          condition="twinsqfree",
-                                          P=10 ** 6, out=outdir)),
-        "density": _density_dict(c),
-        "exponent_fit": fit,
-        "tolerances": {"rel_error_at_1e7": 5e-3, "exponent_max": 0.8},
-        "hypothesis_checks": {},
-        "results": {"rows": [{"N": r[0], "count": r[1], "target": r[2],
-                              "abs_error": r[3], "rel_error": r[4]}
-                             for r in rows],
-                    "within_tolerance": rows[-1][4] <= 5e-3 and fit < 0.8},
-    }
-    write_csv(os.path.join(outdir, f"{name}.csv"), COUNT_HEADER, rows)
-    write_json(os.path.join(outdir, f"{name}.json"), meta)
-    return 0
-
-
-def repro_estermann(outdir, threads):
-    return _count_experiment("estermann", "1,0,1", 2,
-                             [10 ** 5, 10 ** 6, 10 ** 7], 10 ** 6, 5e-3,
-                             threads, outdir)
-
-
-def repro_hb17(outdir, threads):
-    return _count_experiment("hb17", "5,0,0,1", 2,
-                             [10 ** 4, 10 ** 5, 10 ** 6], 10 ** 6, 1e-2,
-                             threads, outdir)
-
-
-def repro_browning18(outdir, threads):
-    return _count_experiment("browning18", "2,0,0,1", 3,
-                             [10 ** 4, 10 ** 5, 10 ** 6], 10 ** 6, 1e-2,
-                             threads, outdir)
-
-
-def repro_thm11(outdir, threads):
-    return _ergodic_experiment(
-        "thm11", "circle:golden,0.3,1.0+1.0cos1", "kfree:1,0,1:2",
-        [10 ** 5, 10 ** 6, 10 ** 7],
-        {"abs_residual_at_1e7": 1e-2,
-         "monotone_or_both_below": 5e-3},
-        threads, outdir,
-        extra_checks=_hypothesis_report(IntPolynomial.parse("1,0,1"), 2))
-
-
-def repro_cor12(outdir, threads):
-    f = IntPolynomial.parse("1,0,1")
-    pattern_ok = all(
-        local_root_count(f, p, 2) == (2 if p % 4 == 1 else 0)
-        for p in primes_up_to(100).tolist())
-    checks = _hypothesis_report(f, 2)
-    checks["rho_p2_pattern_p_below_100"] = pattern_ok
-    return _ergodic_experiment(
-        "cor12", "twopoint:1.0,-1.0,0", "kfree:1,0,1:2",
-        [10 ** 5, 10 ** 6, 10 ** 7],
-        {"abs_average_at_1e7": 1e-2},
-        threads, outdir, extra_checks=checks)
-
-
-def repro_thm31(outdir, threads):
-    name = "thm31"
-    N = 10 ** 7
+def repro_thm31(outdir: str, threads: int, segment: int) -> int:
+    """Indicator averages of the m-cycle rotation along every progression
+    mn + r, m = 2, 3, 4, at N = 10^7, from one sieve pass."""
+    name, N = "thm31", 10 ** 7
     _log(f"[{name}] progression grid at N={N}")
-    header = ["m", "r", "N", "selected", "average", "target", "residual"]
     grid = [(m, r) for m in (2, 3, 4) for r in range(m)]
     hists = dict(zip(grid, omega_histograms(
-        N, [ProgressionMap(m, r) for m, r in grid], threads=threads)))
-    out_rows = []
-    within = {}
+        N, [ProgressionMap(m, r) for m, r in grid], threads=threads,
+        segment_size=segment)))
+    rows, checks = [], {}
     for m in (2, 3, 4):
-        system = CyclicRotation(m)
-        observable = VectorObservable(tuple([1.0] + [0.0] * (m - 1)))
-        orb = orbit_table(system, observable, 0, default_j_max(m * N + m - 1))
-        ok = True
+        observable = VectorObservable((1.0,) + (0.0,) * (m - 1))
+        orb = orbit_table(CyclicRotation(m), observable, 0,
+                          default_j_max(m * N + m - 1))
         for r in range(m):
-            hist = hists[m, r]
-            avg = ergodic_average(hist, orb)
-            resid = avg - 1.0 / m
-            ok = ok and abs(resid) <= 1e-2
-            out_rows.append((m, r, N, hist.selected, avg, 1.0 / m, resid))
-        within[f"m{m}_within_1e-2"] = ok
-    meta = {
-        "experiment": name,
-        "config": asdict(ExperimentConfig(name=name, N=N,
-                                          checkpoints=[N],
-                                          system="cyclic:m,0,indicator",
-                                          argmap="prog:m,r", out=outdir)),
+            avg = ergodic_average(hists[m, r], orb)
+            rows.append((m, r, N, hists[m, r].selected, avg, 1.0 / m,
+                         avg - 1.0 / m))
+        checks[f"m{m}_within_1e-2"] = all(abs(row[-1]) <= 1e-2
+                                          for row in rows[-m:])
+    return _artifacts(name, outdir, ["m", "r", *REPORT_HEADER], rows, {
+        "config": _config(name=name, N=N, checkpoints=[N],
+                          system="cyclic:m,0,indicator", argmap="prog:m,r",
+                          out=outdir),
         "tolerances": {"abs_residual": 1e-2},
-        "hypothesis_checks": within,
-        "results": {"rows": [dict(zip(header, r)) for r in out_rows]},
-    }
-    write_csv(os.path.join(outdir, f"{name}.csv"), header, out_rows)
-    write_json(os.path.join(outdir, f"{name}.json"), meta)
-    return 0
+        "hypothesis_checks": checks,
+        "results": {},
+    })
 
 
-def repro_thm41(outdir, threads):
-    return _count_experiment("thm41", "1,0,1*2,0,1", 2,
-                             [10 ** 5, 10 ** 6, 10 ** 7], 10 ** 6, 1e-2,
-                             threads, outdir)
+def _cor12_checks() -> dict:
+    f = IntPolynomial.parse("1,0,1")
+    checks = _hypothesis_report(f, 2)
+    checks["rho_p2_pattern_p_below_100"] = all(
+        local_root_count(f, p, 2) == (2 if p % 4 == 1 else 0)
+        for p in primes_up_to(100).tolist())
+    return checks
 
 
-def repro_cor42(outdir, threads):
-    return _ergodic_experiment(
-        "cor42", "twopoint:1.0,-1.0,0", "product:1,0,1*2,0,1:2",
-        [10 ** 5, 10 ** 6, 10 ** 7],
-        {"abs_average_at_1e7": 1e-2},
-        threads, outdir)
-
-
-def repro_thm51(outdir, threads):
-    return _count_experiment("thm51", "4,1,0,1", 2,
-                             [10 ** 4, 10 ** 5, 10 ** 6], 10 ** 6, 1e-2,
-                             threads, outdir)
-
+LIOUVILLE = "twopoint:1.0,-1.0,0"
+_TO_1E6 = (10 ** 4, 10 ** 5, 10 ** 6)
+_TO_1E7 = (10 ** 5, 10 ** 6, 10 ** 7)
 
 REPRO = {
-    "pnt": repro_pnt,
-    "carlitz": repro_carlitz,
-    "estermann": repro_estermann,
-    "hb17": repro_hb17,
-    "browning18": repro_browning18,
-    "thm11": repro_thm11,
-    "cor12": repro_cor12,
+    "pnt": Experiment("all", (10, 10 ** 6, 10 ** 7),
+                      {"abs_average_at_1e6": 5e-3, "abs_average_at_1e7": 2e-3,
+                       "exact_zero_at_10": True}, system=LIOUVILLE),
+    "carlitz": Experiment("twinsqfree", _TO_1E7,
+                          {"rel_error_at_1e7": 5e-3, "exponent_max": 0.8}),
+    "estermann": Experiment("1,0,1", _TO_1E7, {"rel_error_at_max_N": 5e-3},
+                            k=2),
+    "hb17": Experiment("5,0,0,1", _TO_1E6, {"rel_error_at_max_N": 1e-2}, k=2),
+    "browning18": Experiment("2,0,0,1", _TO_1E6, {"rel_error_at_max_N": 1e-2},
+                             k=3),
+    "thm11": Experiment(
+        "kfree:1,0,1:2", _TO_1E7,
+        {"abs_residual_at_1e7": 1e-2, "monotone_or_both_below": 5e-3},
+        system="circle:golden,0.3,1.0+1.0cos1",
+        checks=lambda: _hypothesis_report(IntPolynomial.parse("1,0,1"), 2)),
+    "cor12": Experiment("kfree:1,0,1:2", _TO_1E7, {"abs_average_at_1e7": 1e-2},
+                        system=LIOUVILLE, checks=_cor12_checks),
     "thm31": repro_thm31,
-    "thm41": repro_thm41,
-    "cor42": repro_cor42,
-    "thm51": repro_thm51,
+    "thm41": Experiment("1,0,1*2,0,1", _TO_1E7, {"rel_error_at_max_N": 1e-2},
+                        k=2),
+    "cor42": Experiment("product:1,0,1*2,0,1:2", _TO_1E7,
+                        {"abs_average_at_1e7": 1e-2}, system=LIOUVILLE),
+    "thm51": Experiment("4,1,0,1", _TO_1E6, {"rel_error_at_max_N": 1e-2}, k=2),
 }
 
 
 def cmd_repro(args) -> int:
     outdir = args.out or "."
-    if outdir != "." and not os.path.isdir(outdir):
-        os.makedirs(outdir, exist_ok=True)
-    return REPRO[args.experiment](outdir, args.threads)
+    os.makedirs(outdir, exist_ok=True)
+    exp = REPRO[args.experiment]
+    if callable(exp):
+        return exp(outdir, args.threads, args.segment)
+    return run_experiment(args.experiment, exp, outdir, args.threads,
+                          args.segment)
 
 
 # --------------------------------------------------------------- main
@@ -647,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                             parser_class=lambda **kw: argparse.ArgumentParser(
                                 parents=[shared], **kw))
 
-    def common(p, poly=True, k=True):
+    def common(p, poly=True, k=True, fmt=True):
         if poly:
             p.add_argument("--poly", required=True,
                            help="ascending coefficients, e.g. 1,0,1")
@@ -655,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=True)
         p.add_argument("--out", default=None,
                        help="output file ('-' or omit for stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("sieve", help="dump omega/mobius/squarefree tables")
     p.add_argument("--N", type=_int_arg, required=True)
@@ -669,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list primes up to this bound")
     p.set_defaults(fn=cmd_rho)
 
-    p = sub.add_parser("density", help="Euler product with tail enclosure")
-    common(p)
+    p = sub.add_parser("density", help="Euler product and enclosure as JSON")
+    common(p, fmt=False)
     p.add_argument("--P", type=_int_arg, default=10 ** 6)
     p.set_defaults(fn=cmd_density)
 

@@ -102,18 +102,13 @@ def roots_mod_p(f: IntPolynomial, p: int, scan_limit: int = SCAN_LIMIT) -> tuple
 
 
 def count_roots_mod_p(f: IntPolynomial, p: int) -> int:
-    """Number of distinct roots of f mod p, via deg gcd(x^p - x, f mod p).
-
-    When p divides the leading coefficient the degree drops; the count is
-    then taken by residue scan.
-    """
+    """Number of distinct roots of f mod p: p when f vanishes mod p (a set
+    too large for roots_mod_p to list at large p), else len(roots_mod_p)."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if all(c % p == 0 for c in f.coeffs):
         return p
-    if f.leading % p == 0 or p <= 13:
-        return len(roots_mod_p(f, p))
-    return modpoly.count_roots_prime(list(f.coeffs), p)
+    return len(roots_mod_p(f, p))
 
 
 def lift_roots(f: IntPolynomial, p: int, k: int, cap: int = LIFT_ROOT_CAP) -> LocalRootData:

@@ -186,26 +186,6 @@ def _poly_quotient_exact(a: list[int], b: list[int], p: int) -> list[int]:
     return q
 
 
-def count_roots_prime(coeffs, p: int) -> int:
-    """Number of distinct roots of f over F_p as deg gcd(x^p - x, f).
-
-    Needs p not dividing the leading coefficient; f nonzero mod p.
-    """
-    f = poly_mod_p(coeffs, p)
-    if not f:
-        raise ValueError(f"polynomial vanishes mod {p}")
-    if poly_deg(f) == 0:
-        return 0
-    f = poly_monic(f, p)
-    xp = poly_powmod([0, 1], p, f, p)
-    h = xp[:]
-    while len(h) < 2:
-        h.append(0)
-    h[1] = (h[1] - 1) % p
-    g = poly_gcd(poly_trim(h), f, p)
-    return max(poly_deg(g), 0)
-
-
 def roots_prime_gcd(coeffs, p: int) -> list[int]:
     """Distinct roots of f over F_p by gcd with x^p - x, then splitting."""
     f = poly_mod_p(coeffs, p)
@@ -465,8 +445,11 @@ def batch_linear_roots(G: np.ndarray, counts: np.ndarray, primes: np.ndarray):
     same ladder as x^p mod f, w = gcd(h - 1, g) collects the roots r with
     r + a a nonzero square, and a lane with 0 < deg w < m splits into w and
     g / w; either way its shift a moves to a + 1. The shift sequence
-    0, 1, 2, ... per factor makes every run reproducible, and for odd p a
-    shift separating two given roots turns up long before a reaches p.
+    1, 2, 3, ... per factor makes every run reproducible, and for odd p a
+    shift separating two given roots turns up long before a reaches p. It
+    skips a = 0, which never splits x^3 + c or x^2 + 1: their split roots
+    are r times roots of unity that are squares mod p, so x^((p-1)/2)
+    takes one value on all of them.
 
     Every factor of a product is a residue below p < 2^31, so each product
     is below 2^62; the Euclid and the division keep a product minus another
@@ -479,7 +462,7 @@ def batch_linear_roots(G: np.ndarray, counts: np.ndarray, primes: np.ndarray):
     found_roots = [np.zeros(0, dtype=np.int64)]
     lane = np.nonzero(counts > 0)[0]
     polys, degs = G[:, lane], counts[lane]
-    shift = np.zeros(len(lane), dtype=np.int64)
+    shift = np.ones(len(lane), dtype=np.int64)
     while len(lane):
         lin = degs == 1
         found_lanes.append(lane[lin])

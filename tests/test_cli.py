@@ -1,16 +1,19 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from powerfree.cli import (ExperimentConfig, REPRO, build_parser, main,
                            parse_argmap, parse_condition, parse_system,
-                           parse_trig, system_text, trig_text)
+                           parse_trig)
 from powerfree.dynamics import (CyclicRotation, IrrationalRotation,
-                                TwoPointSwap)
+                                PairObservable, TrigObservable, TwoPointSwap,
+                                VectorObservable)
 from powerfree.ergodic import (AllIntegers, BeattyMap, IdentityMap,
                                KfreeValues, ProductKfree, ProgressionMap,
                                TwinSquarefree)
@@ -19,24 +22,26 @@ from powerfree.local_roots import local_root_count
 from powerfree.poly import IntPolynomial, profile
 from powerfree.sieve import primes_up_to
 
-SYSTEM_TEXTS = [
-    "twopoint:1.0,-1.0,0",
-    "twopoint:2.5,0.5,1",
-    "cyclic:3,0,1.0;0.0;0.0",
-    "cyclic:4,2,0.25;1.5;-1.0;0.0",
-    "circle:0.5609,0.3,1.0+1.0cos1",
-    "circle:0.123,0.0,2.0+0.5cos3+1.5sin2",
-]
 
-
-def test_system_descriptor_round_trip():
-    for text in SYSTEM_TEXTS:
+def test_parse_system_descriptors():
+    cases = [
+        ("twopoint:1.0,-1.0,0", TwoPointSwap, PairObservable(1.0, -1.0), 0),
+        ("twopoint:2.5,0.5,1", TwoPointSwap, PairObservable(2.5, 0.5), 1),
+        ("cyclic:3,0,1.0;0.0;0.0", CyclicRotation,
+         VectorObservable((1.0, 0.0, 0.0)), 0),
+        ("cyclic:4,2,0.25;1.5;-1.0;0.0", CyclicRotation,
+         VectorObservable((0.25, 1.5, -1.0, 0.0)), 2),
+        ("circle:0.5609,0.3,1.0+1.0cos1", IrrationalRotation,
+         TrigObservable(1.0, ((1, 1.0),), ()), 0.3),
+        ("circle:0.123,0.0,2.0+0.5cos3+1.5sin2", IrrationalRotation,
+         TrigObservable(2.0, ((3, 0.5),), ((2, 1.5),)), 0.0),
+    ]
+    for text, kind, want_obs, want_x in cases:
         system, obs, x = parse_system(text)
-        printed = system_text(system, obs, x)
-        system2, obs2, x2 = parse_system(printed)
-        assert system_text(system2, obs2, x2) == printed
-        assert type(system2) is type(system)
-        assert obs2 == obs
+        assert type(system) is kind, text
+        assert obs == want_obs and x == want_x and type(x) is type(want_x)
+    assert parse_system("cyclic:4,2,0.25;1.5;-1.0;0.0")[0].m == 4
+    assert parse_system("circle:0.123,0.0,2.0")[0].alpha == 0.123
 
 
 def test_parse_system_golden_alpha():
@@ -55,7 +60,7 @@ def test_parse_trig_grammar():
     assert obs2.constant == 1.0 and obs2.cos_terms == ((1, 1.0),)
     neg = parse_trig("1.0+-0.5cos2")
     assert neg.cos_terms == ((2, -0.5),)
-    assert parse_trig(trig_text(obs)) == obs
+    assert parse_trig("0.5sin1+2cos3+1.5") == obs
     with pytest.raises(ValueError):
         parse_trig("1.0+bogus2")
 
@@ -99,19 +104,8 @@ def test_argmap_descriptors():
                                 f"expected {grammar}")
 
 
-def test_experiment_config_round_trip():
-    cfg = ExperimentConfig(name="estermann", coeffs=[1, 0, 1], k=2,
-                           N=10 ** 7, checkpoints=[10 ** 5, 10 ** 6, 10 ** 7],
-                           system="twopoint:1.0,-1.0,0", condition="all",
-                           argmap="identity", P=10 ** 6, out="results")
-    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
-    blank = ExperimentConfig(name="x")
-    assert ExperimentConfig.from_json(blank.to_json()) == blank
-
-
 def test_config_json_schema_keys():
-    cfg = ExperimentConfig(name="t")
-    keys = set(json.loads(cfg.to_json()))
+    keys = set(asdict(ExperimentConfig(name="t")))
     assert keys == {"name", "coeffs", "k", "N", "checkpoints", "system",
                     "condition", "argmap", "P", "out"}
 
@@ -204,6 +198,12 @@ def test_exit_codes(tmp_path):
                  "--N", "10000000"]) == 3
     assert main(["eftail", "--poly", "1,0,1", "--k", "2", "--N", "100",
                  "--checkpoints", "200"]) == 2
+    assert main(["eftail", "--poly", "1,0,1", "--k", "2", "--N", "100",
+                 "--Y", "0"]) == 2
+    assert main(["ergodic", "--system", "twopoint:1.0,-1.0,0", "--N", "100",
+                 "--checkpoints", "10,1000"]) == 2
+    assert main(["density", "--poly", "1,0,1", "--k", "2", "--P", "100",
+                 "--format", "csv"]) == 2
     assert main(["count", "--poly", "1,0,1", "--k", "2", "--N", "1000",
                  "--P", "1000", "--out", str(tmp_path / "no" / "x.csv")]) == 2
     assert main(["nonsense"]) == 2
@@ -253,6 +253,50 @@ def test_repro_writes_artifacts(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "N,count,target,abs_error,rel_error"
     assert len(lines) == 4
+
+
+def test_repro_segment_keeps_artifacts(tmp_path, monkeypatch):
+    # config.out echoes --out, so both runs write with "--out ." from
+    # their own directory
+    got = {}
+    for seg in (None, "65536"):
+        d = tmp_path / str(seg)
+        d.mkdir()
+        monkeypatch.chdir(d)
+        extra = [] if seg is None else ["--segment", seg]
+        assert main(["repro", "browning18", "--out", ".", *extra]) == 0
+        got[seg] = [(d / f"browning18.{ext}").read_bytes()
+                    for ext in ("csv", "json")]
+    assert got[None] == got["65536"]
+
+
+# sha256 of the artifacts of `repro <id> --out .`, recorded before the
+# experiments became Experiment specs; between them they cover counts of a
+# polynomial, a product and twinsqfree, averages with and without
+# hypothesis checks, and the thm31 progression grid
+PINNED_DIGESTS = {
+    "pnt.csv": "7e7b93a0b1eb01d60e1b74b4933477ef8a1d42e397e9f5d5753d007c99e51fec",
+    "pnt.json": "74a26c4c003f1ca27655adcdb45b70386985f92444165ec9aa5026c87abe9783",
+    "cor12.csv": "b578727b63cb136ba4c0cdacbc4a8fe09779b749dce2d7fa9bb44e9e67f4291e",
+    "cor12.json": "639bc88c84def394a422d37a5a262c0c651f86d168d2a21eccb94877848121a2",
+    "carlitz.csv": "8cb363f77f93891188cc1ef666ad2202ced2382766a19d13946679b5e5bd026d",
+    "carlitz.json": "35b1aa03aa4b9a39ec07a933c3d29ed0c257ec5acb92f0a7b8e465e766a9b0c7",
+    "hb17.csv": "754392adfa87737ea7aacee59ae0cafbcc325343081b876e850c1a10995a2c38",
+    "hb17.json": "d2607e2549853ba87cf4584aae6bfa42b62295c1c3ae194aa6a89d8523a93f1f",
+    "thm41.csv": "44835f7a21235dc34a969f7a6689e5f1a035d7d9dd64d3828ac7911ab42a1fdd",
+    "thm41.json": "fb572988a9e0e35206917d08dc3a32769cc2c28b56cd297ad6b63494038f8f03",
+    "thm31.csv": "b74aaec124258c41407c97c34f3993d9a9d7055590290aa6e5ed275daf7c563d",
+    "thm31.json": "cef9c0d6bfb31629d71020d353e940a5e382b007b2c84a393b8d21f1a9f62958",
+}
+
+
+def test_repro_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in sorted({f.partition(".")[0] for f in PINNED_DIGESTS}):
+        assert main(["repro", name, "--out", "."]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in PINNED_DIGESTS}
+    assert got == PINNED_DIGESTS
 
 
 def test_console_script_stdout():
