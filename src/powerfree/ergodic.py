@@ -28,7 +28,7 @@ from . import kfree
 from .density import density, twin_constant
 from .dynamics import OrbitTable
 from .poly import IntPolynomial
-from .sieve import DEFAULT_SEGMENT, _fill_segment, primes_up_to
+from .sieve import DEFAULT_SEGMENT, _omega_segment, primes_up_to
 
 
 # ---------------------------------------------------------------- maps
@@ -277,7 +277,7 @@ def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
     def window(A: int) -> np.ndarray:
         B = min(A + segment_size, top + 1)
         if tables is None:
-            omega = _fill_segment(A, B, primes)[0]
+            omega = _omega_segment(A, B, primes)
         else:
             omega = tables.omega[A - tables.lo:B - tables.lo]
         out = np.zeros((len(argmaps), len(cuts) - 1, width), dtype=np.int64)

@@ -23,7 +23,7 @@ import numpy as np
 from .density import DensityResult, density
 from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power
-from .local_roots import RootTable, lift_roots, root_table
+from .local_roots import RootTable, hensel_lifts, lift_roots, root_table
 from .poly import (IntPolynomial, coefficient_bound, evaluate_range,
                    has_fixed_kth_power, max_abs_value, profile)
 from .sieve import DEFAULT_SEGMENT, primes_up_to
@@ -99,9 +99,9 @@ def _divide_out(vals: np.ndarray, seg_bits: np.ndarray, off: int, p: int,
     """Divide the full p-part out of vals[off::p]; clear seg_bits where the
     exponent reaches k. record(positions, primes) hooks exponent >= k.
 
-    The sl > 0 guard matters: zero values of f were replaced by 1 upstream
-    and sit at a root position of every prime, so the first (unconditional)
-    division floors them to 0; without the guard they'd loop forever.
+    This serves the singular roots. The sl > 0 guard matters: a zero value
+    of f sits at a root position of every prime and stays 0, which every p
+    divides, so without the guard it would loop forever.
     """
     sl = vals[off::p]
     sl //= p
@@ -148,22 +148,74 @@ def _divide_out_hits(vals: np.ndarray, seg_bits: np.ndarray, pos: np.ndarray,
                 record(pos, pr.astype(np.int64, copy=False))
 
 
+def _lift_plan(f: IntPolynomial, roots: RootTable, height: int) -> list:
+    """One entry per (p, r) pair of roots with p <= _BUCKET_MIN_PRIME, in
+    table order: None at a singular root (f'(r) = 0 mod p, as at every p
+    dividing the content), else the Hensel lifts r_j of r mod p^j for every
+    p^j <= height = max|f| on [1, N]. They are unique, so v_p(f(n)) for n =
+    r (mod p) is the number of levels n matches: a nonzero |f(n)| <= height
+    matches none with p^j > height, and a zero value, matching them all,
+    stops at the same bound."""
+    split = int(np.searchsorted(roots.p, _BUCKET_MIN_PRIME, side="right"))
+    der = f.derivative()
+    return [hensel_lifts(f, der, r, p, height) if der(r) % p else None
+            for p, r in zip(roots.p[:split].tolist(),
+                            roots.roots[:split].tolist())]
+
+
+def _divide_out_lifted(vals: np.ndarray, seg_bits: np.ndarray, a: int,
+                       p: int, lifts: list, k: int, record=None) -> None:
+    """_divide_out for a simple root with the lifts of _lift_plan: level j
+    divides the class of r_j mod p^j by p once, and level k clears
+    seg_bits there. A level that misses the segment ends the walk, since
+    every later class lies inside it. On the int64 path an odd p multiplies
+    by inv = p^-1 mod 2^64 as a signed int64: for 0 <= v < 2^63 with p | v
+    the wrapping product is v / p. p = 2 and object dtype floor-divide."""
+    m = len(vals)
+    inv = None
+    if p > 2 and vals.dtype != object:
+        inv = pow(p, -1, 1 << 64)
+        inv -= (inv >> 63) << 64
+    pj = 1
+    for j, rj in enumerate(lifts, 1):
+        pj *= p
+        off = (rj - a) % pj
+        if off >= m:
+            return
+        sl = vals[off::pj]
+        if inv is None:
+            sl //= p
+        else:
+            sl *= inv
+        if j == k:
+            seg_bits[off::pj] = False
+            if record is not None:
+                pos = np.arange(off, m, pj, dtype=np.int64)
+                record(pos, np.full(len(pos), p, dtype=np.int64))
+
+
 def _divide_out_roots(vals: np.ndarray, seg_bits: np.ndarray, a: int,
-                      roots: RootTable, k: int, record=None) -> None:
+                      roots: RootTable, plan: list, k: int,
+                      record=None) -> None:
     """Divide every prime of roots fully out of vals, which holds |f(n)|
     for n in [a, a + len(vals)); clear seg_bits where an exponent reaches k.
 
-    Primes up to _BUCKET_MIN_PRIME take the strided _divide_out, one slice
-    per root. Above it a root hits a segment only a few times, so all hits
-    of the larger (p, root) pairs are built at once with np.repeat, in
+    Primes up to _BUCKET_MIN_PRIME take strided slices, one walk per root:
+    _divide_out_lifted on plan's levels at a simple root, _divide_out at a
+    singular one. Above it a root hits a segment only a few times, so all
+    hits of the larger (p, root) pairs are built at once with np.repeat, in
     groups of about _HIT_CHUNK hits to bound the transient arrays, and
     divided by _divide_out_hits (the bucket sieve of Oliveira e Silva,
     Herzog and Pardi, Math. Comp. 83, 2014). Hits reaching exponent k go to
     record in ascending prime order for each position.
     """
     m = len(vals)
-    split = int(np.searchsorted(roots.p, _BUCKET_MIN_PRIME, side="right"))
-    for p, r in zip(roots.p[:split].tolist(), roots.roots[:split].tolist()):
+    split = len(plan)
+    for p, r, lift in zip(roots.p[:split].tolist(),
+                          roots.roots[:split].tolist(), plan):
+        if lift is not None:
+            _divide_out_lifted(vals, seg_bits, a, p, lift, k, record)
+            continue
         off = (r - a) % p
         if off < m:
             _divide_out(vals, seg_bits, off, p, k, record)
@@ -217,21 +269,29 @@ def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots: RootTable,
-                  bits: np.ndarray) -> list[int]:
-    """Sieve n in [a, b) (1-based values of n), writing bits[n - 1]."""
+def _cofactors(f: IntPolynomial, k: int, a: int, b: int, roots: RootTable,
+               plan: list, seg_bits: np.ndarray, record=None) -> np.ndarray:
+    """|f(n)| for n in [a, b) with every prime of roots divided fully out
+    by _divide_out_roots, which calls record and leaves seg_bits set where
+    no such prime reaches exponent k. A zero of f stays 0 (a 1 would become
+    p^-1 mod 2^64 at a lifted level); every other value stays >= 1."""
     vals = evaluate_range(f, a, b)
-    seg = bits[a - 1:b - 1]
-    seg[:] = True
-    zeros = np.nonzero(vals == 0)[0]
-    zero_ns = (zeros + a).tolist()
-    if len(zeros):
-        vals[zeros] = 1
-        seg[zeros] = False
     vals = np.abs(vals, out=vals)
-    _divide_out_roots(vals, seg, a, roots, k)
+    seg_bits[:] = True  # after the evaluation's temporaries are freed
+    _divide_out_roots(vals, seg_bits, a, roots, plan, k, record)
+    return vals
+
+
+def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots: RootTable,
+                  plan: list, bits: np.ndarray) -> list[int]:
+    """Sieve n in [a, b) (1-based values of n), writing bits[n - 1]; returns
+    the n with f(n) = 0."""
+    seg = bits[a - 1:b - 1]
+    vals = _cofactors(f, k, a, b, roots, plan, seg)
+    zeros = np.flatnonzero(vals == 0)
+    seg[zeros] = False
     seg[_kth_power_cofactors(vals, k)] = False
-    return zero_ns
+    return (zeros + a).tolist()
 
 
 def collect_sieve_roots(f: IntPolynomial, P0: int,
@@ -244,6 +304,14 @@ def collect_sieve_roots(f: IntPolynomial, P0: int,
             f"limit {root_limit}; raise root_limit if you mean it"
         )
     return root_table(f, primes_up_to(P0))
+
+
+def _sieve_setup(f: IntPolynomial, k: int, N: int,
+                 root_limit: int = ROOT_LIMIT) -> tuple[int, RootTable, list]:
+    """(P0, roots mod every p <= P0, their _lift_plan) for f on [1, N]."""
+    P0 = sieve_prime_bound(f, k, N)
+    roots = collect_sieve_roots(f, P0, root_limit)
+    return P0, roots, _lift_plan(f, roots, max_abs_value(f, N))
 
 
 def kfree_mask(f: IntPolynomial, k: int, N: int, *,
@@ -259,19 +327,18 @@ def kfree_mask(f: IntPolynomial, k: int, N: int, *,
     _check_sieve_hypotheses(f, k)
     if N < 1:
         raise ValueError("N >= 1 required")
-    P0 = sieve_prime_bound(f, k, N)
-    roots = collect_sieve_roots(f, P0, root_limit)
+    P0, roots, plan = _sieve_setup(f, k, N, root_limit)
     bits = np.zeros(N, dtype=bool)
     starts = list(range(1, N + 1, segment_size))
     zero_ns: list[int] = []
     if threads <= 1 or len(starts) == 1:
         for a in starts:
             zero_ns += _mask_segment(f, k, a, min(a + segment_size, N + 1),
-                                     roots, bits)
+                                     roots, plan, bits)
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             futs = [ex.submit(_mask_segment, f, k, a,
-                              min(a + segment_size, N + 1), roots, bits)
+                              min(a + segment_size, N + 1), roots, plan, bits)
                     for a in starts]
             for fu in futs:
                 zero_ns += fu.result()
@@ -393,24 +460,21 @@ def _kth_power_prime_table(f: IntPolynomial, k: int,
     exceeds every sieved prime, so rows stay sorted. Raises CapacityError
     when P0 exceeds ROOT_LIMIT.
     """
-    P0 = sieve_prime_bound(f, k, N)
-    vals = evaluate_range(f, 1, N + 1)
-    zeros = (np.nonzero(vals == 0)[0] + 1).tolist()
-    if zeros:
-        raise HypothesisViolation(
-            f"f(n) = 0 at n in {zeros[:5]}: the k-free decomposition "
-            f"identity needs nonzero values"
-        )
-    vals = np.abs(vals)
+    _, roots, plan = _sieve_setup(f, k, N)
     table: dict[int, list[int]] = {}
-    seg_bits = np.ones(N, dtype=bool)  # scratch for _divide_out's marking
 
     def record(pos: np.ndarray, primes: np.ndarray) -> None:
         for i, p in zip(pos.tolist(), primes.tolist()):
             table.setdefault(i, []).append(p)
 
-    roots = collect_sieve_roots(f, P0)
-    _divide_out_roots(vals, seg_bits, 1, roots, k, record)
+    vals = _cofactors(f, k, 1, N + 1, roots, plan, np.empty(N, dtype=bool),
+                      record)
+    zeros = (np.flatnonzero(vals == 0) + 1).tolist()
+    if zeros:
+        raise HypothesisViolation(
+            f"f(n) = 0 at n in {zeros[:5]}: the k-free decomposition "
+            f"identity needs nonzero values"
+        )
     for i in _kth_power_cofactors(vals, k).tolist():
         table.setdefault(i, []).append(integer_nth_root(int(vals[i]), k))
     return table

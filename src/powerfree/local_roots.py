@@ -111,6 +111,20 @@ def count_roots_mod_p(f: IntPolynomial, p: int) -> int:
     return len(roots_mod_p(f, p))
 
 
+def hensel_lifts(f: IntPolynomial, der: IntPolynomial, r: int, p: int,
+                 top: int) -> list[int]:
+    """[r_1, r_2, ...] over the p^j <= top for a simple root r in [0, p) of
+    f mod p (der = f', f'(r) != 0 mod p): r_j in [0, p^j) is the only root
+    of f mod p^j above r. One Newton step per level, with 1 / f'(r) mod p."""
+    inv = pow(der(r) % p, p - 2, p)
+    out, pj = [], p
+    while pj <= top:
+        out.append(r)
+        r += (-(f(r) // pj) * inv) % p * pj
+        pj *= p
+    return out
+
+
 def lift_roots(f: IntPolynomial, p: int, k: int, cap: int = LIFT_ROOT_CAP) -> LocalRootData:
     """Roots of f mod p^k by Hensel lifting.
 
@@ -132,16 +146,7 @@ def lift_roots(f: IntPolynomial, p: int, k: int, cap: int = LIFT_ROOT_CAP) -> Lo
     m = p ** k
     if not bad:
         der = f.derivative()
-        lifted = []
-        for r0 in base:
-            inv = pow(der(r0) % p, p - 2, p)
-            r, pj = r0, p
-            for _ in range(k - 1):
-                t = (-(f(r) // pj) * inv) % p
-                r += t * pj
-                pj *= p
-            lifted.append(r)
-        roots = tuple(sorted(lifted))
+        roots = tuple(sorted(hensel_lifts(f, der, r0, p, m)[-1] for r0 in base))
         _certify(f, m, roots)
         if len(roots) > cap:
             return LocalRootData(p, k, len(roots), None, bad)

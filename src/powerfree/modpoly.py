@@ -153,9 +153,10 @@ def split_linear_roots(g: list[int], p: int) -> list[int]:
         inv2 = pow(2, p - 2, p)
         return sorted({(-b + s) * inv2 % p, (-b - s) * inv2 % p})
     # degree >= 3: equal-degree splitting by quadratic-residue classes of
-    # shifted roots; the shift a walks 0, 1, 2, ... so runs are reproducible
+    # shifted roots; the shift a walks 1, 2, 3, ... (a = 0 never splits
+    # x^3 + c; see batch_linear_roots) so runs are reproducible
     half = (p - 1) // 2
-    for a in range(p):
+    for a in range(1, p):
         w = poly_gcd([a, 1], g, p)
         if poly_deg(w) == 1:
             root = (-w[0]) % p
@@ -421,7 +422,8 @@ def batch_split_part(coeffs, primes: np.ndarray):
     for lo in range(0, n, _LANE_CHUNK):
         P = P_all[lo:lo + _LANE_CHUNK]
         C = reduce_coeffs(coeffs, P)
-        Fm = C * _pow_vec(C[d], P - 2, P) % P  # monic f
+        # f made monic; at lc(f) = 1 it already is, so no Fermat inverse
+        Fm = C if coeffs[-1] == 1 else C * _pow_vec(C[d], P - 2, P) % P
         H = np.zeros_like(Fm)
         H[:d] = _powmod_ladder(None, P, Fm[:d], P)
         # h = x^p - x, with x itself reduced mod the monic f (nontrivial for

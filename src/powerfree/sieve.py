@@ -3,15 +3,16 @@
 build_tables fills three aligned arrays over [lo, hi): Omega(n) (number of
 prime factors with multiplicity, one byte each), the Mobius function (one
 signed byte), and a squarefree flag. Work proceeds in fixed-size segments,
-so transient memory is proportional to the segment, not the window. The
-per-segment algorithm divides out every prime power p^e <= hi-1 at its
-residue positions; whatever remains after all p <= sqrt(hi-1) is either 1
-or a single prime > sqrt(hi-1), which contributes exactly one to Omega and
-never a square.
+so transient memory is proportional to the segment, not the window.
+
+The Omega fill (_omega_segment) divides nothing: each prime-power hit
+adds one packed int32 constant that counts it and sums a fixed-point log2,
+which tells whether a prime above sqrt(hi-1) is left over. The squarefree
+flags come from a separate pass over the multiples of every p^2.
 
 Results are independent of segment size and thread count by construction:
 segments are disjoint, each is computed by the same deterministic code, and
-assembly writes each segment to its fixed offset.
+each writes to its own fixed offset.
 """
 from __future__ import annotations
 
@@ -63,46 +64,58 @@ class ArithTables:
     def omega_of(self, n: int) -> int:
         return int(self.omega[self.index(n)])
 
-    def mobius_of(self, n: int) -> int:
-        return int(self.mobius[self.index(n)])
-
     def is_squarefree(self, n: int) -> bool:
         return bool(self.squarefree[self.index(n)])
-
-    def liouville(self, n: int) -> int:
-        """(-1)^Omega(n) by table lookup."""
-        return 1 - 2 * (self.omega_of(n) & 1)
 
     def liouville_values(self) -> np.ndarray:
         """Vector of (-1)^Omega over the whole window, dtype int8."""
         return (1 - 2 * (self.omega & np.uint8(1)).astype(np.int8)).astype(np.int8)
 
 
-def _fill_segment(a: int, b: int, primes: np.ndarray):
-    """Omega and squarefree flags for the window [a, b), given all primes
-    <= sqrt of the global top."""
+_LOG_UNIT = 1 << 16  # L_p = floor(_LOG_UNIT * log2 p); hits count from bit 24
+_LOG_MARGIN = 1 << 15
+
+
+def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
+    """Omega(n) for n in [a, b) as uint8, given (at least) every prime up
+    to isqrt(b - 1).
+
+    Each hit p^e | n adds (1 << 24) + L_p to acc[n - a], L_p = floor(2^16
+    log2 p), so acc >> 24 = Omega(s) for the sieved part s of n and the low
+    24 bits hold F with |F - 2^16 log2 s| < Omega(s) < 40. The rest, q =
+    n / s, is 1 or one prime >= R = isqrt(b - 1) + 1 (two would exceed n).
+
+    If q = 1, 2^16 log2 n - F < 40; if q >= R, it exceeds 2^16 log2 R - 40
+    >= 2^16 - 40. So q > 1 iff F < 2^16 log2 n - 2^15, tested per element
+    below cut = 2(b - 1) // R + 1. From cut on, theta = 2^16 log2((b - 1)
+    / R) + 2^15 decides the whole segment: q > 1 means s <= (b - 1) / R,
+    so F < theta - 2^15 + 40, and q = 1 with n > 2(b - 1) / R gives F >
+    theta + 2^15 - 40. Only a window's first segment reaches below cut.
+
+    Bounds, for b - 1 < MAX_LIMIT = 2^40: Omega(n) < 40 and F < 2^16 * 40
+    + 40 < 2^24, so the fields never overlap, and acc < 40 * 2^24 < 2^31
+    fits int32. (Any b - 1 < 2^63, as the streamed histograms may pass,
+    gives Omega < 63, F < 2^22 and acc < 2^30.)
+    """
     m = b - a
-    rem = np.arange(a, b, dtype=np.int64)
-    omega = np.zeros(m, dtype=np.uint8)
-    sqfree = np.ones(m, dtype=bool)
-    for p in primes:
-        p = int(p)
+    acc = np.zeros(m, dtype=np.int32)
+    steps = (1 << 24) + np.floor(_LOG_UNIT * np.log2(primes)).astype(np.int64)
+    for p, step in zip(primes.tolist(), steps.tolist()):
         pe = p
-        level = 1
         # p^e <= b-1 whenever any multiple of p^e lies in [a, b)
         while pe <= b - 1:
             off = (-a) % pe
             if off < m:
-                sl = slice(off, m, pe)
-                omega[sl] += 1
-                rem[sl] //= p
-                if level == 2:
-                    sqfree[sl] = False
+                acc[off::pe] += step
             pe *= p
-            level += 1
-    big = rem > 1
-    omega[big] += 1
-    return omega, sqfree
+    omega = (acc >> 24).astype(np.uint8)
+    acc &= (1 << 24) - 1
+    R = math.isqrt(b - 1) + 1
+    cut = min(max(2 * (b - 1) // R + 1 - a, 0), m)
+    omega[:cut] += acc[:cut] < (_LOG_UNIT * np.log2(np.arange(a, a + cut))
+                                - _LOG_MARGIN)
+    omega[cut:] += acc[cut:] < _LOG_UNIT * math.log2((b - 1) / R) + _LOG_MARGIN
+    return omega
 
 
 def build_tables(
@@ -126,28 +139,26 @@ def build_tables(
     threads = max(1, int(threads))
 
     primes = primes_up_to(math.isqrt(hi - 1))
-    n = hi - lo
-    omega = np.empty(n, dtype=np.uint8)
-    sqfree = np.empty(n, dtype=bool)
+    omega = np.empty(hi - lo, dtype=np.uint8)
+    sqfree = np.ones(hi - lo, dtype=bool)
 
-    bounds = [(a, min(a + segment_size, hi)) for a in range(lo, hi, segment_size)]
+    def run(a: int) -> None:
+        b = min(a + segment_size, hi)
+        omega[a - lo:b - lo] = _omega_segment(a, b, primes)
+        sq = sqfree[a - lo:b - lo]
+        q = primes * primes
+        off = (-a) % q
+        for qi, oi in zip(q[q <= b - a].tolist(), off[q <= b - a].tolist()):
+            sq[oi::qi] = False
+        sq[off[(q > b - a) & (off < b - a)]] = False  # at most one hit each
 
-    def run(seg):
-        a, b = seg
-        return a, _fill_segment(a, b, primes)
-
-    if threads == 1 or len(bounds) == 1:
-        results = map(run, bounds)
+    starts = range(lo, hi, segment_size)
+    if threads == 1 or len(starts) == 1:
+        for a in starts:
+            run(a)
     else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        try:
-            results = list(pool.map(run, bounds))
-        finally:
-            pool.shutdown()
-    for a, (om, sq) in results:
-        i = a - lo
-        omega[i : i + len(om)] = om
-        sqfree[i : i + len(om)] = sq
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
     # mu(n) = (-1)^Omega(n) on squarefree n, else 0; in place, no temporaries
     mobius = np.bitwise_and(omega, 1).view(np.int8)
     mobius *= -2

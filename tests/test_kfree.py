@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -5,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerfree.errors import CapacityError, HypothesisViolation
-from powerfree.kfree import (_BUCKET_MIN_PRIME, _kth_power_prime_table,
+from powerfree.kfree import (_BUCKET_MIN_PRIME, ROOT_LIMIT, _cofactors,
+                             _kth_power_prime_table, _lift_plan, _sieve_setup,
                              count_kfree, decompose_sum, kfree_mask,
                              product_kfree_mask, sieve_prime_bound,
                              tail_pair_count, twin_squarefree_mask)
-from powerfree.local_roots import lift_roots
+from powerfree.local_roots import lift_roots, root_table
 from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
                             parse_poly_or_product, profile)
-from powerfree.sieve import build_tables
+from powerfree.sieve import build_tables, primes_up_to
 
 
 def brute_mask(f, k, N):
@@ -313,3 +317,94 @@ def test_bucketed_pass_designed_hits():
     assert table[_N0 - 1] == [_P1, _P2]
     assert table == factorint_table(cubic, 2, 3000)
     assert _kth_power_prime_table(cube, 3, 1500)[_N1 - 1] == [_P1]
+
+
+# ------------------------------------------------ lifted strides
+
+# x^2 + c with c near 2^62, 3^20 | f(100) and 5^12 | f(201): int64 values
+# whose simple roots at 3 and 5 lift through many levels
+_M62 = 3 ** 20 * 5 ** 12
+_C62 = _designed_constant(2, [(3 ** 20, 100), (5 ** 12, 201)])
+_C62 += _M62 * ((1 << 62) // _M62)
+_NEAR62 = f"{_C62},0,1"
+
+LIFT_CASES = [
+    ("5,0,0,1", 3000),      # 1 is a simple root mod 2
+    ("1,0,1", 3000),        # singular root at 2
+    ("2,0,1", 3000),        # singular root at 2
+    ("7,0,0,5", 3000),      # 5 | lc
+    ("-12,-3,0,-3", 3000),  # content 3: every root mod 3 is singular
+    ("-27,0,0,1", 3000),    # f(3) = 0
+    ("-1,1", 1025),         # f(1025) = 2^10 = max|f|: lifts to the height
+    (_BIG, 100),            # object dtype
+    (_NEAR62, 300),         # int64 values near 2^62
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _factored(text, N):
+    f = IntPolynomial.parse(text)
+    return tuple(sympy.factorint(abs(f(n))) if f(n) else None
+                 for n in range(1, N + 1))
+
+
+def _sieve_run(f, k, N, roots, plan):
+    bits, rows = np.empty(N, dtype=bool), {}
+
+    def record(pos, primes):
+        for i, p in zip(pos.tolist(), primes.tolist()):
+            rows.setdefault(i, []).append(p)
+
+    vals = _cofactors(f, k, 1, N + 1, roots, plan, bits, record)
+    return vals.tolist(), bits, rows
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("text,N", LIFT_CASES)
+def test_lifted_strides_match_factorint(text, N, k):
+    f = IntPolynomial.parse(text)
+    if text == _BIG:
+        assert evaluate_range(f, 1, N + 1).dtype == object
+    if text == _NEAR62:
+        v = evaluate_range(f, 1, N + 1)
+        assert v.dtype == np.int64 and v.min() > (1 << 62) - _M62
+    P0, roots, plan = _sieve_setup(f, k, N, root_limit=3 * 10 ** 6)
+    assert any(lift is not None for lift in plan)
+    vals, bits, rows = _sieve_run(f, k, N, roots, plan)
+    # the reference: every small (p, root) pair through _divide_out
+    ref_vals, ref_bits, ref_rows = _sieve_run(f, k, N, roots,
+                                              [None] * len(plan))
+    assert vals == ref_vals
+    for i, fac in enumerate(_factored(text, N)):
+        if fac is None:
+            assert vals[i] == 0
+            continue
+        assert vals[i] == math.prod(p ** e for p, e in fac.items() if p > P0)
+        small = sorted(p for p, e in fac.items() if p <= P0 and e >= k)
+        assert rows.get(i, []) == ref_rows.get(i, []) == small, i
+        assert bits[i] == ref_bits[i] == (not small), i
+    if _factored(text, N).count(None):
+        with pytest.raises(HypothesisViolation):
+            _kth_power_prime_table(f, k, N)
+    elif P0 <= ROOT_LIMIT:
+        assert _kth_power_prime_table(f, k, N) == factorint_table(f, k, N)
+
+
+def test_zero_values_stay_zero():
+    # x^3 - 27 vanishes at n = 3. From p = 5 on every root there is simple,
+    # and a 1 in place of the zero would become 5^-1 mod 2^64 at the first
+    # lifted level (with 2 or 3 in the table, 1 // p = 0 would hide it)
+    f = IntPolynomial.parse("-27,0,0,1")
+    N, k = 3000, 2
+    P0 = sieve_prime_bound(f, k, N)
+    primes = primes_up_to(P0)
+    roots = root_table(f, primes[primes >= 5])
+    plan = _lift_plan(f, roots, max_abs_value(f, N))
+    assert plan[0] is not None and roots.roots[0] == 3
+    vals = _cofactors(f, k, 1, N + 1, roots, plan, np.ones(N, dtype=bool))
+    for n in range(1, N + 1):
+        v = abs(f(n))
+        for p in primes[primes >= 5].tolist():
+            while v and v % p == 0:
+                v //= p
+        assert vals[n - 1] == v, n

@@ -283,3 +283,50 @@ def test_poly_rem_degree_contract():
         va = sum(c * root ** i for i, c in enumerate([1, 2, 3, 4, 5])) % p
         vr = sum(c * root ** i for i, c in enumerate(r)) % p
         assert va == vr
+
+
+def test_split_linear_roots_starts_at_shift_one(monkeypatch):
+    # x^3 + 5 has roots r, r w, r w^2 (w^3 = 1) at the p = 1 (mod 3) where
+    # it splits; x^((p-1)/2) takes one value on all three, so the shift
+    # a = 0 never splits it and must not run
+    ladders = []
+    real = modpoly.poly_powmod
+
+    def spy(base, e, f, p):
+        ladders.append((list(base), e, p))
+        return real(base, e, f, p)
+
+    monkeypatch.setattr(modpoly, "poly_powmod", spy)
+    split = 0
+    for p in primes_up_to(3000).tolist():
+        if p % 3 == 1:
+            got = roots_prime_gcd([5, 0, 0, 1], p)
+            assert got == brute_roots([5, 0, 0, 1], p), p
+            split += len(got) == 3
+    assert split == 64
+    assert any(e == (p - 1) // 2 for _, e, p in ladders)
+    assert not [p for base, e, p in ladders
+                if base == [0, 1] and e == (p - 1) // 2]
+
+
+def test_batch_split_part_skips_inverse_for_monic(monkeypatch):
+    calls = []
+    real = modpoly._pow_vec
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(modpoly, "_pow_vec", spy)
+    primes = primes_up_to(200000)
+    primes = primes[primes > 50]
+    chunks = -(-len(primes) // modpoly._LANE_CHUNK)
+    assert chunks >= 2
+    counts, G = batch_split_part([5, 0, 0, 1], primes)
+    # one inverse per chunk is left: the monic scaling of the gcd
+    assert len(calls) == chunks
+    calls.clear()
+    # 3 (x^3 + 5) has the same monic split part, at two inverses per chunk
+    counts3, G3 = batch_split_part([15, 0, 0, 3], primes)
+    assert len(calls) == 2 * chunks
+    assert np.array_equal(counts, counts3) and np.array_equal(G, G3)

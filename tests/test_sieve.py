@@ -1,10 +1,14 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerfree.sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
+from powerfree.sieve import (DEFAULT_SEGMENT, _omega_segment, build_tables,
+                             primes_up_to)
 
 
 def brute_omega(n: int) -> int:
@@ -82,3 +86,64 @@ def test_single_value_property(n):
     i = t.index(n)
     assert t.omega[i] == brute_omega(n)
     assert t.mobius[i] == sympy.mobius(n)
+
+
+# ------------------------------------------------ packed Omega accumulator
+
+@functools.cache
+def spf_omega(hi: int) -> np.ndarray:
+    """Omega(n) for n in [0, hi) (0 at n = 0, 1) by repeated division with
+    a smallest-prime-factor table."""
+    n = np.arange(hi, dtype=np.int64)
+    spf = np.zeros(hi, dtype=np.int64)
+    for p in range(2, math.isqrt(hi - 1) + 1):
+        if spf[p] == 0:
+            blk = spf[p * p::p]
+            blk[blk == 0] = p
+    spf[spf == 0] = n[spf == 0]  # primes are their own smallest factor
+    omega = np.zeros(hi, dtype=np.int64)
+    rem = n.copy()
+    while (live := rem > 1).any():
+        omega += live
+        rem[live] //= spf[rem[live]]
+    return omega
+
+
+def _spf():
+    return spf_omega(10 ** 6 + 1)
+
+
+@pytest.mark.parametrize("seg", [8, 1024, 7777])
+def test_first_segments_match_spf_oracle(seg):
+    # the first segment decides n below 2(b - 1) / R element by element
+    t = build_tables(1, 30000, segment_size=seg)
+    assert np.array_equal(t.omega, _spf()[1:30000])
+
+
+@pytest.mark.parametrize("a", [1, 900, 1413, 1998, 1999, 2000])
+def test_windows_straddling_the_threshold_cut(a):
+    # b - 1 = 10^6, R = 1001: n >= 2(b - 1) // R + 1 = 1999 share one
+    # threshold, which would misread smooth n just above (b - 1) / R
+    b = 10 ** 6 + 1
+    got = _omega_segment(a, b, primes_up_to(math.isqrt(b - 1)))
+    assert np.array_equal(got, _spf()[a:b])
+
+
+def test_extra_primes_and_short_windows():
+    # the streamed histograms pass every prime to isqrt(top) to each window
+    primes = primes_up_to(6324)
+    for a, b in [(1, 4097), (4097, 8193), (999_000, 10 ** 6 + 1)]:
+        assert np.array_equal(_omega_segment(a, b, primes), _spf()[a:b])
+    for top in (2, 3, 4):
+        t = build_tables(1, top + 1, segment_size=8)
+        assert t.omega.tolist() == _spf()[1:top + 1].tolist()
+        assert t.squarefree.tolist() == [True, True, True, False][:top]
+
+
+def test_window_just_below_max_limit():
+    hi = 1 << 40
+    t = build_tables(hi - 600, hi)
+    for n in range(hi - 600, hi):
+        fac = sympy.factorint(n)
+        assert t.omega_of(n) == sum(fac.values()), n
+        assert t.is_squarefree(n) == (max(fac.values()) == 1), n
