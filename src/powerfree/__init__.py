@@ -12,16 +12,17 @@ from .density import (DensityResult, density, estermann_constant, legendre,
 from .dynamics import (GOLDEN_ROTATION, CyclicRotation, IrrationalRotation,
                        OrbitTable, PairObservable, TrigObservable,
                        TwoPointSwap, VectorObservable, orbit_table)
-from .ergodic import (AllIntegers, BeattyMap, IdentityMap, KfreeValues,
-                      MaskCondition, OmegaHistogram, ProductKfree,
-                      ProgressionMap, ReportRow, TwinSquarefree,
+from .ergodic import (AllIntegers, BeattyMap, Condition, IdentityMap,
+                      KfreeValues, MaskCondition, OmegaHistogram,
+                      ProductKfree, ProgressionMap, ReportRow, TwinSquarefree,
                       convergence_report, default_j_max, ergodic_average,
                       exponent_fit, omega_histogram, omega_histograms)
 from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power, is_prime
-from .kfree import (CountRow, KfreeMask, SumDecomposition, count_kfree,
-                    decompose_sum, kfree_mask, product_kfree_mask,
-                    sieve_prime_bound, tail_pair_count, twin_squarefree_mask)
+from .kfree import (CountRow, KfreeMask, KfreeSieve, SumDecomposition,
+                    count_kfree, decompose_sum, kfree_mask, kfree_range,
+                    product_kfree_mask, sieve_prime_bound, tail_pair_count,
+                    twin_squarefree_mask, twin_squarefree_range)
 from .local_roots import (LocalRootData, RootTable, batch_root_counts,
                           batch_roots, count_roots_mod_p, is_bad_prime,
                           lift_roots, local_root_count, root_table,
@@ -35,10 +36,11 @@ from .sieve import ArithTables, build_tables, primes_up_to
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithTables", "AllIntegers", "BeattyMap", "CapacityError",
+    "ArithTables", "AllIntegers", "BeattyMap", "CapacityError", "Condition",
     "CountRow", "CyclicRotation", "DensityResult", "GOLDEN_ROTATION",
     "HypothesisViolation", "IdentityMap", "IntPolynomial",
-    "IrrationalRotation", "KfreeMask", "KfreeValues", "LocalRootData",
+    "IrrationalRotation", "KfreeMask", "KfreeSieve", "KfreeValues",
+    "LocalRootData",
     "MaskCondition", "OmegaHistogram", "OrbitTable", "PairObservable",
     "PolyProfile", "ProductKfree", "ProgressionMap", "ReportRow", "RootTable",
     "SumDecomposition", "TrigObservable", "TwinSquarefree", "TwoPointSwap",
@@ -48,12 +50,13 @@ __all__ = [
     "estermann_constant",
     "exponent_fit", "factorize", "fixed_divisor", "has_fixed_kth_power",
     "integer_nth_root", "irreducibility_check", "is_bad_prime",
-    "is_perfect_kth_power", "is_prime", "kfree_mask", "legendre",
+    "is_perfect_kth_power", "is_prime", "kfree_mask", "kfree_range",
+    "legendre",
     "lift_roots", "local_root_count", "max_abs_value", "omega_histogram",
     "omega_histograms",
     "orbit_table", "primes_up_to", "product_kfree_mask", "profile",
     "quadratic_pair_constant", "rational_roots", "resultant",
     "resultant_with_derivative", "root_table", "roots_mod_p",
     "sieve_prime_bound", "tail_pair_count", "twin_constant",
-    "twin_squarefree_mask",
+    "twin_squarefree_mask", "twin_squarefree_range",
 ]

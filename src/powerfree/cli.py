@@ -20,7 +20,8 @@ thm31's progression grid is a function.
 Exit codes: 0 success, 2 usage error (including a checkpoint above --N, an
 --out path that cannot be written and a descriptor with the wrong number of
 fields), 3 capacity exceeded (rho --primes above kfree.ROOT_LIMIT among
-others), 4 hypothesis violation (the message names the violated hypothesis).
+others, or an allocation the machine refuses), 4 hypothesis violation (the
+message names the violated hypothesis).
 """
 from __future__ import annotations
 
@@ -608,8 +609,8 @@ def main(argv=None) -> int:
     except HypothesisViolation as e:
         _log(f"hypothesis violation: {e}")
         return 4
-    except CapacityError as e:
-        _log(f"capacity: {e}")
+    except (CapacityError, MemoryError) as e:
+        _log(f"capacity: {str(e) or 'out of memory'}")
         return 3
     except (ValueError, TypeError, OSError) as e:
         _log(f"usage: {e}")

@@ -10,15 +10,15 @@ pass of sieve work.
 
 The histograms stream: the argument axis is sieved one window at a time,
 and every map is non-decreasing, so the n whose arguments fall in a window
-form one contiguous range. Windows hand back integer histograms only, so
-memory beyond the condition mask is O(segment_size * threads) and the sums
-are the same for any thread count and segment size.
+form one contiguous range. The condition gives its bits for that range
+on demand, and windows hand back integer histograms only, so memory is
+O(segment_size * threads) and the sums are the same for any thread count
+and segment size.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +28,7 @@ from . import kfree
 from .density import density, twin_constant
 from .dynamics import OrbitTable
 from .poly import IntPolynomial
-from .sieve import DEFAULT_SEGMENT, _omega_segment, primes_up_to
+from .sieve import DEFAULT_SEGMENT, _omega_segment, _pool_map, primes_up_to
 
 
 # ---------------------------------------------------------------- maps
@@ -129,12 +129,25 @@ class BeattyMap:
 
 # ---------------------------------------------------------- conditions
 
-class AllIntegers:
+class Condition:
+    """Which n count. selector(N) makes the set-up for [1, N], so its errors
+    come before any pass, and returns select(s, e): the flags of the n in
+    [s, e) as a bool array, or None when every n counts."""
+
+    def mask(self, N: int) -> np.ndarray:
+        """The whole indicator on [1, N], from the same per-range flags."""
+        select, bits = self.selector(N), np.empty(N, dtype=bool)
+        for s in range(1, N + 1, DEFAULT_SEGMENT):
+            sel = select(s, min(s + DEFAULT_SEGMENT, N + 1))
+            bits[s - 1:s - 1 + DEFAULT_SEGMENT] = True if sel is None else sel
+        return bits
+
+
+class AllIntegers(Condition):
     """Every n counts."""
 
-    def mask(self, N: int, *, segment_size: int = DEFAULT_SEGMENT,
-             threads: int = 1) -> np.ndarray:
-        return np.ones(N, dtype=bool)
+    def selector(self, N: int):
+        return lambda s, e: None
 
     def density(self, P: int, N: int) -> float:
         return 1.0
@@ -143,66 +156,24 @@ class AllIntegers:
         return "all"
 
 
-class KfreeValues:
-    """n counts when f(n) is k-free; density from the Euler product."""
-
-    def __init__(self, f: IntPolynomial, k: int):
-        self.f = f
-        self.k = k
-        self._cache: dict[int, np.ndarray] = {}
-
-    def mask(self, N: int, *, segment_size: int = DEFAULT_SEGMENT,
-             threads: int = 1) -> np.ndarray:
-        if N not in self._cache:
-            self._cache[N] = kfree.kfree_mask(
-                self.f, self.k, N, segment_size=segment_size, threads=threads
-            ).bits
-        return self._cache[N]
-
-    def density(self, P: int, N: int) -> float:
-        return density(self.f, self.k, P).value
-
-    def label(self) -> str:
-        return f"kfree:{self.f.text()}:{self.k}"
-
-
-class TwinSquarefree:
-    """n counts when n and n+1 are both squarefree."""
-
-    def __init__(self):
-        self._cache: dict[int, np.ndarray] = {}
-
-    def mask(self, N: int, *, segment_size: int = DEFAULT_SEGMENT,
-             threads: int = 1) -> np.ndarray:
-        if N not in self._cache:
-            self._cache[N] = kfree.twin_squarefree_mask(N)
-        return self._cache[N]
-
-    def density(self, P: int, N: int) -> float:
-        return twin_constant(P).value
-
-    def label(self) -> str:
-        return "twinsqfree"
-
-
-class ProductKfree:
+class ProductKfree(Condition):
     """n counts when the product of the factors is k-free at n."""
 
     def __init__(self, factors, k: int):
         self.factors = tuple(factors)
         self.k = k
-        self._cache: dict[int, np.ndarray] = {}
         self._expanded = self.factors[0]
         for g in self.factors[1:]:
             self._expanded = self._expanded * g
 
-    def mask(self, N: int, *, segment_size: int = DEFAULT_SEGMENT,
-             threads: int = 1) -> np.ndarray:
-        if N not in self._cache:
-            self._cache[N] = kfree.product_kfree_mask(
-                self.factors, self.k, N, segment_size=segment_size,
-                threads=threads).bits
-        return self._cache[N]
+    def selector(self, N: int):
+        sv = kfree.KfreeSieve(self.factors, self.k, N)
+
+        def select(s: int, e: int) -> np.ndarray:
+            out = np.empty(e - s, dtype=bool)
+            kfree.kfree_range(sv, s, e, out)
+            return out
+        return select
 
     def density(self, P: int, N: int) -> float:
         return density(self._expanded, self.k, P).value
@@ -211,23 +182,45 @@ class ProductKfree:
         return "product:" + "*".join(g.text() for g in self.factors) + f":{self.k}"
 
 
-class MaskCondition:
+class KfreeValues(ProductKfree):
+    """n counts when f(n) is k-free; density from the Euler product."""
+
+    def __init__(self, f: IntPolynomial, k: int):
+        super().__init__((f,), k)
+        self.f = f
+
+    def label(self) -> str:
+        return f"kfree:{self.f.text()}:{self.k}"
+
+
+class TwinSquarefree(Condition):
+    """n counts when n and n+1 are both squarefree."""
+
+    def selector(self, N: int):
+        primes = primes_up_to(math.isqrt(N + 1))
+        return lambda s, e: kfree.twin_squarefree_range(s, e, primes)
+
+    def density(self, P: int, N: int) -> float:
+        return twin_constant(P).value
+
+    def label(self) -> str:
+        return "twinsqfree"
+
+
+class MaskCondition(Condition):
     """A precomputed indicator; density is its empirical frequency."""
 
     def __init__(self, bits: np.ndarray, name: str = "mask"):
         self.bits = np.asarray(bits, dtype=bool)
         self.name = name
 
-    def mask(self, N: int, *, segment_size: int = DEFAULT_SEGMENT,
-             threads: int = 1) -> np.ndarray:
+    def selector(self, N: int):
         if N > len(self.bits):
             raise ValueError(f"mask holds {len(self.bits)} bits, N={N} asked")
-        return self.bits[:N]
+        return lambda s, e: self.bits[s - 1:e - 1]
 
     def density(self, P: int, N: int) -> float:
-        if N > len(self.bits):
-            raise ValueError(f"mask holds {len(self.bits)} bits, N={N} asked")
-        return float(self.bits[:N].sum()) / N
+        return float(self.mask(N).sum()) / N
 
     def label(self) -> str:
         return self.name
@@ -271,7 +264,7 @@ def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
         primes = primes_up_to(math.isqrt(top))
     elif tables.lo > 1 or tables.hi <= top:
         raise ValueError("tables do not cover the argument range")
-    bits = condition.mask(N, segment_size=segment_size, threads=threads)
+    select = condition.selector(N)
     width = j_max + 1
 
     def window(A: int) -> np.ndarray:
@@ -286,10 +279,12 @@ def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
             for s in range(am.first_index(A), hi, segment_size):
                 e = min(s + segment_size, hi)
                 om = omega[am.window_index(s, e, A)]
+                sel = select(s, e)
                 c = bisect.bisect_left(cuts, s) - 1
                 while cuts[c] < e - 1:
                     a, b = max(s, cuts[c] + 1), min(e, cuts[c + 1] + 1)
-                    h = np.bincount(om[a - s:b - s][bits[a - 1:b - 1]],
+                    h = np.bincount(om[a - s:b - s] if sel is None
+                                    else om[a - s:b - s][sel[a - s:b - s]],
                                     minlength=width)
                     if len(h) > width:
                         raise ValueError(f"j_max={j_max} too small: "
@@ -298,11 +293,7 @@ def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
                     c += 1
         return out
 
-    starts = range(1, top + 1, segment_size)
-    if threads <= 1 or len(starts) == 1:
-        return sum(map(window, starts))
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return sum(ex.map(window, starts))
+    return sum(_pool_map(window, range(1, top + 1, segment_size), threads))
 
 
 def omega_histograms(N: int, argmaps, condition=None, *, threads: int = 1,
@@ -313,7 +304,10 @@ def omega_histograms(N: int, argmaps, condition=None, *, threads: int = 1,
     argmaps, from a single sieve pass over the largest argument window.
 
     All share j_max, by default enough for the largest argument; tables,
-    when given, must cover [1, that argument].
+    when given, must cover [1, that argument]. The condition's bits come
+    per map run, so a sieved condition (k-free values, a product, twin
+    squarefree) is sieved once per map: len(argmaps) passes over [1, N].
+    No repro experiment combines several maps with a sieved condition.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
@@ -376,12 +370,15 @@ def convergence_report(system, observable, x, *, N_values, condition=None,
     Ns = sorted(int(v) for v in N_values)
     if not Ns or Ns[0] < 1:
         raise ValueError("need positive checkpoints")
+    # before the threaded pass, so an error fails fast and the density's
+    # allocations do not land on the pool's arenas
+    dens = condition.density(P, Ns[-1])
     jm = default_j_max(argmap.max_argument(Ns[-1]))
     counts = np.cumsum(_interval_counts(
         Ns[-1], [argmap], condition, [0] + Ns, jm, threads=threads,
         segment_size=segment_size, tables=None)[0], axis=0)
     orb = orbit_table(system, observable, x, jm, iterated=iterated)
-    target = condition.density(P, Ns[-1]) * orb.mean
+    target = dens * orb.mean
     rows = []
     for Ni, c in zip(Ns, counts):
         hist = OmegaHistogram(c, Ni, int(c.sum()))

@@ -15,7 +15,6 @@ where exponents from different factors can combine.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,10 @@ from .density import DensityResult, density
 from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power
 from .local_roots import RootTable, hensel_lifts, lift_roots, root_table
-from .poly import (IntPolynomial, coefficient_bound, evaluate_range,
-                   has_fixed_kth_power, max_abs_value, profile)
-from .sieve import DEFAULT_SEGMENT, primes_up_to
+from .poly import (IntPolynomial, evaluate_range, has_fixed_kth_power,
+                   max_abs_value, profile, resultant)
+from .sieve import (DEFAULT_SEGMENT, _pool_map, _squarefree_segment,
+                    primes_up_to)
 
 ROOT_LIMIT = 2 * 10 ** 6
 _INT64_MAX = (1 << 63) - 1
@@ -282,18 +282,6 @@ def _cofactors(f: IntPolynomial, k: int, a: int, b: int, roots: RootTable,
     return vals
 
 
-def _mask_segment(f: IntPolynomial, k: int, a: int, b: int, roots: RootTable,
-                  plan: list, bits: np.ndarray) -> list[int]:
-    """Sieve n in [a, b) (1-based values of n), writing bits[n - 1]; returns
-    the n with f(n) = 0."""
-    seg = bits[a - 1:b - 1]
-    vals = _cofactors(f, k, a, b, roots, plan, seg)
-    zeros = np.flatnonzero(vals == 0)
-    seg[zeros] = False
-    seg[_kth_power_cofactors(vals, k)] = False
-    return (zeros + a).tolist()
-
-
 def collect_sieve_roots(f: IntPolynomial, P0: int,
                  root_limit: int = ROOT_LIMIT) -> RootTable:
     """Roots of f mod every prime p <= P0. Raises CapacityError when P0
@@ -314,111 +302,124 @@ def _sieve_setup(f: IntPolynomial, k: int, N: int,
     return P0, roots, _lift_plan(f, roots, max_abs_value(f, N))
 
 
+class KfreeSieve:
+    """Set-up of the k-free sieve of a product of pairwise coprime factors
+    on [1, N], made once before any range is sieved: _sieve_setup's (P0,
+    roots, plan) per factor, and per prime p dividing a pairwise resultant
+    the (p^j, residues v) with p^j | g(n) iff n = v (mod p^j), for every
+    factor g and p^j <= max|g|. Raises HypothesisViolation for a repeated
+    factor or a fixed k-th power divisor of the product, and CapacityError
+    when a P0 exceeds root_limit or a correction level has too many roots.
+    """
+
+    def __init__(self, factors, k: int, N: int,
+                 root_limit: int = ROOT_LIMIT):
+        self.factors, self.k, self.N = tuple(factors), k, N
+        if not self.factors:
+            raise ValueError("at least one factor required")
+        self.poly = self.factors[0]
+        for g in self.factors[1:]:
+            self.poly = self.poly * g
+        _check_sieve_hypotheses(self.poly, k)
+        if N < 1:
+            raise ValueError("N >= 1 required")
+        self.setups = [_sieve_setup(g, k, N, root_limit) for g in self.factors]
+        shared: set[int] = set()
+        for i, g in enumerate(self.factors):
+            for h in self.factors[i + 1:]:
+                r = resultant(g, h)
+                if r == 0:
+                    raise HypothesisViolation(f"factors {g.text()} and "
+                                              f"{h.text()} share a common "
+                                              f"factor")
+                shared.update(factorize(abs(r)) if abs(r) > 1 else ())
+        self.corrections = []
+        for p in sorted(shared):
+            levels = []
+            for g in self.factors:
+                mv = max_abs_value(g, N)
+                j, pj = 1, p
+                while pj <= mv:
+                    ld = lift_roots(g, p, j)
+                    if ld.roots is None:
+                        raise CapacityError(f"correction at p={p} level {j} "
+                                            f"has {ld.rho} residues")
+                    levels.append((pj, ld.roots))
+                    j += 1
+                    pj *= p
+            self.corrections.append(levels)
+
+
+def kfree_range(sv: KfreeSieve, a: int, b: int, out: np.ndarray) -> list[int]:
+    """Write into out[n - a] whether the product of sv's factors is k-free
+    at n, for n in [a, b) inside [1, sv.N]; returns the n where a factor
+    vanishes.
+
+    Each factor is sieved on its own and the flags are ANDed. That misses
+    only primes whose exponents in two different factors add up to k; any
+    such prime divides a pairwise resultant, so the exponents of those few
+    primes are added up exactly over their lifted residue classes.
+    """
+    zeros: set[int] = set()
+    for i, (g, (_, roots, plan)) in enumerate(zip(sv.factors, sv.setups)):
+        seg = out if i == 0 else np.empty(b - a, dtype=bool)
+        vals = _cofactors(g, sv.k, a, b, roots, plan, seg)
+        hit = np.flatnonzero(vals == 0)
+        zeros.update((hit + a).tolist())
+        seg[hit] = False
+        seg[_kth_power_cofactors(vals, sv.k)] = False
+        del vals  # before the next factor evaluates its own
+        if i:
+            out &= seg
+    for levels in sv.corrections:
+        exp = np.zeros(b - a, dtype=np.uint16)
+        for pj, residues in levels:
+            for v in residues:
+                exp[(v - a) % pj::pj] += 1
+        out[exp >= sv.k] = False
+    return sorted(zeros)
+
+
 def kfree_mask(f: IntPolynomial, k: int, N: int, *,
                segment_size: int = DEFAULT_SEGMENT, threads: int = 1,
                root_limit: int = ROOT_LIMIT) -> KfreeMask:
-    """Exact k-free indicator for f on [1, N].
-
-    Deterministic for any thread count: segment boundaries depend only on
-    segment_size, workers write disjoint slices. Raises CapacityError when
-    the required prime bound P0 exceeds root_limit, and HypothesisViolation
-    when f has a repeated factor or a fixed k-th power divisor.
-    """
-    _check_sieve_hypotheses(f, k)
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    P0, roots, plan = _sieve_setup(f, k, N, root_limit)
-    bits = np.zeros(N, dtype=bool)
-    starts = list(range(1, N + 1, segment_size))
-    zero_ns: list[int] = []
-    if threads <= 1 or len(starts) == 1:
-        for a in starts:
-            zero_ns += _mask_segment(f, k, a, min(a + segment_size, N + 1),
-                                     roots, plan, bits)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = [ex.submit(_mask_segment, f, k, a,
-                              min(a + segment_size, N + 1), roots, plan, bits)
-                    for a in starts]
-            for fu in futs:
-                zero_ns += fu.result()
-    return KfreeMask(f, k, N, bits, tuple(sorted(zero_ns)), P0, roots)
-
-
-def _shared_correction_primes(factors) -> set[int]:
-    from .poly import resultant
-
-    shared: set[int] = set()
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            r = resultant(factors[i], factors[j])
-            if r == 0:
-                raise HypothesisViolation(
-                    f"factors {factors[i].text()} and {factors[j].text()} "
-                    f"share a common factor"
-                )
-            if abs(r) > 1:
-                shared.update(factorize(abs(r)))
-    return shared
+    """Exact k-free indicator for f on [1, N], keeping f's roots for
+    density: product_kfree_mask of one factor, raising as KfreeSieve."""
+    return product_kfree_mask((f,), k, N, segment_size=segment_size,
+                              threads=threads, root_limit=root_limit)
 
 
 def product_kfree_mask(factors, k: int, N: int, *,
                        segment_size: int = DEFAULT_SEGMENT, threads: int = 1,
                        root_limit: int = ROOT_LIMIT) -> KfreeMask:
-    """k-free indicator for the product of pairwise coprime factors.
+    """k-free indicator for the product of pairwise coprime factors on
+    [1, N], by kfree_range over segments of segment_size. Deterministic for
+    any thread count and segment size: workers write disjoint slices."""
+    sv = KfreeSieve(factors, k, N, root_limit)
+    bits = np.zeros(N, dtype=bool)
 
-    Per-factor masks are combined by AND; that misses only primes whose
-    exponents in two different factors add up to k, and any such prime
-    divides a pairwise resultant, so the finitely many of them get an exact
-    exponent-accumulation pass over lifted roots.
-    """
-    factors = tuple(factors)
-    if not factors:
-        raise ValueError("at least one factor required")
-    if len(factors) == 1:
-        return kfree_mask(factors[0], k, N, segment_size=segment_size,
-                          threads=threads, root_limit=root_limit)
-    expanded = factors[0]
-    for g in factors[1:]:
-        expanded = expanded * g
-    _check_sieve_hypotheses(expanded, k)
+    def run(a: int) -> list[int]:
+        b = min(a + segment_size, N + 1)
+        return kfree_range(sv, a, b, bits[a - 1:b - 1])
 
-    masks = [kfree_mask(g, k, N, segment_size=segment_size, threads=threads,
-                        root_limit=root_limit) for g in factors]
-    bits = masks[0].bits.copy()
-    for mk in masks[1:]:
-        bits &= mk.bits
-
-    for p in sorted(_shared_correction_primes(factors)):
-        exp = np.zeros(N, dtype=np.uint16)
-        for g in factors:
-            mv = max_abs_value(g, N)
-            j, pj = 1, p
-            while pj <= mv:
-                ld = lift_roots(g, p, j)
-                if ld.roots is None:
-                    raise CapacityError(
-                        f"correction at p={p} level {j} has {ld.rho} residues"
-                    )
-                for v in ld.roots:
-                    exp[(v - 1) % pj::pj] += 1
-                j += 1
-                pj *= p
-        bits[exp >= k] = False
-
-    zero_ns = sorted(set().union(*(mk.zero_hits for mk in masks)))
-    return KfreeMask(expanded, k, N, bits, tuple(zero_ns),
-                     max(mk.prime_bound for mk in masks))
+    zeros = _pool_map(run, range(1, N + 1, segment_size), threads)
+    return KfreeMask(sv.poly, k, N, bits, tuple(n for zs in zeros for n in zs),
+                     max(P0 for P0, _, _ in sv.setups),
+                     sv.setups[0][1] if len(sv.factors) == 1 else None)
 
 
 def twin_squarefree_mask(N: int) -> np.ndarray:
     """bits[n - 1] set when n and n + 1 are both squarefree, n in [1, N]."""
     if N < 1:
         raise ValueError("N >= 1 required")
-    sq = np.ones(N + 2, dtype=bool)  # sq[n] for n in [0, N + 1]
-    for p in primes_up_to(math.isqrt(N + 1)).tolist():
-        sq[::p * p] = False
-    return sq[1:N + 1] & sq[2:N + 2]
+    return twin_squarefree_range(1, N + 1, primes_up_to(math.isqrt(N + 1)))
+
+
+def twin_squarefree_range(a: int, b: int, primes: np.ndarray) -> np.ndarray:
+    """Flags of the n in [a, b) with n and n + 1 both squarefree, given
+    every prime up to isqrt(b)."""
+    sq = _squarefree_segment(a, b + 1, primes)
+    return sq[:-1] & sq[1:]
 
 
 @dataclass(frozen=True)

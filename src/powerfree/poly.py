@@ -21,6 +21,7 @@ from .errors import CapacityError
 from .factorint import factorize, prime_factors
 
 _INT64_MAX = (1 << 63) - 1
+_HORNER_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,24 +98,6 @@ class IntPolynomial:
     def text(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 
-    def pretty(self) -> str:
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    terms.append(xs)
-                elif c == -1:
-                    terms.append(f"-{xs}")
-                else:
-                    terms.append(f"{c}{xs}")
-        return " + ".join(terms).replace("+ -", "- ")
-
 
 def coefficient_bound(f: IntPolynomial, m: int) -> int:
     """An upper bound for |f(n)| over |n| <= m (sum of |c_i| m^i)."""
@@ -146,16 +129,20 @@ def max_abs_value(f: IntPolynomial, N: int) -> int:
 
 def evaluate_range(f: IntPolynomial, start: int, stop: int) -> np.ndarray:
     """f(n) for n in [start, stop): int64 when a coefficient bound certifies
-    no overflow, else an exact object array."""
+    no overflow, else an exact object array. Only the int64 result spans
+    the range: its Horner steps run in chunks of _HORNER_CHUNK n."""
     if stop <= start:
         return np.zeros(0, dtype=np.int64)
     m = max(abs(start), abs(stop - 1))
     if coefficient_bound(f, m) <= _INT64_MAX:
-        n = np.arange(start, stop, dtype=np.int64)
-        acc = np.full(stop - start, f.coeffs[-1], dtype=np.int64)
-        for c in reversed(f.coeffs[:-1]):
-            acc *= n
-            acc += c
+        acc = np.empty(stop - start, dtype=np.int64)
+        for s in range(start, stop, _HORNER_CHUNK):
+            n = np.arange(s, min(s + _HORNER_CHUNK, stop), dtype=np.int64)
+            out = acc[s - start:s - start + len(n)]
+            out[:] = f.coeffs[-1]
+            for c in reversed(f.coeffs[:-1]):
+                out *= n
+                out += c
         return acc
     n = np.arange(start, stop, dtype=object)
     acc = np.full(stop - start, f.coeffs[-1], dtype=object)

@@ -118,6 +118,28 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     return omega
 
 
+def _pool_map(fn, items, threads: int):
+    """fn over items, in order, on a pool of threads workers when there is
+    more than one item; a generator, so results are consumed as they come."""
+    if threads <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(fn, items)
+
+
+def _squarefree_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
+    """Squarefree flags of n in [a, b), given (at least) every prime up to
+    isqrt(b - 1): the multiples of each p^2 are cleared."""
+    sq = np.ones(b - a, dtype=bool)
+    q = primes * primes
+    off = (-a) % q
+    for qi, oi in zip(q[q <= b - a].tolist(), off[q <= b - a].tolist()):
+        sq[oi::qi] = False
+    sq[off[(q > b - a) & (off < b - a)]] = False  # at most one hit each
+    return sq
+
+
 def build_tables(
     lo: int,
     hi: int,
@@ -140,25 +162,14 @@ def build_tables(
 
     primes = primes_up_to(math.isqrt(hi - 1))
     omega = np.empty(hi - lo, dtype=np.uint8)
-    sqfree = np.ones(hi - lo, dtype=bool)
+    sqfree = np.empty(hi - lo, dtype=bool)
 
     def run(a: int) -> None:
         b = min(a + segment_size, hi)
         omega[a - lo:b - lo] = _omega_segment(a, b, primes)
-        sq = sqfree[a - lo:b - lo]
-        q = primes * primes
-        off = (-a) % q
-        for qi, oi in zip(q[q <= b - a].tolist(), off[q <= b - a].tolist()):
-            sq[oi::qi] = False
-        sq[off[(q > b - a) & (off < b - a)]] = False  # at most one hit each
+        sqfree[a - lo:b - lo] = _squarefree_segment(a, b, primes)
 
-    starts = range(lo, hi, segment_size)
-    if threads == 1 or len(starts) == 1:
-        for a in starts:
-            run(a)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
+    list(_pool_map(run, range(lo, hi, segment_size), threads))
     # mu(n) = (-1)^Omega(n) on squarefree n, else 0; in place, no temporaries
     mobius = np.bitwise_and(omega, 1).view(np.int8)
     mobius *= -2

@@ -222,6 +222,26 @@ def test_exit_codes(tmp_path):
                  "--k", "3", "--P", "1000"]) == 2
 
 
+def test_out_of_memory_exits_3(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array with "
+                          "shape (10000000002,) and data type bool")
+
+    def refuse_bare(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("powerfree.cli.twin_squarefree_mask", refuse)
+    assert main(["count", "--poly", "twinsqfree", "--k", "2",
+                 "--N", "1000"]) == 3
+    assert "capacity: Unable to allocate 9.31 GiB" in capsys.readouterr().err
+    monkeypatch.setattr("powerfree.kfree.kfree_range", refuse)
+    assert main(["ergodic", "--system", "twopoint:1.0,-1.0,0",
+                 "--condition", "kfree:1,0,1:2", "--N", "1000"]) == 3
+    monkeypatch.setattr("powerfree.cli.kfree_mask", refuse_bare)
+    assert main(["count", "--poly", "1,0,1", "--k", "2", "--N", "1000"]) == 3
+    assert "capacity: out of memory" in capsys.readouterr().err
+
+
 def test_csv_byte_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["count", "--poly", "1,0,1", "--k", "2", "--N", "20000",

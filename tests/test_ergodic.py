@@ -101,15 +101,6 @@ def test_conditions_mask_and_density():
     assert mc.label() == "evens"
 
 
-def test_condition_mask_instance_cache():
-    kf = KfreeValues(IntPolynomial.parse("1,0,1"), 2)
-    a = kf.mask(1000)
-    b = kf.mask(1000)
-    assert a is b
-    c = kf.mask(500)
-    assert len(c) == 500
-
-
 def test_omega_histogram_small_brute():
     N = 500
     hist = omega_histogram(N)
@@ -280,3 +271,115 @@ def test_convergence_report_streams_in_bounded_memory():
         tracemalloc.stop()
     assert rows[-1].selected == int(cond.mask(N).sum())
     assert peak < 4 * N, f"peak {peak / N:.2f} bytes per n"
+
+
+# ------------------------------------------------- streamed conditions
+
+COND_N = 12000
+COND_CUTS = [1000, 7777, COND_N]
+
+
+def _brute_kfree(factors, k, N):
+    """k-free flags of the product of factors on [1, N], exponents added
+    per prime over sympy.factorint of each factor value."""
+    out = np.zeros(N, dtype=bool)
+    for n in range(1, N + 1):
+        exps = {}
+        for g in factors:
+            for p, e in sympy.factorint(abs(g(n))).items():
+                exps[p] = exps.get(p, 0) + e
+        out[n - 1] = all(e < k for e in exps.values())
+    return out
+
+
+@pytest.fixture(scope="module")
+def sieved_conditions():
+    """(condition, brute flags on [1, COND_N]) for each sieved condition."""
+    quad = IntPolynomial.parse("1,0,1")
+    pair = parse_poly_or_product("1,0,1*2,0,1")
+    sq = np.array([all(e < 2 for e in sympy.factorint(n).values())
+                   for n in range(1, COND_N + 2)])
+    return [(KfreeValues(quad, 2), _brute_kfree([quad], 2, COND_N)),
+            (ProductKfree(pair, 2), _brute_kfree(pair, 2, COND_N)),
+            (TwinSquarefree(), sq[:-1] & sq[1:])]
+
+
+def test_selector_ranges_match_mask():
+    N = 5000
+    bits = np.random.default_rng(11).random(N + 100) < 0.5
+    sq = np.array([all(e < 2 for e in sympy.factorint(n).values())
+                   for n in range(1, N + 2)])
+    quad, linear = IntPolynomial.parse("1,0,1"), IntPolynomial.parse("1,1")
+    pair3 = parse_poly_or_product("1,0,1*3,0,1")
+    conds = [(AllIntegers(), np.ones(N, dtype=bool)),
+             (KfreeValues(quad, 2), _brute_kfree([quad], 2, N)),
+             (ProductKfree([linear, quad], 2),
+              _brute_kfree([linear, quad], 2, N)),
+             (ProductKfree(pair3, 3), _brute_kfree(pair3, 3, N)),
+             (TwinSquarefree(), sq[:-1] & sq[1:]),
+             (MaskCondition(bits), bits[:N])]
+    ranges = [(1, 2), (1, 1025), (1024, 1026), (1023, 2049), (4095, 4097),
+              (4999, 5001), (2, 5001), (1, 5001)]
+    for cond, want in conds:
+        whole = cond.mask(N)
+        assert whole.dtype == bool and whole.tolist() == want.tolist()
+        select = cond.selector(N)
+        for s, e in ranges:
+            got = select(s, e)
+            if isinstance(cond, AllIntegers):
+                assert got is None
+                continue
+            assert got.tolist() == whole[s - 1:e - 1].tolist(), (cond, s, e)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("segment_size", [1024, 7777])
+def test_sieved_conditions_match_brute_omega(sieved_conditions,
+                                             segment_size, threads):
+    maps = [IdentityMap(), ProgressionMap(3, 1),
+            BeattyMap(Fraction(13, 8), Fraction(1, 2))]
+    om = _omega_upto(max(am.max_argument(COND_N) for am in maps))
+    n = np.arange(1, COND_N + 1, dtype=np.int64)
+    args = [am.map_values(n) for am in maps]
+    swap, liouville = TwoPointSwap(), PairObservable(1.0, -1.0)
+    for cond, sel in sieved_conditions:
+        hists = omega_histograms(COND_N, maps, cond, threads=threads,
+                                 segment_size=segment_size)
+        for h, a in zip(hists, args):
+            want = np.bincount(om[a][sel], minlength=len(h.counts))
+            assert h.counts.tolist() == want.tolist(), cond.label()
+            assert h.selected == int(sel.sum())
+        for am, a in zip(maps[:2], args):
+            rows = convergence_report(swap, liouville, 0, N_values=COND_CUTS,
+                                      condition=cond, argmap=am, P=10 ** 3,
+                                      threads=threads,
+                                      segment_size=segment_size)
+            for r in rows:
+                lam = 1 - 2 * (om[a[:r.N]][sel[:r.N]] & 1)
+                assert r.selected == int(sel[:r.N].sum())
+                assert r.average == int(lam.sum()) / r.N, (cond.label(), r)
+
+
+def test_convergence_report_peak_is_flat_in_N():
+    # the whole-N condition masks cost 1 byte per n; streamed, the peak
+    # at N = 4*10^6 stays within 1 MB of the peak at 10^6
+    peaks = []
+    for N in (10 ** 6, 4 * 10 ** 6):
+        cond = KfreeValues(IntPolynomial.parse("1,0,1"), 2)
+        tracemalloc.start()
+        try:
+            convergence_report(TwoPointSwap(), PairObservable(1.0, -1.0), 0,
+                               N_values=[N], condition=cond, P=10 ** 4,
+                               segment_size=2 ** 18)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 ** 20, peaks
+
+
+def test_convergence_report_density_fails_before_the_pass(monkeypatch):
+    cond = MaskCondition(np.ones(100, dtype=bool))
+    monkeypatch.setattr("powerfree.ergodic._interval_counts", None)
+    with pytest.raises(ValueError, match="mask holds 100 bits"):
+        convergence_report(TwoPointSwap(), PairObservable(1.0, -1.0), 0,
+                           N_values=[200], condition=cond)

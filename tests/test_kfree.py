@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerfree.ergodic import ProductKfree, omega_histogram
 from powerfree.errors import CapacityError, HypothesisViolation
 from powerfree.kfree import (_BUCKET_MIN_PRIME, ROOT_LIMIT, _cofactors,
                              _kth_power_prime_table, _lift_plan, _sieve_setup,
@@ -16,7 +17,7 @@ from powerfree.kfree import (_BUCKET_MIN_PRIME, ROOT_LIMIT, _cofactors,
 from powerfree.local_roots import lift_roots, root_table
 from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
                             parse_poly_or_product, profile)
-from powerfree.sieve import build_tables, primes_up_to
+from powerfree.sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
 
 
 def brute_mask(f, k, N):
@@ -109,6 +110,60 @@ def test_product_mask_rejects_shared_factor():
     factors = parse_poly_or_product("1,0,1*1,0,1")
     with pytest.raises(HypothesisViolation):
         product_kfree_mask(factors, 2, 100)
+
+
+# pairwise resultants above 1, so the correction pass runs: Res(x^2+1,
+# x^2+3) = 4, Res(x+1, x^2+1) = 2, Res(x^2+1, x^2+7) = 36
+CORRECTION_PRODUCTS = ["1,0,1*3,0,1", "1,1*1,0,1", "1,0,1*7,0,1"]
+CORRECTION_N = 2500
+
+
+@functools.lru_cache(maxsize=None)
+def brute_product_mask(text, k):
+    """k-free flags of the expanded product from sympy.factorint of each
+    factor value, exponents added per prime."""
+    factors = parse_poly_or_product(text)
+    out = np.zeros(CORRECTION_N, dtype=bool)
+    for n in range(1, CORRECTION_N + 1):
+        exps = {}
+        for g in factors:
+            for p, e in sympy.factorint(abs(g(n))).items():
+                exps[p] = exps.get(p, 0) + e
+        out[n - 1] = all(e < k for e in exps.values())
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("text", CORRECTION_PRODUCTS)
+def test_correction_products_match_factorint(text, k):
+    factors = parse_poly_or_product(text)
+    N, want = CORRECTION_N, brute_product_mask(text, k)
+    omega = np.array([sum(sympy.factorint(n).values())
+                      for n in range(1, N + 1)])
+    cond = ProductKfree(factors, k)
+    for seg in (1000, DEFAULT_SEGMENT):
+        select = cond.selector(N)
+        got = np.concatenate([select(s, min(s + seg, N + 1))
+                              for s in range(1, N + 1, seg)])
+        assert np.array_equal(got, want), seg
+        for threads in (1, 2):
+            pm = product_kfree_mask(factors, k, N, segment_size=seg,
+                                    threads=threads)
+            assert np.array_equal(pm.bits, want), (seg, threads)
+            hist = omega_histogram(N, cond, threads=threads, segment_size=seg)
+            assert hist.selected == int(want.sum())
+            assert hist.counts.tolist() == np.bincount(
+                omega[want], minlength=len(hist.counts)).tolist()
+
+
+def test_correction_changes_the_factor_and():
+    # without the correction these would keep n where 2^k | product only
+    for text, k in (("1,1*1,0,1", 2), ("1,0,1*3,0,1", 3)):
+        factors = parse_poly_or_product(text)
+        anded = np.logical_and.reduce(
+            [kfree_mask(g, k, CORRECTION_N).bits for g in factors])
+        want = brute_product_mask(text, k)
+        assert (anded & ~want).any() and not (want & ~anded).any()
 
 
 def test_counts_at_validates_range():

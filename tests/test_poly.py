@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerfree.poly import (IntPolynomial, bad_primes, coefficient_bound,
+from powerfree.poly import (_HORNER_CHUNK, _INT64_MAX, IntPolynomial,
+                            bad_primes, coefficient_bound,
                             evaluate_range, fixed_divisor,
                             has_fixed_kth_power, irreducibility_check,
                             max_abs_value, parse_poly_or_product, profile,
@@ -209,6 +211,31 @@ def test_evaluate_range_object_fallback():
     small = evaluate_range(g, 1, 6)
     assert small.dtype.kind == "i"
     assert small.tolist() == [g(n) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("length", [1, _HORNER_CHUNK - 1, _HORNER_CHUNK,
+                                    _HORNER_CHUNK + 1])
+def test_evaluate_range_chunks_match_python_ints(length):
+    f = IntPolynomial.parse("7,-3,0,2")  # 2x^3 - 3x + 7
+    for start in (-(length // 2), 1, _HORNER_CHUNK - 1):
+        vals = evaluate_range(f, start, start + length)
+        assert vals.dtype == np.int64 and len(vals) == length
+        assert vals.tolist() == [f(n) for n in range(start, start + length)]
+
+
+def test_evaluate_range_near_int64_bound():
+    # x^3 - 5 on [m - 2^16 - 1, m]: coefficient_bound(g, m) = m^3 + 5 is the
+    # largest that stays <= 2^63 - 1, so the int64 path runs at its limit
+    g = IntPolynomial.parse("-5,0,0,1")
+    m = sympy.integer_nthroot(_INT64_MAX - 5, 3)[0]
+    assert coefficient_bound(g, m) <= _INT64_MAX < coefficient_bound(g, m + 1)
+    for lo, hi in ((m - _HORNER_CHUNK - 1, m + 1), (-m, -m + 3)):
+        vals = evaluate_range(g, lo, hi)
+        assert vals.dtype == np.int64
+        assert vals.tolist() == [g(n) for n in range(lo, hi)]
+    over = evaluate_range(g, m - 2, m + 2)  # one n past the bound
+    assert over.dtype == object
+    assert [int(v) for v in over] == [g(n) for n in range(m - 2, m + 2)]
 
 
 def test_rational_roots():
