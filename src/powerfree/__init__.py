@@ -25,8 +25,8 @@ from .kfree import (CountRow, KfreeMask, KfreeSieve, SumDecomposition,
                     twin_squarefree_mask, twin_squarefree_range)
 from .local_roots import (LocalRootData, RootTable, batch_root_counts,
                           batch_roots, count_roots_mod_p, is_bad_prime,
-                          lift_roots, local_root_count, root_table,
-                          roots_mod_p)
+                          lift_levels, lift_roots, local_root_count,
+                          root_table, roots_mod_p)
 from .poly import (IntPolynomial, PolyProfile, bad_primes, fixed_divisor,
                    has_fixed_kth_power, irreducibility_check, max_abs_value,
                    profile, rational_roots, resultant,
@@ -52,8 +52,8 @@ __all__ = [
     "integer_nth_root", "irreducibility_check", "is_bad_prime",
     "is_perfect_kth_power", "is_prime", "kfree_mask", "kfree_range",
     "legendre",
-    "lift_roots", "local_root_count", "max_abs_value", "omega_histogram",
-    "omega_histograms",
+    "lift_levels", "lift_roots", "local_root_count", "max_abs_value",
+    "omega_histogram", "omega_histograms",
     "orbit_table", "primes_up_to", "product_kfree_mask", "profile",
     "quadratic_pair_constant", "rational_roots", "resultant",
     "resultant_with_derivative", "root_table", "roots_mod_p",

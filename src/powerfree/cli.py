@@ -296,12 +296,10 @@ def cmd_rho(args) -> int:
                             f"limit {ROOT_LIMIT}")
     prof = profile(f)
     primes = primes_up_to(args.primes)
-    if prof.is_squarefree_poly:
-        badset = set(prof.bad_primes)
-        rho_p = batch_root_counts(f, primes).tolist()
-    else:  # every prime is singular
-        badset = set(primes.tolist())
-        rho_p = [local_root_count(f, p, 1) for p in primes.tolist()]
+    # a repeated factor makes every prime singular
+    badset = set(prof.bad_primes if prof.is_squarefree_poly
+                 else primes.tolist())
+    rho_p = batch_root_counts(f, primes).tolist()
     # at a good prime every root lifts uniquely, so rho(p^k) = rho(p)
     rows = [(p, p in badset, r,
              local_root_count(f, p, args.k) if p in badset else r)

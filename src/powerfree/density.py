@@ -60,7 +60,8 @@ def density(f: IntPolynomial, k: int, P: int,
     the command line, though kfree_mask on the same f works.
 
     roots, a RootTable of f such as KfreeMask.roots, supplies rho_p at the
-    good primes it covers; only the others go through batch_root_counts.
+    good primes it covers; the others go through batch_root_counts, and
+    each singular p through lift_roots, whose level walk gives rho_f(p^k).
     The counts agree either way and fsum is correctly rounded, so the value
     is bit for bit the same with or without it.
     """

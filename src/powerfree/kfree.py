@@ -22,7 +22,7 @@ import numpy as np
 from .density import DensityResult, density
 from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power
-from .local_roots import RootTable, hensel_lifts, lift_roots, root_table
+from .local_roots import LIFT_ROOT_CAP, RootTable, lift_levels, root_table
 from .poly import (IntPolynomial, evaluate_range, has_fixed_kth_power,
                    max_abs_value, profile, resultant)
 from .sieve import (DEFAULT_SEGMENT, _pool_map, _squarefree_segment,
@@ -158,7 +158,8 @@ def _lift_plan(f: IntPolynomial, roots: RootTable, height: int) -> list:
     stops at the same bound."""
     split = int(np.searchsorted(roots.p, _BUCKET_MIN_PRIME, side="right"))
     der = f.derivative()
-    return [hensel_lifts(f, der, r, p, height) if der(r) % p else None
+    return [[lv[0] for _, lv in lift_levels(f, p, height, (r,))]
+            if der(r) % p else None
             for p, r in zip(roots.p[:split].tolist(),
                             roots.roots[:split].tolist())]
 
@@ -337,16 +338,11 @@ class KfreeSieve:
         for p in sorted(shared):
             levels = []
             for g in self.factors:
-                mv = max_abs_value(g, N)
-                j, pj = 1, p
-                while pj <= mv:
-                    ld = lift_roots(g, p, j)
-                    if ld.roots is None:
-                        raise CapacityError(f"correction at p={p} level {j} "
-                                            f"has {ld.rho} residues")
-                    levels.append((pj, ld.roots))
-                    j += 1
-                    pj *= p
+                for pj, roots in lift_levels(g, p, max_abs_value(g, N)):
+                    if len(roots) > LIFT_ROOT_CAP:
+                        raise CapacityError(f"correction mod {pj} has "
+                                            f"{len(roots)} residues")
+                    levels.append((pj, roots))
             self.corrections.append(levels)
 
 

@@ -1,11 +1,12 @@
 """Roots and root counts of integer polynomials modulo prime powers.
 
-Two regimes. At a prime p where the reduction of f stays squarefree of
-full degree ("good": p does not divide Res(f, f') * lc(f)), every root mod
-p lifts uniquely by Newton's method, so the count mod p^k equals the count
-mod p. At the finitely many singular primes the lift can branch or die;
-those are walked level by level with exact integer arithmetic. Every root
-this module hands back has been re-verified by evaluating f exactly.
+One router and one walk. _batch_route sends the tiny primes and those
+dividing lc(f) to roots_mod_p, one at a time, for both batched entry points
+(root_table and batch_root_counts); every other p, singular or not, takes
+the batched gcd(x^p - x, f), which lists each distinct root once. Every
+lift mod p^j is lift_levels, one Hensel walk: a root has exactly one child
+where f' does not vanish mod p, else none or p. Every root this module
+hands back has been re-verified by evaluating f exactly.
 """
 from __future__ import annotations
 
@@ -28,17 +29,13 @@ _SCAN_HARD_CAP = 1 << 26  # a residue scan beyond this would stall
 
 @dataclass(frozen=True)
 class LocalRootData:
-    """Distinct roots of f modulo p^k.
-
-    roots is None when the count exceeded the requested cap and only rho
-    was kept. is_bad records whether p is singular for f.
-    """
+    """Distinct roots of f modulo p^k; roots is None when the count
+    exceeded the requested cap and only rho was kept."""
 
     p: int
     k: int
     rho: int
     roots: tuple[int, ...] | None
-    is_bad: bool
 
     @property
     def modulus(self) -> int:
@@ -46,9 +43,7 @@ class LocalRootData:
 
 
 def is_bad_prime(f: IntPolynomial, p: int) -> bool:
-    prof = profile(f)
-    if not prof.is_squarefree_poly:
-        return True
+    prof = profile(f)  # Res(f, f') = 0 when f has a repeated factor
     return (prof.resultant_with_derivative * prof.leading) % p == 0
 
 
@@ -78,10 +73,10 @@ def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
     return tuple(int(r) for r in np.nonzero(acc == 0)[0])
 
 
-def roots_mod_p(f: IntPolynomial, p: int, scan_limit: int = SCAN_LIMIT) -> tuple[int, ...]:
+def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """Sorted distinct roots of f mod p.
 
-    Small p (up to scan_limit) uses a full residue scan. Larger p splits
+    Small p (up to SCAN_LIMIT) uses a full residue scan. Larger p splits
     the linear part of f mod p: gcd(x^p - x, f) collects the roots as a
     product of linear factors, and deterministic equal-degree splitting
     extracts them. Either way each root is re-checked by exact evaluation.
@@ -93,7 +88,7 @@ def roots_mod_p(f: IntPolynomial, p: int, scan_limit: int = SCAN_LIMIT) -> tuple
         if p > _SCAN_HARD_CAP:
             raise CapacityError(f"f is 0 mod {p}: root set too large to list")
         return tuple(range(p))
-    if p <= scan_limit:
+    if p <= SCAN_LIMIT:
         roots = _scan_roots(f, p)
     else:
         roots = tuple(sorted(modpoly.roots_prime_gcd(list(f.coeffs), p)))
@@ -104,58 +99,29 @@ def roots_mod_p(f: IntPolynomial, p: int, scan_limit: int = SCAN_LIMIT) -> tuple
 def count_roots_mod_p(f: IntPolynomial, p: int) -> int:
     """Number of distinct roots of f mod p: p when f vanishes mod p (a set
     too large for roots_mod_p to list at large p), else len(roots_mod_p)."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if all(c % p == 0 for c in f.coeffs):
+    if all(c % p == 0 for c in f.coeffs) and is_prime(p):
         return p
     return len(roots_mod_p(f, p))
 
 
-def hensel_lifts(f: IntPolynomial, der: IntPolynomial, r: int, p: int,
-                 top: int) -> list[int]:
-    """[r_1, r_2, ...] over the p^j <= top for a simple root r in [0, p) of
-    f mod p (der = f', f'(r) != 0 mod p): r_j in [0, p^j) is the only root
-    of f mod p^j above r. One Newton step per level, with 1 / f'(r) mod p."""
-    inv = pow(der(r) % p, p - 2, p)
-    out, pj = [], p
-    while pj <= top:
-        out.append(r)
-        r += (-(f(r) // pj) * inv) % p * pj
-        pj *= p
-    return out
+def lift_levels(f: IntPolynomial, p: int, top: int, base=None):
+    """Yield (p^j, sorted roots of f mod p^j) for every p^j <= top, from the
+    roots mod p or from base, some of them. Nothing runs when p > top.
 
-
-def lift_roots(f: IntPolynomial, p: int, k: int, cap: int = LIFT_ROOT_CAP) -> LocalRootData:
-    """Roots of f mod p^k by Hensel lifting.
-
-    Good primes lift each root mod p uniquely (simple Newton step per
-    level, using the inverse of f'(root) mod p). Singular primes branch:
-    with f(r) = c0 * p^j + O(p^(j+1)) along r fixed mod p^j, the children
-    mod p^(j+1) solve c0 + t f'(r) = 0 (mod p), giving one child, none, or
-    p of them. Root lists longer than cap are counted but elided.
+    With f(r) = c0 p^j + O(p^(j+1)) along a root r fixed mod p^j, the
+    children mod p^(j+1) solve c0 + t f'(r) = 0 (mod p): one child when
+    f'(r) != 0 mod p, else none or p. Each new level is re-verified by
+    exact evaluation. The walk is lazy, so a caller that bounds the number
+    of residues checks each level before asking for the next.
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    bad = is_bad_prime(f, p)
-    base = roots_mod_p(f, p)
-    if k == 1:
-        return LocalRootData(p, 1, len(base), base, bad)
-
-    m = p ** k
-    if not bad:
-        der = f.derivative()
-        roots = tuple(sorted(hensel_lifts(f, der, r0, p, m)[-1] for r0 in base))
-        _certify(f, m, roots)
-        if len(roots) > cap:
-            return LocalRootData(p, k, len(roots), None, bad)
-        return LocalRootData(p, k, len(roots), roots, bad)
-
-    der = f.derivative()
-    level = list(base)
-    pj = p
-    for _ in range(k - 1):
+    if p > top:
+        return
+    level = roots_mod_p(f, p) if base is None else tuple(sorted(base))
+    der, pj = f.derivative(), p
+    while True:
+        yield pj, level
+        if pj * p > top:
+            return
         nxt = []
         for r in level:
             c0 = (f(r) // pj) % p
@@ -166,29 +132,31 @@ def lift_roots(f: IntPolynomial, p: int, k: int, cap: int = LIFT_ROOT_CAP) -> Lo
             elif c0 == 0:
                 nxt.extend(r + t * pj for t in range(p))
             # c1 == 0 and c0 != 0: no lift from this branch
-        level = nxt
         pj *= p
-        if len(level) > 8 * cap:
-            raise CapacityError(
-                f"lift of {f.text()} at p={p} exceeded {8 * cap} residues"
-            )
-    rho = len(level)
-    if rho > cap:
-        return LocalRootData(p, k, rho, None, bad)
-    roots = tuple(sorted(level))
-    _certify(f, m, roots)
-    return LocalRootData(p, k, rho, roots, bad)
+        level = tuple(sorted(nxt))
+        _certify(f, pj, level)
+
+
+def lift_roots(f: IntPolynomial, p: int, k: int, cap: int = LIFT_ROOT_CAP) -> LocalRootData:
+    """Roots of f mod p^k, the last level of lift_levels(f, p, p^k).
+
+    For k >= 2 a root list longer than cap is counted but elided, and a
+    lifted level of more than 8 cap residues raises CapacityError.
+    """
+    if k < 1:
+        raise ValueError("k >= 1 required")
+    for pj, roots in lift_levels(f, p, p ** k):
+        if pj > p and len(roots) > 8 * cap:
+            raise CapacityError(f"lift of {f.text()} at p={p} exceeded "
+                                f"{8 * cap} residues")
+    rho = len(roots)
+    return LocalRootData(p, k, rho, roots if k == 1 or rho <= cap else None)
 
 
 def local_root_count(f: IntPolynomial, p: int, k: int) -> int:
-    """rho_f(p^k): distinct roots of f mod p^k.
-
-    At good primes this is the count mod p for every k >= 1; singular
-    primes go through the full lift.
-    """
-    if k == 1:
-        return count_roots_mod_p(f, p)
-    if not is_bad_prime(f, p):
+    """rho_f(p^k): distinct roots of f mod p^k. At a good prime every root
+    lifts uniquely, so it is the count mod p; a singular one takes the walk."""
+    if k == 1 or not is_bad_prime(f, p):
         return count_roots_mod_p(f, p)
     return lift_roots(f, p, k).rho
 
@@ -196,25 +164,35 @@ def local_root_count(f: IntPolynomial, p: int, k: int) -> int:
 _BATCH_MIN_PRIME = 50
 
 
+def _batch_route(f: IntPolynomial, primes: np.ndarray):
+    """The one prime router of root_table and batch_root_counts.
+
+    Returns (primes as int64, slow, counts, G). slow marks the primes left
+    to the one-prime path: p <= _BATCH_MIN_PRIME and the p dividing lc(f),
+    which include those dividing the content. Every other p keeps f of full
+    degree mod p, so gcd(x^p - x, f) lists each distinct root once, singular
+    p or not: counts and G are batch_split_part's over those primes.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    slow = primes <= _BATCH_MIN_PRIME
+    lc = abs(profile(f).leading)
+    if lc > 1:
+        slow |= np.isin(primes, list(factorize(lc)))
+    counts, G = modpoly.batch_split_part(list(f.coeffs), primes[~slow])
+    return primes, slow, counts, G
+
+
 def batch_root_counts(f: IntPolynomial, primes: np.ndarray) -> np.ndarray:
     """rho_f(p) for every p in primes (sorted ascending), vectorized.
 
-    Primes that are tiny or singular (they include the divisors of lc(f))
-    are handled one at a time; the rest go through batch_split_part.
+    The slow primes of _batch_route are counted one at a time; the rest,
+    singular ones included, come from the batched split. Nothing is
+    factored beyond lc(f), so f need not be squarefree.
     """
-    primes = np.asarray(primes, dtype=np.int64)
+    primes, slow, counts, _ = _batch_route(f, primes)
     out = np.zeros(len(primes), dtype=np.int64)
-    prof = profile(f)
-    if not prof.is_squarefree_poly:
-        raise ValueError("repeated factor: counts are not well defined per prime")
-    slow = (primes <= _BATCH_MIN_PRIME) | np.isin(primes, prof.bad_primes)
-    idx_slow = np.nonzero(slow)[0]
-    for i in idx_slow.tolist():
-        out[i] = count_roots_mod_p(f, int(primes[i]))
-    idx_fast = np.nonzero(~slow)[0]
-    if len(idx_fast):
-        out[idx_fast], _ = modpoly.batch_split_part(list(f.coeffs),
-                                                    primes[idx_fast])
+    out[slow] = [count_roots_mod_p(f, p) for p in primes[slow].tolist()]
+    out[~slow] = counts
     return out
 
 
@@ -258,31 +236,22 @@ class RootTable:
 def root_table(f: IntPolynomial, primes: np.ndarray) -> RootTable:
     """Roots of f mod p for many primes (sorted ascending) at once.
 
-    Primes up to _BATCH_MIN_PRIME, and any dividing lc(f) or the content,
-    go through roots_mod_p one at a time. The rest stay in numpy
-    throughout: batch_split_part gives gcd(x^p - x, f) for every lane, and
-    batch_linear_roots splits those gcds into roots by batched equal-degree
-    splitting. Each lane's root count must match the degree of its gcd, and
-    every root is re-verified by exact evaluation of f mod p.
+    The slow primes of _batch_route go through roots_mod_p one at a time.
+    The rest stay in numpy throughout: batch_split_part gives gcd(x^p - x,
+    f) for every lane, and batch_linear_roots splits those gcds into roots
+    by batched equal-degree splitting. Each lane's root count must match
+    the degree of its gcd, and every root is re-verified by exact
+    evaluation of f mod p.
     """
-    primes = np.asarray(primes, dtype=np.int64)
-    prof = profile(f)
-    special = abs(prof.leading * prof.content)
-    slow = primes <= _BATCH_MIN_PRIME
-    if special > 1:
-        slow |= np.isin(primes, list(factorize(special)))
-    ps, rs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    primes, slow, counts, G = _batch_route(f, primes)
+    fast = primes[~slow]
+    lanes, roots = modpoly.batch_linear_roots(G, counts, fast)
+    _certify_batch(f, fast, counts, lanes, roots)
+    ps, rs = [fast[lanes]], [roots]
     for p in primes[slow].tolist():
         found = roots_mod_p(f, p)
         ps.append(np.full(len(found), p, dtype=np.int64))
         rs.append(np.asarray(found, dtype=np.int64))
-    fast = primes[~slow]
-    if len(fast):
-        counts, G = modpoly.batch_split_part(list(f.coeffs), fast)
-        lanes, roots = modpoly.batch_linear_roots(G, counts, fast)
-        _certify_batch(f, fast, counts, lanes, roots)
-        ps.append(fast[lanes])
-        rs.append(roots)
     p, roots = np.concatenate(ps), np.concatenate(rs)
     # each prime's roots arrive sorted, so a stable sort on p suffices
     order = np.argsort(p, kind="stable")

@@ -1,12 +1,12 @@
 """Polynomial arithmetic over prime fields, per-prime and batched.
 
 Coefficient lists are ascending. The per-prime routines work on plain
-Python ints (degrees here are tiny, 1 through 5); roots_mod_p and the Hensel
-lifts use them one prime at a time.
+Python ints (degrees here are tiny, 1 through 5); roots_mod_p uses them for
+a single prime, such as the first level of a Hensel walk.
 
 The batched routines find roots mod p for a whole numpy vector of primes
-at once, each prime a lane of fixed-shape int64 arrays, which is what
-makes root collection to p ~ 10^6 affordable:
+at once, singular ones included, each prime a lane of fixed-shape int64
+arrays, which is what makes root collection to p ~ 10^6 affordable:
 
 - batch_split_part runs one Frobenius ladder x^p mod f over all lanes
   (~2 log2(p) small convolutions), then gcd(x^p - x, f) by a vectorized

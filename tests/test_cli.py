@@ -137,6 +137,21 @@ def test_rho_csv_matches_per_prime_counts(tmp_path):
     assert out.read_text().splitlines() == want
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("text", ["1,0,2,0,1", "0,0,1,1", "2,4,2"])
+def test_rho_csv_non_squarefree(tmp_path, text, k):
+    # (x^2+1)^2, x^2(x+1) and 2(x+1)^2: rho_p comes from the batched counts
+    # like any other f, and every prime is flagged singular
+    f = IntPolynomial.parse(text)
+    want = ["p,is_bad,rho_p,rho_pk"] + [
+        f"{p},1,{local_root_count(f, p, 1)},{local_root_count(f, p, k)}"
+        for p in primes_up_to(300).tolist()]
+    out = tmp_path / "rho.csv"
+    assert main(["rho", "--poly", text, "--k", str(k), "--primes", "300",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == want
+
+
 def test_density_json_output(tmp_path):
     out = tmp_path / "d.json"
     rc = main(["density", "--poly", "1,0,1", "--k", "2", "--P", "10000",

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from powerfree.ergodic import ProductKfree, omega_histogram
 from powerfree.errors import CapacityError, HypothesisViolation
-from powerfree.kfree import (_BUCKET_MIN_PRIME, ROOT_LIMIT, _cofactors,
-                             _kth_power_prime_table, _lift_plan, _sieve_setup,
-                             count_kfree, decompose_sum, kfree_mask,
-                             product_kfree_mask, sieve_prime_bound,
-                             tail_pair_count, twin_squarefree_mask)
+from powerfree.kfree import (_BUCKET_MIN_PRIME, ROOT_LIMIT, KfreeSieve,
+                             _cofactors, _kth_power_prime_table, _lift_plan,
+                             _sieve_setup, count_kfree, decompose_sum,
+                             kfree_mask, product_kfree_mask,
+                             sieve_prime_bound, tail_pair_count,
+                             twin_squarefree_mask)
 from powerfree.local_roots import lift_roots, root_table
 from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
-                            parse_poly_or_product, profile)
+                            parse_poly_or_product, profile, resultant)
 from powerfree.sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
 
 
@@ -154,6 +155,30 @@ def test_correction_products_match_factorint(text, k):
             assert hist.selected == int(want.sum())
             assert hist.counts.tolist() == np.bincount(
                 omega[want], minlength=len(hist.counts)).tolist()
+
+
+@pytest.mark.parametrize("text", CORRECTION_PRODUCTS)
+def test_correction_levels_match_per_level_lifts(text):
+    # the correction classes from one walk per factor equal the lift_roots
+    # of every level on its own
+    factors = parse_poly_or_product(text)
+    N = CORRECTION_N
+    sv = KfreeSieve(factors, 2, N)
+    shared = set()
+    for i, g in enumerate(factors):
+        for h in factors[i + 1:]:
+            shared.update(sympy.factorint(abs(resultant(g, h))))
+    want = []
+    for p in sorted(shared):
+        levels = []
+        for g in factors:
+            j, pj = 1, p
+            while pj <= max_abs_value(g, N):
+                levels.append((pj, lift_roots(g, p, j).roots))
+                j, pj = j + 1, pj * p
+        want.append(levels)
+    assert sv.corrections == want
+    assert sum(len(levels) for levels in want) > 10
 
 
 def test_correction_changes_the_factor_and():

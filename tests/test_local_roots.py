@@ -7,13 +7,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerfree import modpoly
+from powerfree import local_roots, modpoly
 from powerfree.errors import CapacityError
-from powerfree.local_roots import (_scan_roots, batch_root_counts,
-                                   batch_roots, count_roots_mod_p,
-                                   is_bad_prime, lift_roots, local_root_count,
+from powerfree.local_roots import (SCAN_LIMIT, _scan_roots,
+                                   batch_root_counts, batch_roots,
+                                   count_roots_mod_p, is_bad_prime,
+                                   lift_levels, lift_roots, local_root_count,
                                    root_table, roots_mod_p)
-from powerfree.poly import IntPolynomial, profile
+from powerfree.poly import IntPolynomial, evaluate_range, profile
 from powerfree.sieve import primes_up_to
 
 TEST_POLYS = [
@@ -35,12 +36,11 @@ def test_roots_mod_p_vs_enumeration():
 
 
 def test_roots_mod_p_gcd_route_vs_scan_route():
-    # force the gcd route by shrinking scan_limit, then compare to the scan
+    # above SCAN_LIMIT roots_mod_p takes the gcd route; compare to the scan
     f = IntPolynomial.parse("1,2,3,4,5")
     for p in [10007, 104729]:
-        want = roots_mod_p(f, p, scan_limit=10 ** 6)
-        got = roots_mod_p(f, p, scan_limit=1)
-        assert got == want, p
+        assert p > SCAN_LIMIT
+        assert roots_mod_p(f, p) == _scan_roots(f, p), p
 
 
 def test_lift_roots_small_prime_powers_exhaustive():
@@ -116,13 +116,93 @@ def test_capacity_error_on_exploding_lift():
         lift_roots(f, 2, 50, cap=100)
 
 
+def test_lift_levels_match_residue_enumeration():
+    # every level of every walk against a residue scan mod p^j <= 5000;
+    # x^2 and (x^2+1)^2 branch at the singular primes, x^3+2 dies at 3
+    top = 5000
+    polys = TEST_POLYS + [[0, 0, 1], [1, 0, 2, 0, 1]]
+    for coeffs in polys:
+        f = IntPolynomial.from_coeffs(coeffs)
+        vals = evaluate_range(f, 0, top)
+        assert vals.dtype.kind == "i"
+        for p in primes_up_to(top).tolist():
+            got = list(lift_levels(f, p, top))
+            moduli, pj = [], p
+            while pj <= top:
+                moduli.append(pj)
+                pj *= p
+            assert [pj for pj, _ in got] == moduli, (coeffs, p)
+            for pj, roots in got:
+                assert isinstance(roots, tuple)
+                assert list(roots) == np.flatnonzero(vals[:pj] % pj == 0
+                                                     ).tolist(), (coeffs, pj)
+    sizes = {(text, p): [len(r) for _, r in
+                         lift_levels(IntPolynomial.parse(text), p, 10 ** 3)]
+             for text, p in [("0,0,1", 2), ("0,0,1", 3), ("1,0,2,0,1", 5),
+                             ("2,0,0,1", 3)]}
+    assert sizes == {("0,0,1", 2): [1, 2, 2, 4, 4, 8, 8, 16, 16],
+                     ("0,0,1", 3): [1, 3, 3, 9, 9, 27],
+                     ("1,0,2,0,1", 5): [2, 10, 10, 50],
+                     ("2,0,0,1", 3): [1, 0, 0, 0, 0, 0]}
+
+
+def test_lift_levels_from_a_simple_root():
+    # from base=(r,) with f'(r) != 0 mod p each level holds the one lift
+    f = IntPolynomial.parse("5,0,0,1")
+    der = f.derivative()
+    top = 10 ** 18
+    for p in primes_up_to(200).tolist():
+        for r in roots_mod_p(f, p):
+            if der(r) % p == 0:
+                continue
+            levels = list(lift_levels(f, p, top, (r,)))
+            assert [pj for pj, _ in levels] == [
+                p ** j for j in range(1, len(levels) + 1)]
+            assert levels[-1][0] <= top < levels[-1][0] * p
+            for pj, roots in levels:
+                assert len(roots) == 1, (p, r, pj)
+                assert roots[0] % p == r and f(roots[0]) % pj == 0
+
+
+def test_lift_levels_stop_at_top(monkeypatch):
+    f = IntPolynomial.parse("1,0,1")
+    assert [pj for pj, _ in lift_levels(f, 5, 124)] == [5, 25]
+    assert [pj for pj, _ in lift_levels(f, 5, 125)] == [5, 25, 125]
+
+    def boom(*args):
+        raise AssertionError("roots mod p computed for p above top")
+
+    monkeypatch.setattr(local_roots, "roots_mod_p", boom)
+    assert list(lift_levels(f, 7, 6)) == []
+    assert list(lift_levels(f, 7, 6, (0,))) == []
+
+
+def test_lift_roots_k1_keeps_roots_above_cap():
+    f = IntPolynomial.parse("3,3")  # 3(x + 1) vanishes identically mod 3
+    assert lift_roots(f, 3, 1, cap=2).roots == (0, 1, 2)
+    assert lift_roots(f, 3, 2, cap=2).roots is None
+    assert lift_roots(f, 3, 2, cap=2).rho == 3
+
+
 def test_batch_root_counts_vs_scalar():
+    # with (x^2+1)^2, x^2(x+1) and 2(x+1)^2: the batched split counts the
+    # distinct roots at singular primes too, so a repeated factor is fine
     primes = primes_up_to(2000)
-    for coeffs in TEST_POLYS:
+    for coeffs in TEST_POLYS + [[1, 0, 2, 0, 1], [0, 0, 1, 1], [2, 4, 2]]:
         f = IntPolynomial.from_coeffs(coeffs)
         got = batch_root_counts(f, primes)
         for i, p in enumerate(primes.tolist()):
             assert got[i] == count_roots_mod_p(f, p), (coeffs, p)
+
+
+def test_batch_root_counts_unfactored_discriminant():
+    # the discriminant of this quadratic has a cofactor factorize cannot
+    # split; batch_root_counts factors only lc(f), so it never asks
+    f = IntPolynomial.parse("-4999999993,-4999999994,3000000008")
+    primes = primes_up_to(1100)
+    got = batch_root_counts(f, primes)
+    for i, p in enumerate(primes.tolist()):
+        assert got[i] == len(_scan_roots(f, p)), p
 
 
 def roots_at(table, p):
