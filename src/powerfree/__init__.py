@@ -20,8 +20,9 @@ from .ergodic import (AllIntegers, BeattyMap, Condition, IdentityMap,
 from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power, is_prime
 from .kfree import (CountRow, KfreeMask, KfreeSieve, SumDecomposition,
-                    count_kfree, decompose_sum, kfree_mask, kfree_range,
-                    product_kfree_mask, sieve_prime_bound, tail_pair_count,
+                    checkpoint_counts, count_kfree, decompose_sum,
+                    kfree_mask, kfree_range, product_kfree_mask,
+                    sieve_prime_bound, tail_pair_count,
                     twin_squarefree_mask, twin_squarefree_range)
 from .local_roots import (LocalRootData, RootTable, batch_root_counts,
                           batch_roots, count_roots_mod_p, is_bad_prime,
@@ -45,7 +46,8 @@ __all__ = [
     "PolyProfile", "ProductKfree", "ProgressionMap", "ReportRow", "RootTable",
     "SumDecomposition", "TrigObservable", "TwinSquarefree", "TwoPointSwap",
     "VectorObservable", "bad_primes", "batch_root_counts", "batch_roots",
-    "build_tables", "convergence_report", "count_kfree", "count_roots_mod_p",
+    "build_tables", "checkpoint_counts", "convergence_report", "count_kfree",
+    "count_roots_mod_p",
     "decompose_sum", "default_j_max", "density", "ergodic_average",
     "estermann_constant",
     "exponent_fit", "factorize", "fixed_divisor", "has_fixed_kth_power",

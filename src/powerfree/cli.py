@@ -35,6 +35,8 @@ from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .density import DensityResult, density, twin_constant
 from .dynamics import (GOLDEN_ROTATION, CyclicRotation, IrrationalRotation,
                        PairObservable, TrigObservable, TwoPointSwap,
@@ -44,9 +46,8 @@ from .ergodic import (AllIntegers, BeattyMap, IdentityMap, KfreeValues,
                       convergence_report, default_j_max, ergodic_average,
                       exponent_fit, omega_histograms)
 from .errors import CapacityError, HypothesisViolation
-from .kfree import (ROOT_LIMIT, KfreeMask, count_kfree, kfree_mask,
-                    product_kfree_mask, tail_pair_counts,
-                    twin_squarefree_mask)
+from .kfree import (ROOT_LIMIT, KfreeSieve, checkpoint_counts, count_kfree,
+                    kfree_range, tail_pair_counts, twin_squarefree_range)
 from .local_roots import batch_root_counts, local_root_count
 from .poly import (IntPolynomial, has_fixed_kth_power,
                    parse_poly_or_product, profile)
@@ -227,30 +228,37 @@ REPORT_HEADER = ["N", "selected", "average", "target", "residual"]
 
 def count_rows(condition: str, k: int, N: int, checkpoints, P: int, *,
                threads: int, segment: int):
-    """Sieve [1, N] for the n with f(n) k-free, f a polynomial or a
-    '*'-product, or with n and n + 1 squarefree ("twinsqfree"), and count
-    at the checkpoints against the density to P. -> (factors, mask, doc,
-    rows): doc holds "density" and "exponent_fit" (None below two rows)."""
+    """Count the n <= each checkpoint with f(n) k-free, f a polynomial or a
+    '*'-product, or with n and n + 1 squarefree ("twinsqfree"), against the
+    density to P. The flags stream through checkpoint_counts, one run of
+    kfree_range or twin_squarefree_range at a time, so memory is
+    O(segment * threads) for any N; density reuses the KfreeSieve's roots.
+    -> (factors, zero_hits, doc, rows): doc holds "density" and
+    "exponent_fit" (None below two rows)."""
     if condition == "twinsqfree":
         # n and n + 1 are both squarefree exactly when n(n + 1) is
         factors = ()
-        mask = KfreeMask(IntPolynomial((0, 1, 1)), 2, N,
-                         twin_squarefree_mask(N), (), math.isqrt(N + 1))
+        primes = primes_up_to(math.isqrt(N + 1))
         dens = twin_constant(P)
+
+        def flags(s: int, e: int):
+            return twin_squarefree_range(s, e, primes), []
     else:
         factors = parse_poly_or_product(condition)
-        if len(factors) == 1:
-            mask = kfree_mask(factors[0], k, N, segment_size=segment,
-                              threads=threads)
-        else:
-            mask = product_kfree_mask(factors, k, N, segment_size=segment,
-                                      threads=threads)
-        dens = density(mask.poly, k, P, mask.roots)
-    rows = [astuple(r) for r in count_kfree(mask, checkpoints, dens)]
+        sv = KfreeSieve(factors, k, N)
+        dens = density(sv.poly, k, P,
+                       sv.setups[0][1] if len(factors) == 1 else None)
+
+        def flags(s: int, e: int):
+            out = np.empty(e - s, dtype=bool)
+            return out, kfree_range(sv, s, e, out)
+    counts, zeros = checkpoint_counts(flags, N, checkpoints,
+                                      segment_size=segment, threads=threads)
+    rows = [astuple(r) for r in count_kfree(checkpoints, counts, dens)]
     fit = (exponent_fit([(r[0], abs(r[3])) for r in rows])
            if len(rows) >= 2 else None)
-    return factors, mask, {"density": _density_dict(dens),
-                           "exponent_fit": fit}, rows
+    return factors, zeros, {"density": _density_dict(dens),
+                            "exponent_fit": fit}, rows
 
 
 def report_rows(system: str, condition: str, argmap: str, checkpoints,
@@ -324,14 +332,14 @@ def cmd_density(args) -> int:
 
 def cmd_count(args) -> int:
     checkpoints = _checkpoints(args)
-    factors, mask, doc, rows = count_rows(
+    factors, zeros, doc, rows = count_rows(
         args.poly, args.k, args.N, checkpoints, args.P,
         threads=args.threads, segment=args.segment)
     doc["config"] = _config(
         name="count", k=args.k, N=args.N, checkpoints=checkpoints,
         coeffs=list(factors[0].coeffs) if len(factors) == 1 else [],
         condition=args.poly, P=args.P)
-    doc["zero_hits"] = list(mask.zero_hits)
+    doc["zero_hits"] = zeros
     emit(args.out, args.format, COUNT_HEADER, rows, doc)
     return 0
 

@@ -17,7 +17,6 @@ and segment size.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,8 @@ from . import kfree
 from .density import density, twin_constant
 from .dynamics import OrbitTable
 from .poly import IntPolynomial
-from .sieve import DEFAULT_SEGMENT, _omega_segment, _pool_map, primes_up_to
+from .sieve import (DEFAULT_SEGMENT, _omega_segment, _pool_map, _runs,
+                    primes_up_to)
 
 
 # ---------------------------------------------------------------- maps
@@ -253,9 +253,11 @@ def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
 
     One pass over the argument axis [1, max argument] in windows of
     segment_size on the thread pool. A window takes Omega from the segment
-    sieve (or from tables.omega when given), and each map gathers it over
-    the n with a(n) in the window, in runs of at most segment_size n so
-    that a map with alpha < 1 stays bounded too.
+    sieve (or from tables.omega when given), and each map selects and
+    gathers it over the n with a(n) in the window in runs of at most _RUN
+    n, so the condition's flags, the gathered Omega and np.bincount's intp
+    copy of it stay one run long per thread, whatever the segment size or
+    the map's slope.
     """
     if segment_size < 8:
         raise ValueError("segment_size too small")
@@ -276,21 +278,16 @@ def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
         out = np.zeros((len(argmaps), len(cuts) - 1, width), dtype=np.int64)
         for i, am in enumerate(argmaps):
             hi = min(am.first_index(B), N + 1)
-            for s in range(am.first_index(A), hi, segment_size):
-                e = min(s + segment_size, hi)
+            for s, e, parts in _runs(am.first_index(A), hi, cuts):
                 om = omega[am.window_index(s, e, A)]
                 sel = select(s, e)
-                c = bisect.bisect_left(cuts, s) - 1
-                while cuts[c] < e - 1:
-                    a, b = max(s, cuts[c] + 1), min(e, cuts[c + 1] + 1)
-                    h = np.bincount(om[a - s:b - s] if sel is None
-                                    else om[a - s:b - s][sel[a - s:b - s]],
-                                    minlength=width)
+                for c, a, b in parts:
+                    h = np.bincount(om[a:b] if sel is None
+                                    else om[a:b][sel[a:b]], minlength=width)
                     if len(h) > width:
                         raise ValueError(f"j_max={j_max} too small: "
                                          f"saw Omega={len(h) - 1}")
                     out[i, c] += h
-                    c += 1
         return out
 
     return sum(_pool_map(window, range(1, top + 1, segment_size), threads))

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityResult, density
+from .density import DensityResult
 from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power
 from .local_roots import LIFT_ROOT_CAP, RootTable, lift_levels, root_table
 from .poly import (IntPolynomial, evaluate_range, has_fixed_kth_power,
                    max_abs_value, profile, resultant)
-from .sieve import (DEFAULT_SEGMENT, _pool_map, _squarefree_segment,
+from .sieve import (DEFAULT_SEGMENT, _pool_map, _runs, _squarefree_segment,
                     primes_up_to)
 
 ROOT_LIMIT = 2 * 10 ** 6
@@ -389,19 +389,58 @@ def product_kfree_mask(factors, k: int, N: int, *,
                        segment_size: int = DEFAULT_SEGMENT, threads: int = 1,
                        root_limit: int = ROOT_LIMIT) -> KfreeMask:
     """k-free indicator for the product of pairwise coprime factors on
-    [1, N], by kfree_range over segments of segment_size. Deterministic for
-    any thread count and segment size: workers write disjoint slices."""
+    [1, N], by kfree_range in the runs of checkpoint_counts. Deterministic
+    for any thread count and segment size: workers write disjoint slices."""
     sv = KfreeSieve(factors, k, N, root_limit)
     bits = np.zeros(N, dtype=bool)
 
-    def run(a: int) -> list[int]:
-        b = min(a + segment_size, N + 1)
-        return kfree_range(sv, a, b, bits[a - 1:b - 1])
+    def flags(s: int, e: int):
+        out = bits[s - 1:e - 1]
+        return out, kfree_range(sv, s, e, out)
 
-    zeros = _pool_map(run, range(1, N + 1, segment_size), threads)
-    return KfreeMask(sv.poly, k, N, bits, tuple(n for zs in zeros for n in zs),
+    _, zeros = checkpoint_counts(flags, N, [N], segment_size=segment_size,
+                                 threads=threads)
+    return KfreeMask(sv.poly, k, N, bits, tuple(zeros),
                      max(P0 for P0, _, _ in sv.setups),
                      sv.setups[0][1] if len(sv.factors) == 1 else None)
+
+
+def checkpoint_counts(flags, N: int, checkpoints, *,
+                      segment_size: int = DEFAULT_SEGMENT,
+                      threads: int = 1) -> tuple[list[int], list[int]]:
+    """(counts, marks): counts[i] is the number of flagged n <= checkpoints
+    [i], and marks the ascending n that flags reported, over all of [1, N].
+
+    flags(s, e) returns the bool flags of the n in [s, e) and a list of n
+    to report (the zeros of f, for kfree_range). One pass over [1, N] in
+    segments of segment_size on the thread pool, each taken in runs of at
+    most _RUN n, so per thread nothing longer than a run is held; counts
+    are summed per checkpoint interval, the same for any thread count and
+    segment size. Checkpoints must ascend inside [1, N].
+    """
+    cps = [int(n) for n in checkpoints]
+    for n in cps:
+        if not 1 <= n <= N:
+            raise ValueError(f"checkpoint {n} outside [1, {N}]")
+    if any(a >= b for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be ascending")
+    cuts = [0, *cps] + ([N] if cps[-1] < N else [])
+
+    def segment(a: int):
+        counts, marks = np.zeros(len(cuts) - 1, dtype=np.int64), []
+        for s, e, parts in _runs(a, min(a + segment_size, N + 1), cuts):
+            bits, found = flags(s, e)
+            marks += found
+            for c, i, j in parts:
+                counts[c] += np.count_nonzero(bits[i:j])
+        return counts, marks
+
+    counts, marks = np.zeros(len(cuts) - 1, dtype=np.int64), []
+    for c, found in _pool_map(segment, range(1, N + 1, segment_size),
+                              threads):
+        counts += c
+        marks += found
+    return np.cumsum(counts)[:len(cps)].tolist(), marks
 
 
 def twin_squarefree_mask(N: int) -> np.ndarray:
@@ -427,18 +466,13 @@ class CountRow:
     rel_error: float
 
 
-def count_kfree(mask: KfreeMask, checkpoints, density_result=None) -> list[CountRow]:
-    """Counts at checkpoints against the density prediction target = c * N.
-
-    density_result may be a DensityResult, a float, or None (computed from
-    the mask's polynomial with P = 10^6).
-    """
-    if density_result is None:
-        density_result = density(mask.poly, mask.k, 10 ** 6, mask.roots)
+def count_kfree(checkpoints, counts, density_result) -> list[CountRow]:
+    """Rows of the counts at checkpoints against the density prediction
+    target = c * N; density_result is a DensityResult or a float."""
     c = density_result.value if isinstance(density_result, DensityResult) \
         else float(density_result)
     rows = []
-    for n, cnt in zip(checkpoints, mask.counts_at(checkpoints)):
+    for n, cnt in zip(checkpoints, counts):
         target = c * n
         abs_err = cnt - target
         rel = abs(abs_err) / target if target > 0 else math.nan

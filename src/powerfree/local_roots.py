@@ -137,6 +137,16 @@ def lift_levels(f: IntPolynomial, p: int, top: int, base=None):
         _certify(f, pj, level)
 
 
+def _lifted(f: IntPolynomial, p: int, k: int, cap: int) -> tuple[int, ...]:
+    """Roots of f mod p^k, the last level of lift_levels(f, p, p^k); a
+    lifted level of more than 8 cap residues raises CapacityError."""
+    for pj, roots in lift_levels(f, p, p ** k):
+        if pj > p and len(roots) > 8 * cap:
+            raise CapacityError(f"lift of {f.text()} at p={p} exceeded "
+                                f"{8 * cap} residues")
+    return roots
+
+
 def lift_roots(f: IntPolynomial, p: int, k: int, cap: int = LIFT_ROOT_CAP) -> LocalRootData:
     """Roots of f mod p^k, the last level of lift_levels(f, p, p^k).
 
@@ -145,20 +155,23 @@ def lift_roots(f: IntPolynomial, p: int, k: int, cap: int = LIFT_ROOT_CAP) -> Lo
     """
     if k < 1:
         raise ValueError("k >= 1 required")
-    for pj, roots in lift_levels(f, p, p ** k):
-        if pj > p and len(roots) > 8 * cap:
-            raise CapacityError(f"lift of {f.text()} at p={p} exceeded "
-                                f"{8 * cap} residues")
+    roots = _lifted(f, p, k, cap)
     rho = len(roots)
     return LocalRootData(p, k, rho, roots if k == 1 or rho <= cap else None)
 
 
 def local_root_count(f: IntPolynomial, p: int, k: int) -> int:
     """rho_f(p^k): distinct roots of f mod p^k. At a good prime every root
-    lifts uniquely, so it is the count mod p; a singular one takes the walk."""
+    lifts uniquely, so it is the count mod p. A singular one walks only to
+    p^(k-1) and counts the last level without listing it: for k >= 2,
+    f(r + t p^(k-1)) = f(r) + t p^(k-1) f'(r) mod p^k, so a root r mod
+    p^(k-1) has one child if p does not divide f'(r), else p children if
+    p^k | f(r) and none otherwise."""
     if k == 1 or not is_bad_prime(f, p):
         return count_roots_mod_p(f, p)
-    return lift_roots(f, p, k).rho
+    der, pk = f.derivative(), p ** k
+    return sum(1 if der(r) % p else p if f(r) % pk == 0 else 0
+               for r in _lifted(f, p, k - 1, LIFT_ROOT_CAP))
 
 
 _BATCH_MIN_PRIME = 50

@@ -16,6 +16,7 @@ each writes to its own fixed offset.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +26,9 @@ import numpy as np
 from .errors import CapacityError
 
 DEFAULT_SEGMENT = 1 << 20
+# n per run: passes sieve windows of a segment, but every per-thread array
+# below a window (values, flags, gathers) is allocated one run at a time
+_RUN = 1 << 18
 MAX_LIMIT = 1 << 40
 _PRIME_TABLE_LIMIT = 1 << 30
 
@@ -96,6 +100,9 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     + 40 < 2^24, so the fields never overlap, and acc < 40 * 2^24 < 2^31
     fits int32. (Any b - 1 < 2^63, as the streamed histograms may pass,
     gives Omega < 63, F < 2^22 and acc < 2^30.)
+
+    acc >> 24 is written straight into the uint8 output, so the fill holds
+    5 bytes per n: acc and omega, with no int32 copy of the shift.
     """
     m = b - a
     acc = np.zeros(m, dtype=np.int32)
@@ -108,7 +115,8 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
             if off < m:
                 acc[off::pe] += step
             pe *= p
-    omega = (acc >> 24).astype(np.uint8)
+    omega = np.empty(m, dtype=np.uint8)
+    np.right_shift(acc, 24, out=omega, casting="unsafe")
     acc &= (1 << 24) - 1
     R = math.isqrt(b - 1) + 1
     cut = min(max(2 * (b - 1) // R + 1 - a, 0), m)
@@ -126,6 +134,22 @@ def _pool_map(fn, items, threads: int):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             yield from pool.map(fn, items)
+
+
+def _runs(a: int, b: int, cuts):
+    """Tile [a, b) by runs [s, e) of at most _RUN n, yielding (s, e, parts):
+    parts lists (c, i, j) for every checkpoint interval (cuts[c], cuts[c +
+    1]] that meets the run, whose n are those at run offsets [i, j). cuts
+    ascend from below a to at least b - 1."""
+    for s in range(a, b, _RUN):
+        e = min(s + _RUN, b)
+        c = bisect.bisect_left(cuts, s) - 1
+        parts = []
+        while cuts[c] < e - 1:
+            parts.append((c, max(cuts[c] + 1, s) - s,
+                          min(cuts[c + 1] + 1, e) - s))
+            c += 1
+        yield s, e, parts
 
 
 def _squarefree_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:

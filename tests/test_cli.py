@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
 
-from powerfree.cli import (ExperimentConfig, REPRO, build_parser, main,
-                           parse_argmap, parse_condition, parse_system,
+from powerfree.cli import (ExperimentConfig, REPRO, build_parser, count_rows,
+                           main, parse_argmap, parse_condition, parse_system,
                            parse_trig)
 from powerfree.dynamics import (CyclicRotation, IrrationalRotation,
                                 PairObservable, TrigObservable, TwoPointSwap,
@@ -178,6 +179,21 @@ def test_count_csv_and_checkpoint_validation(tmp_path):
     assert bad == 2
 
 
+def test_count_peak_is_flat_in_N():
+    # the count streams its flags; a whole-N mask cost 1 byte per n, so
+    # the peak at N = 4*10^6 stays within 1 MB of the peak at 10^6
+    peaks = []
+    for N in (10 ** 6, 4 * 10 ** 6):
+        tracemalloc.start()
+        try:
+            count_rows("1,0,1", 2, N, [N], 10 ** 4, threads=1,
+                       segment=2 ** 18)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 ** 20, peaks
+
+
 def test_eftail_output(tmp_path):
     out = tmp_path / "e.csv"
     rc = main(["eftail", "--poly", "1,0,1", "--k", "2", "--N", "10000",
@@ -245,14 +261,14 @@ def test_out_of_memory_exits_3(monkeypatch, capsys):
     def refuse_bare(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("powerfree.cli.twin_squarefree_mask", refuse)
+    monkeypatch.setattr("powerfree.cli.twin_squarefree_range", refuse)
     assert main(["count", "--poly", "twinsqfree", "--k", "2",
                  "--N", "1000"]) == 3
     assert "capacity: Unable to allocate 9.31 GiB" in capsys.readouterr().err
     monkeypatch.setattr("powerfree.kfree.kfree_range", refuse)
     assert main(["ergodic", "--system", "twopoint:1.0,-1.0,0",
                  "--condition", "kfree:1,0,1:2", "--N", "1000"]) == 3
-    monkeypatch.setattr("powerfree.cli.kfree_mask", refuse_bare)
+    monkeypatch.setattr("powerfree.cli.kfree_range", refuse_bare)
     assert main(["count", "--poly", "1,0,1", "--k", "2", "--N", "1000"]) == 3
     assert "capacity: out of memory" in capsys.readouterr().err
 

@@ -17,7 +17,7 @@ from powerfree.ergodic import (AllIntegers, BeattyMap, IdentityMap,
                                default_j_max, ergodic_average, exponent_fit,
                                omega_histogram, omega_histograms)
 from powerfree.poly import IntPolynomial, parse_poly_or_product
-from powerfree.sieve import build_tables
+from powerfree.sieve import DEFAULT_SEGMENT, build_tables
 
 
 def big_omega(n):
@@ -375,6 +375,23 @@ def test_convergence_report_peak_is_flat_in_N():
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] + 2 ** 20, peaks
+
+
+def test_interval_pass_peak_is_capped_at_a_run():
+    # a window holds its Omega fill (the int32 accumulator and the uint8
+    # output); the selection, the gather and np.bincount's intp copy of it
+    # are one run long; whole-window runs peaked at about 17 MB here
+    N = 4 * 2 ** 20
+    cond = ProductKfree(parse_poly_or_product("1,0,1*2,0,1"), 2)
+    tracemalloc.start()
+    try:
+        _interval_counts(N, [IdentityMap()], cond, [0, N], default_j_max(N),
+                         threads=1, segment_size=DEFAULT_SEGMENT,
+                         tables=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
 
 
 def test_convergence_report_density_fails_before_the_pass(monkeypatch):

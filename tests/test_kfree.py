@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerfree.cli import count_rows
 from powerfree.ergodic import ProductKfree, omega_histogram
 from powerfree.errors import CapacityError, HypothesisViolation
 from powerfree.kfree import (_BUCKET_MIN_PRIME, ROOT_LIMIT, KfreeSieve,
@@ -18,7 +19,8 @@ from powerfree.kfree import (_BUCKET_MIN_PRIME, ROOT_LIMIT, KfreeSieve,
 from powerfree.local_roots import lift_roots, root_table
 from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
                             parse_poly_or_product, profile, resultant)
-from powerfree.sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
+from powerfree.sieve import (_RUN, DEFAULT_SEGMENT, build_tables,
+                             primes_up_to)
 
 
 def brute_mask(f, k, N):
@@ -204,7 +206,8 @@ def test_counts_at_validates_range():
 def test_count_kfree_rows():
     f = IntPolynomial.parse("1,0,1")
     mask = kfree_mask(f, 2, 1000)
-    rows = count_kfree(mask, [10, 100, 1000], 0.894841940656975)
+    cps = [10, 100, 1000]
+    rows = count_kfree(cps, mask.counts_at(cps), 0.894841940656975)
     assert [r.count for r in rows] == [int(mask.bits[:n].sum())
                                        for n in (10, 100, 1000)]
     assert rows[-1].count == 895
@@ -261,6 +264,48 @@ def test_kth_power_prime_table_matches_factorint(text, k, N):
     if text == _BIG:
         assert evaluate_range(f, 1, N + 1).dtype == object
         assert table[0] == [_Q] and _Q > P0
+
+
+# checkpoints on both sides of the segment edges of 1000 and 7777 and of
+# the first run edge, _RUN, inside a default segment
+COUNT_CHECKPOINTS = [1, 999, 1000, 1001, 7776, 7777, 7778, 15554, 15555,
+                     19999, _RUN - 1, _RUN, _RUN + 1, _RUN + 2000]
+# x^2 + 2^63 takes the object dtype from n = 1
+_OBJECT = f"{2 ** 63},0,1"
+COUNT_CASES = [("1,0,1", 2), *((t, 2) for t in CORRECTION_PRODUCTS),
+               ("-27,0,0,1", 2), (_OBJECT, 3), ("twinsqfree", 2)]
+
+
+def _mask_counts(text, k, N, cps):
+    """(counts at cps, zero hits) from the whole-N masks, built in segments
+    of 1000 so that no run edge falls inside one."""
+    if text == "twinsqfree":
+        bits = twin_squarefree_mask(N)
+        return np.cumsum(bits)[np.array(cps) - 1].tolist(), []
+    mask = product_kfree_mask(parse_poly_or_product(text), k, N,
+                              segment_size=1000)
+    return mask.counts_at(cps), list(mask.zero_hits)
+
+
+@pytest.mark.parametrize("text,k", COUNT_CASES)
+def test_streamed_counts_match_mask(text, k):
+    # only a default segment holds a run edge; object values are slow, so
+    # they stop short of it
+    top = 20000 if text == _OBJECT else _RUN + 2000
+    for segs, N in (((1000, 7777), 20000), ((DEFAULT_SEGMENT,), top)):
+        cps = [n for n in COUNT_CHECKPOINTS if n <= N]
+        want, zeros = _mask_counts(text, k, N, cps)
+        if text == "-27,0,0,1":
+            assert zeros == [3]
+        if text == _OBJECT:
+            assert evaluate_range(IntPolynomial.parse(text), 1, 2).dtype \
+                == object
+        for seg in segs:
+            for threads in (1, 2):
+                _, got_zeros, _, rows = count_rows(
+                    text, k, N, cps, 100, threads=threads, segment=seg)
+                assert [r[1] for r in rows] == want, (N, seg, threads)
+                assert got_zeros == zeros
 
 
 def test_decompose_total_past_old_table_cap():

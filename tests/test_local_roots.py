@@ -92,6 +92,29 @@ def test_good_prime_lift_preserves_count():
             assert local_root_count(f, p, k) == base, (p, k)
 
 
+def _root_count_by_scan(f, m):
+    """#{r mod m : f(r) = 0 mod m}, by Horner over every residue mod m."""
+    r = np.arange(m, dtype=np.int64)
+    acc = np.zeros(m, dtype=np.int64)
+    for c in reversed(f.coeffs):
+        acc = (acc * r + c) % m
+    return int(np.count_nonzero(acc == 0))
+
+
+def test_local_root_count_matches_enumeration():
+    # singular primes count their last level without listing it; repeated
+    # factors, content and a zero derivative mod p are all covered
+    polys = ["1,0,2,0,1", "0,0,1,1", "2,4,2", "0,0,0,1", "1,2,1", "3,3",
+             "1,0,1", "5,0,0,1", "2,0,3,0,1", "1,3,0,2", "0,1,1"]
+    for text in polys:
+        f = IntPolynomial.parse(text)
+        for p in primes_up_to(59).tolist():
+            for k in range(2, 5):
+                if p ** k <= 10 ** 6:
+                    assert local_root_count(f, p, k) == \
+                        _root_count_by_scan(f, p ** k), (text, p, k)
+
+
 def test_bad_prime_detection():
     f = IntPolynomial.parse("1,0,1")    # disc -4
     assert is_bad_prime(f, 2)
