@@ -419,11 +419,8 @@ def checkpoint_counts(flags, N: int, checkpoints, *,
     segment size. Checkpoints must ascend inside [1, N].
     """
     cps = [int(n) for n in checkpoints]
-    for n in cps:
-        if not 1 <= n <= N:
-            raise ValueError(f"checkpoint {n} outside [1, {N}]")
-    if any(a >= b for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be ascending")
+    if not cps or cps[-1] > N or any(a >= b for a, b in zip([0, *cps], cps)):
+        raise ValueError(f"checkpoints {cps} do not ascend inside [1, {N}]")
     cuts = [0, *cps] + ([N] if cps[-1] < N else [])
 
     def segment(a: int):

@@ -101,8 +101,8 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     fits int32. (Any b - 1 < 2^63, as the streamed histograms may pass,
     gives Omega < 63, F < 2^22 and acc < 2^30.)
 
-    acc >> 24 is written straight into the uint8 output, so the fill holds
-    5 bytes per n: acc and omega, with no int32 copy of the shift.
+    acc >> 24 is written straight into the uint8 output, with no int32
+    copy of the shift.
     """
     m = b - a
     acc = np.zeros(m, dtype=np.int32)
