@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation
-from .local_roots import RootTable, batch_root_counts, lift_roots
+from .local_roots import (_PRIME_SLICE, RootTable, batch_root_counts,
+                          lift_roots)
 from .poly import IntPolynomial, has_fixed_kth_power, profile
 from .sieve import primes_up_to
 
@@ -63,7 +64,11 @@ def density(f: IntPolynomial, k: int, P: int,
     good primes it covers; the others go through batch_root_counts, and
     each singular p through lift_roots, whose level walk gives rho_f(p^k).
     The counts agree either way and fsum is correctly rounded, so the value
-    is bit for bit the same with or without it.
+    is bit for bit the same with or without it. fsum takes the terms from
+    a generator, one slice of _PRIME_SLICE primes at a time, so a slice's
+    counts and Python floats are all it holds beyond the prime table; as
+    fsum's result does not depend on the order of its terms, the singular
+    primes' terms simply come last.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
@@ -85,31 +90,38 @@ def density(f: IntPolynomial, k: int, P: int,
     if P ** k <= 2 * d:
         raise ValueError(f"P^k must exceed 2*deg={2 * d} for the tail bound")
 
-    primes = primes_up_to(P)
-    good = primes[~np.isin(primes, bad)]
-    counts = np.zeros(len(good), dtype=np.int64)
-    known = np.zeros(len(good), dtype=bool)
-    if roots is not None:
-        if roots.poly != f:
-            raise ValueError(f"root table of {roots.poly.text()} passed "
-                             f"for {f.text()}")
-        idx = np.searchsorted(roots.primes, good)
-        known = idx < len(roots.primes)
-        known[known] = roots.primes[idx[known]] == good[known]
-        counts[known] = roots.counts[idx[known]]
-    if not known.all():
-        counts[~known] = batch_root_counts(f, good[~known])
-    nz = counts > 0
-    logs = [math.log1p(-rho / p ** k)
-            for p, rho in zip(good[nz].tolist(), counts[nz].tolist())]
+    if roots is not None and roots.poly != f:
+        raise ValueError(f"root table of {roots.poly.text()} passed "
+                         f"for {f.text()}")
+    singular = []
     for p in sorted(bad):
         rho = lift_roots(f, p, k).rho
         pk = p ** k
         if rho == pk:
             return DensityResult(0.0, 0.0, 0.0, P, k, d, bad)
         if rho:
-            logs.append(math.log1p(-rho / pk))
-    value = math.exp(math.fsum(logs))
+            singular.append(math.log1p(-rho / pk))
+    primes = primes_up_to(P)
+
+    def logs():
+        for lo in range(0, len(primes), _PRIME_SLICE):
+            good = primes[lo:lo + _PRIME_SLICE]
+            good = good[~np.isin(good, bad)]
+            counts = np.zeros(len(good), dtype=np.int64)
+            known = np.zeros(len(good), dtype=bool)
+            if roots is not None:
+                idx = np.searchsorted(roots.primes, good)
+                known = idx < len(roots.primes)
+                known[known] = roots.primes[idx[known]] == good[known]
+                counts[known] = roots.counts[idx[known]]
+            if not known.all():
+                counts[~known] = batch_root_counts(f, good[~known])
+            nz = counts > 0
+            for p, rho in zip(good[nz].tolist(), counts[nz].tolist()):
+                yield math.log1p(-rho / p ** k)
+        yield from singular
+
+    value = math.exp(math.fsum(logs()))
     # good p > P have rho(p^k) = rho(p) <= d and d/p^k <= 1/2, so
     # -log(1 - x) <= 2x gives tail log mass <= 2d sum_{m>P} m^-k
     tail = 2.0 * d / ((k - 1) * P ** (k - 1))

@@ -31,10 +31,15 @@ from .sieve import (DEFAULT_SEGMENT, _pool_map, _runs, _squarefree_segment,
 ROOT_LIMIT = 2 * 10 ** 6
 _INT64_MAX = (1 << 63) - 1
 _COFACTOR_CHUNK = 1 << 14
+# moduli of the object path's k-th power residue filter; for k = 2 about
+# 0.8 % of random values are squares modulo all four
+_RESIDUE_MODULI = (64, 63, 65, 11)
 # primes above this hit a default segment at most 256 times per root, so
 # their hits are gathered into one vectorized pass (_divide_out_roots)
 _BUCKET_MIN_PRIME = 4096
 _HIT_CHUNK = 1 << 13
+# (p, root) pairs above _BUCKET_MIN_PRIME whose hits one step of a run builds
+_PAIR_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -148,35 +153,44 @@ def _divide_out_hits(vals: np.ndarray, seg_bits: np.ndarray, pos: np.ndarray,
                 record(pos, pr.astype(np.int64, copy=False))
 
 
+def _signed_inverse(p: int) -> int | None:
+    """p^-1 mod 2^64 as a signed int64 for odd p, None for p = 2."""
+    if p == 2:
+        return None
+    inv = pow(p, -1, 1 << 64)
+    return inv - ((inv >> 63) << 64)
+
+
 def _lift_plan(f: IntPolynomial, roots: RootTable, height: int) -> list:
     """One entry per (p, r) pair of roots with p <= _BUCKET_MIN_PRIME, in
     table order: None at a singular root (f'(r) = 0 mod p, as at every p
-    dividing the content), else the Hensel lifts r_j of r mod p^j for every
-    p^j <= height = max|f| on [1, N]. They are unique, so v_p(f(n)) for n =
-    r (mod p) is the number of levels n matches: a nonzero |f(n)| <= height
-    matches none with p^j > height, and a zero value, matching them all,
-    stops at the same bound."""
+    dividing the content), else (_signed_inverse(p), the Hensel lifts r_j
+    of r mod p^j for every p^j <= height = max|f| on [1, N]). The lifts are
+    unique, so v_p(f(n)) for n = r (mod p) is the number of levels n
+    matches: a nonzero |f(n)| <= height matches none with p^j > height, and
+    a zero value, matching them all, stops at the same bound."""
     split = int(np.searchsorted(roots.p, _BUCKET_MIN_PRIME, side="right"))
     der = f.derivative()
-    return [[lv[0] for _, lv in lift_levels(f, p, height, (r,))]
+    return [(_signed_inverse(p),
+             [lv[0] for _, lv in lift_levels(f, p, height, (r,))])
             if der(r) % p else None
             for p, r in zip(roots.p[:split].tolist(),
                             roots.roots[:split].tolist())]
 
 
 def _divide_out_lifted(vals: np.ndarray, seg_bits: np.ndarray, a: int,
-                       p: int, lifts: list, k: int, record=None) -> None:
+                       p: int, inv: int | None, lifts: list, k: int,
+                       record=None) -> None:
     """_divide_out for a simple root with the lifts of _lift_plan: level j
     divides the class of r_j mod p^j by p once, and level k clears
     seg_bits there. A level that misses the segment ends the walk, since
     every later class lies inside it. On the int64 path an odd p multiplies
     by inv = p^-1 mod 2^64 as a signed int64: for 0 <= v < 2^63 with p | v
-    the wrapping product is v / p. p = 2 and object dtype floor-divide."""
+    the wrapping product is v / p. p = 2 (inv None) and object dtype
+    floor-divide."""
     m = len(vals)
-    inv = None
-    if p > 2 and vals.dtype != object:
-        inv = pow(p, -1, 1 << 64)
-        inv -= (inv >> 63) << 64
+    if vals.dtype == object:
+        inv = None
     pj = 1
     for j, rj in enumerate(lifts, 1):
         pj *= p
@@ -208,20 +222,32 @@ def _divide_out_roots(vals: np.ndarray, seg_bits: np.ndarray, a: int,
     groups of about _HIT_CHUNK hits to bound the transient arrays, and
     divided by _divide_out_hits (the bucket sieve of Oliveira e Silva,
     Herzog and Pardi, Math. Comp. 83, 2014). Hits reaching exponent k go to
-    record in ascending prime order for each position.
+    record in ascending prime order for each position. The larger pairs
+    are taken _PAIR_SLICE at a time, so a slice's offsets, hit counts and
+    groups are all a run holds beyond vals, however many roots there are.
     """
     m = len(vals)
     split = len(plan)
     for p, r, lift in zip(roots.p[:split].tolist(),
                           roots.roots[:split].tolist(), plan):
         if lift is not None:
-            _divide_out_lifted(vals, seg_bits, a, p, lift, k, record)
+            _divide_out_lifted(vals, seg_bits, a, p, *lift, k, record)
             continue
         off = (r - a) % p
         if off < m:
             _divide_out(vals, seg_bits, off, p, k, record)
-    P = roots.p[split:]
-    off = (roots.roots[split:] - a) % P
+    for lo in range(split, len(roots.p), _PAIR_SLICE):
+        _divide_out_pairs(vals, seg_bits, a, roots.p[lo:lo + _PAIR_SLICE],
+                          roots.roots[lo:lo + _PAIR_SLICE], k, record)
+
+
+def _divide_out_pairs(vals: np.ndarray, seg_bits: np.ndarray, a: int,
+                      P: np.ndarray, R: np.ndarray, k: int,
+                      record=None) -> None:
+    """The bucketed part of _divide_out_roots for the (p, root) pairs
+    (P[i], R[i]), all with p > _BUCKET_MIN_PRIME."""
+    m = len(vals)
+    off = (R - a) % P
     inside = off < m
     P, off = P[inside], off[inside]
     if not len(P):
@@ -251,9 +277,19 @@ def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
     divisible by a k-th prime power, and r is that prime (module docstring).
     The int64 test runs in chunks of _COFACTOR_CHUNK positions, so its
     float and candidate copies stay small next to the segment.
+
+    Object values first pass a residue filter, one Python remainder each by
+    the product of _RESIDUE_MODULI, and only those that are k-th power
+    residues modulo each of them take the exact is_perfect_kth_power test.
+    Nothing is lost: if v = r^k then v mod m = (r mod m)^k mod m.
     """
     if vals.dtype == object:
-        return np.array([i for i in np.flatnonzero(vals > 1).tolist()
+        idx = np.flatnonzero(vals > 1)
+        res = (vals[idx] % math.prod(_RESIDUE_MODULI)).astype(np.int64)
+        for m in _RESIDUE_MODULI:
+            keep = np.isin(res % m, [pow(x, k, m) for x in range(m)])
+            idx, res = idx[keep], res[keep]
+        return np.array([i for i in idx.tolist()
                          if is_perfect_kth_power(int(vals[i]), k)],
                         dtype=np.intp)
     rbound = int(float(_INT64_MAX) ** (1.0 / k)) - 2

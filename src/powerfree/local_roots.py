@@ -1,6 +1,6 @@
 """Roots and root counts of integer polynomials modulo prime powers.
 
-One router and one walk. _batch_route sends the tiny primes and those
+One router and one walk. _routed_slices sends the tiny primes and those
 dividing lc(f) to roots_mod_p, one at a time, for both batched entry points
 (root_table and batch_root_counts); every other p, singular or not, takes
 the batched gcd(x^p - x, f), which lists each distinct root once. Every
@@ -175,37 +175,49 @@ def local_root_count(f: IntPolynomial, p: int, k: int) -> int:
 
 
 _BATCH_MIN_PRIME = 50
+# primes per routing, Frobenius ladder and certification step, so every
+# temporary of a pass over the primes is one slice wide (batch_split_part
+# runs its ladder in lanes of the same width)
+_PRIME_SLICE = 1 << 13
+# multi-root lanes per batch_linear_roots call: a call has a fixed cost of
+# a few tens of ms (one ladder per splitting round, whatever its width), so
+# these lanes are gathered across slices
+_SPLIT_LANES = 1 << 14
 
 
-def _batch_route(f: IntPolynomial, primes: np.ndarray):
+def _routed_slices(f: IntPolynomial, primes: np.ndarray):
     """The one prime router of root_table and batch_root_counts.
 
-    Returns (primes as int64, slow, counts, G). slow marks the primes left
-    to the one-prime path: p <= _BATCH_MIN_PRIME and the p dividing lc(f),
-    which include those dividing the content. Every other p keeps f of full
-    degree mod p, so gcd(x^p - x, f) lists each distinct root once, singular
-    p or not: counts and G are batch_split_part's over those primes.
+    Yields (lo, P, slow, counts, G) for each slice P = primes[lo:lo +
+    _PRIME_SLICE]. slow marks the primes left to the one-prime path: p <=
+    _BATCH_MIN_PRIME and the p dividing lc(f), which include those dividing
+    the content. Every other p keeps f of full degree mod p, so gcd(x^p - x,
+    f) lists each distinct root once, singular p or not: counts and G are
+    batch_split_part's over P[~slow].
     """
-    primes = np.asarray(primes, dtype=np.int64)
-    slow = primes <= _BATCH_MIN_PRIME
     lc = abs(profile(f).leading)
-    if lc > 1:
-        slow |= np.isin(primes, list(factorize(lc)))
-    counts, G = modpoly.batch_split_part(list(f.coeffs), primes[~slow])
-    return primes, slow, counts, G
+    lc_primes = list(factorize(lc)) if lc > 1 else []
+    for lo in range(0, len(primes), _PRIME_SLICE):
+        P = primes[lo:lo + _PRIME_SLICE]
+        slow = (P <= _BATCH_MIN_PRIME) | np.isin(P, lc_primes)
+        yield (lo, P, slow) + modpoly.batch_split_part(list(f.coeffs),
+                                                       P[~slow])
 
 
 def batch_root_counts(f: IntPolynomial, primes: np.ndarray) -> np.ndarray:
     """rho_f(p) for every p in primes (sorted ascending), vectorized.
 
-    The slow primes of _batch_route are counted one at a time; the rest,
-    singular ones included, come from the batched split. Nothing is
+    The slow primes of _routed_slices are counted one at a time; the rest,
+    singular ones included, come from the batched split, whose gcds are
+    held for one slice at a time next to the int64 result. Nothing is
     factored beyond lc(f), so f need not be squarefree.
     """
-    primes, slow, counts, _ = _batch_route(f, primes)
+    primes = np.asarray(primes, dtype=np.int64)
     out = np.zeros(len(primes), dtype=np.int64)
-    out[slow] = [count_roots_mod_p(f, p) for p in primes[slow].tolist()]
-    out[~slow] = counts
+    for lo, P, slow, counts, _ in _routed_slices(f, primes):
+        part = out[lo:lo + len(P)]
+        part[slow] = [count_roots_mod_p(f, p) for p in P[slow].tolist()]
+        part[~slow] = counts
     return out
 
 
@@ -246,31 +258,71 @@ class RootTable:
     roots: np.ndarray
 
 
+def _split_gathered(f: IntPolynomial, gathered: list, out: np.ndarray) -> None:
+    """Split the gathered multi-root lanes, (G, counts, primes, offsets)
+    column blocks, by one batch_linear_roots call; certify the roots and
+    write each lane's, ascending, to out from its offset on."""
+    G, counts, P, offsets = (np.concatenate(c, axis=-1)
+                             for c in zip(*gathered))
+    gathered.clear()
+    lanes, roots = modpoly.batch_linear_roots(G, counts, P)
+    _certify_batch(f, P, counts, lanes, roots)
+    # lanes ascend and lane i holds counts[i] roots, so root j is number
+    # j - (roots of the lanes before it) of its lane
+    pos = np.repeat(offsets - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(len(roots))
+    out[pos] = roots
+
+
 def root_table(f: IntPolynomial, primes: np.ndarray) -> RootTable:
     """Roots of f mod p for many primes (sorted ascending) at once.
 
-    The slow primes of _batch_route go through roots_mod_p one at a time.
-    The rest stay in numpy throughout: batch_split_part gives gcd(x^p - x,
-    f) for every lane, and batch_linear_roots splits those gcds into roots
-    by batched equal-degree splitting. Each lane's root count must match
-    the degree of its gcd, and every root is re-verified by exact
+    One slice of _PRIME_SLICE primes at a time: _routed_slices gives
+    gcd(x^p - x, f) for its fast lanes, whose count is the lane's number of
+    roots. A lane with one root gives it at once as -G_0 mod p, certified
+    with its slice; the slow primes go through roots_mod_p. The lanes with
+    more roots are gathered across slices and split by batch_linear_roots
+    (batched equal-degree splitting) about _SPLIT_LANES at a time, since a
+    split call has a fixed cost of its own. Each lane's root count must
+    match the degree of its gcd, and every root is re-verified by exact
     evaluation of f mod p.
+
+    The roots go straight to their place in the result, which grows by
+    one slice at a time: each prime's place follows from the counts of the
+    primes before it. So beyond the result a pass holds one slice and at
+    most about _SPLIT_LANES gathered lanes.
     """
-    primes, slow, counts, G = _batch_route(f, primes)
-    fast = primes[~slow]
-    lanes, roots = modpoly.batch_linear_roots(G, counts, fast)
-    _certify_batch(f, fast, counts, lanes, roots)
-    ps, rs = [fast[lanes]], [roots]
-    for p in primes[slow].tolist():
-        found = roots_mod_p(f, p)
-        ps.append(np.full(len(found), p, dtype=np.int64))
-        rs.append(np.asarray(found, dtype=np.int64))
-    p, roots = np.concatenate(ps), np.concatenate(rs)
-    # each prime's roots arrive sorted, so a stable sort on p suffices
-    order = np.argsort(p, kind="stable")
-    p, roots = p[order], roots[order]
-    counts = np.bincount(np.searchsorted(primes, p), minlength=len(primes))
-    return RootTable(f, primes, counts, p, roots)
+    primes = np.asarray(primes, dtype=np.int64)
+    counts = np.zeros(len(primes), dtype=np.int64)
+    roots = np.zeros(0, dtype=np.int64)
+    total, gathered = 0, []
+    for lo, P, slow, fast_counts, G in _routed_slices(f, primes):
+        c = counts[lo:lo + len(P)]
+        fast = P[~slow]
+        c[~slow] = fast_counts
+        found = [roots_mod_p(f, p) for p in P[slow].tolist()]
+        c[slow] = [len(r) for r in found]
+        offsets = total + np.cumsum(c) - c
+        total += int(c.sum())
+        # a realloc of the one buffer: no second copy of the result exists
+        roots.resize(total, refcheck=False)
+        for start, r in zip(offsets[slow].tolist(), found):
+            roots[start:start + len(r)] = r
+        offsets = offsets[~slow]
+        one = fast_counts == 1
+        single = (-G[0, one]) % fast[one]
+        _certify_batch(f, fast[one], fast_counts[one],
+                       np.arange(len(single)), single)
+        roots[offsets[one]] = single
+        many = fast_counts > 1
+        if many.any():
+            gathered.append((G[:, many], fast_counts[many], fast[many],
+                             offsets[many]))
+        if sum(len(g[1]) for g in gathered) >= _SPLIT_LANES:
+            _split_gathered(f, gathered, roots)
+    if gathered:
+        _split_gathered(f, gathered, roots)
+    return RootTable(f, primes, counts, np.repeat(primes, counts), roots)
 
 
 def batch_roots(f: IntPolynomial, primes: np.ndarray) -> dict[int, np.ndarray]:

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -179,18 +178,12 @@ def test_count_csv_and_checkpoint_validation(tmp_path):
     assert bad == 2
 
 
-def test_count_peak_is_flat_in_N():
+def test_count_peak_is_flat_in_N(traced_peak):
     # the count streams its flags; a whole-N mask cost 1 byte per n, so
     # the peak at N = 4*10^6 stays within 1 MB of the peak at 10^6
-    peaks = []
-    for N in (10 ** 6, 4 * 10 ** 6):
-        tracemalloc.start()
-        try:
-            count_rows("1,0,1", 2, N, [N], 10 ** 4, threads=1,
-                       segment=2 ** 18)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(lambda: count_rows("1,0,1", 2, N, [N], 10 ** 4,
+                                            threads=1, segment=2 ** 18))[1]
+             for N in (10 ** 6, 4 * 10 ** 6)]
     assert peaks[1] < peaks[0] + 2 ** 20, peaks
 
 

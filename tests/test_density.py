@@ -1,13 +1,15 @@
+import importlib
 import math
 
 import pytest
 import sympy
 
+from powerfree import local_roots
 from powerfree.density import (density, estermann_constant, legendre,
                                quadratic_pair_constant, twin_constant)
 from powerfree.errors import HypothesisViolation
 from powerfree.kfree import kfree_mask
-from powerfree.local_roots import root_table
+from powerfree.local_roots import local_root_count, root_table
 from powerfree.poly import IntPolynomial
 from powerfree.sieve import primes_up_to
 
@@ -22,6 +24,8 @@ FROZEN = {
     "hb_x3p5_k2_P3000": 0.72250455728340547088,
     "br_x3p2_k3_P3000": 0.99074130624647996190,
 }
+# the module; the package's name density is the function
+density_module = importlib.import_module("powerfree.density")
 
 
 def close(a, b, tol=5e-16):
@@ -138,3 +142,23 @@ def test_tail_bound_is_sound_against_refinement():
     for i in range(len(vals) - 1):
         assert vals[i + 1].value <= vals[i].value + 1e-15
         assert vals[i].lower <= vals[-1].value <= vals[i].upper
+
+
+@pytest.mark.parametrize("text", ["5,0,0,1", "7,0,1"])
+def test_density_is_bit_identical_across_slice_edges(text, monkeypatch):
+    # 64 primes a slice: pi(311) = 64 and pi(313) = 65 sit on either side
+    # of the first edge, and P = 3000 crosses six of them. The reference
+    # sums every prime's term as one list; x^2 + 7 has rho(4) = 2 at its
+    # singular prime 2
+    f = IntPolynomial.parse(text)
+    table = root_table(f, primes_up_to(1000))
+    monkeypatch.setattr(local_roots, "_PRIME_SLICE", 64)
+    monkeypatch.setattr(density_module, "_PRIME_SLICE", 64)
+    for P in (311, 313, 3000):
+        rho = [(p ** 2, local_root_count(f, p, 2))
+               for p in primes_up_to(P).tolist()]
+        want = math.exp(math.fsum(math.log1p(-r / q) for q, r in rho if r))
+        for roots in (None, table):
+            got = density(f, 2, P, roots)
+            assert got.value == got.upper == want, (P, roots is None)
+            assert got.lower == want * math.exp(-2.0 * f.degree / P)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -256,19 +255,14 @@ def test_streamed_counts_thread_and_table_invariant(stream_case):
     assert runs[0].tolist() == want.tolist()
 
 
-def test_convergence_report_streams_in_bounded_memory():
+def test_convergence_report_streams_in_bounded_memory(traced_peak):
     # today's cost is the condition mask (1 byte per n) plus O(segment);
     # whole-window int64 arguments and Omega tables took about 30 bytes per n
     N = 2 * 10 ** 6
     cond = KfreeValues(IntPolynomial.parse("1,0,1"), 2)
-    tracemalloc.start()
-    try:
-        rows = convergence_report(TwoPointSwap(), PairObservable(1.0, -1.0),
-                                  0, N_values=[10 ** 5, N], condition=cond,
-                                  P=10 ** 4, segment_size=2 ** 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(lambda: convergence_report(
+        TwoPointSwap(), PairObservable(1.0, -1.0), 0, N_values=[10 ** 5, N],
+        condition=cond, P=10 ** 4, segment_size=2 ** 16))
     assert rows[-1].selected == int(cond.mask(N).sum())
     assert peak < 4 * N, f"peak {peak / N:.2f} bytes per n"
 
@@ -360,37 +354,27 @@ def test_sieved_conditions_match_brute_omega(sieved_conditions,
                 assert r.average == int(lam.sum()) / r.N, (cond.label(), r)
 
 
-def test_convergence_report_peak_is_flat_in_N():
+def test_convergence_report_peak_is_flat_in_N(traced_peak):
     # the whole-N condition masks cost 1 byte per n; streamed, the peak
     # at N = 4*10^6 stays within 1 MB of the peak at 10^6
     peaks = []
     for N in (10 ** 6, 4 * 10 ** 6):
         cond = KfreeValues(IntPolynomial.parse("1,0,1"), 2)
-        tracemalloc.start()
-        try:
-            convergence_report(TwoPointSwap(), PairObservable(1.0, -1.0), 0,
-                               N_values=[N], condition=cond, P=10 ** 4,
-                               segment_size=2 ** 18)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: convergence_report(
+            TwoPointSwap(), PairObservable(1.0, -1.0), 0, N_values=[N],
+            condition=cond, P=10 ** 4, segment_size=2 ** 18))[1])
     assert peaks[1] < peaks[0] + 2 ** 20, peaks
 
 
-def test_interval_pass_peak_is_capped_at_a_run():
+def test_interval_pass_peak_is_capped_at_a_run(traced_peak):
     # a window holds its Omega fill (the int32 accumulator and the uint8
     # output); the selection, the gather and np.bincount's intp copy of it
     # are one run long; whole-window runs peaked at about 17 MB here
     N = 4 * 2 ** 20
     cond = ProductKfree(parse_poly_or_product("1,0,1*2,0,1"), 2)
-    tracemalloc.start()
-    try:
-        _interval_counts(N, [IdentityMap()], cond, [0, N], default_j_max(N),
-                         threads=1, segment_size=DEFAULT_SEGMENT,
-                         tables=None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: _interval_counts(
+        N, [IdentityMap()], cond, [0, N], default_j_max(N), threads=1,
+        segment_size=DEFAULT_SEGMENT, tables=None))
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
 
 

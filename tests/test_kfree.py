@@ -7,11 +7,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerfree import kfree
 from powerfree.cli import count_rows
 from powerfree.ergodic import ProductKfree, omega_histogram
 from powerfree.errors import CapacityError, HypothesisViolation
-from powerfree.kfree import (_BUCKET_MIN_PRIME, ROOT_LIMIT, KfreeSieve,
-                             _cofactors, _kth_power_prime_table, _lift_plan,
+from powerfree.factorint import is_perfect_kth_power
+from powerfree.kfree import (_BUCKET_MIN_PRIME, _RESIDUE_MODULI, ROOT_LIMIT,
+                             KfreeSieve, _cofactors, _kth_power_cofactors,
+                             _kth_power_prime_table, _lift_plan,
                              _sieve_setup, count_kfree, decompose_sum,
                              kfree_mask, product_kfree_mask,
                              sieve_prime_bound, tail_pair_count,
@@ -412,11 +415,15 @@ BUCKET_CASES = [
 
 
 @pytest.mark.parametrize("text,k,N", BUCKET_CASES)
-def test_bucketed_pass_matches_factorint(text, k, N):
+def test_bucketed_pass_matches_factorint(text, k, N, monkeypatch):
+    # the last two masks take the bucketed pairs in slices of 1 and 3
     f = IntPolynomial.parse(text)
     masks = [kfree_mask(f, k, N, segment_size=1000, threads=t)
              for t in (1, 2)]
     masks.append(kfree_mask(f, k, N))
+    for size in (1, 3):
+        monkeypatch.setattr(kfree, "_PAIR_SLICE", size)
+        masks.append(kfree_mask(f, k, N, segment_size=1000))
     assert masks[0].prime_bound > _BUCKET_MIN_PRIME
     want = brute_mask(f, k, N)
     for m in masks:
@@ -426,7 +433,7 @@ def test_bucketed_pass_matches_factorint(text, k, N):
         assert masks[0].zero_hits == (3,)
 
 
-def test_bucketed_pass_designed_hits():
+def test_bucketed_pass_designed_hits(monkeypatch):
     cubic, squares, cube = (IntPolynomial.parse(t) for t, _, _ in
                             BUCKET_CASES[:3])
     # the Hensel lifts of the root n0 mod each prime reach its square
@@ -442,6 +449,11 @@ def test_bucketed_pass_designed_hits():
     assert table[_N0 - 1] == [_P1, _P2]
     assert table == factorint_table(cubic, 2, 3000)
     assert _kth_power_prime_table(cube, 3, 1500)[_N1 - 1] == [_P1]
+    # short slices put slice edges among the bucketed primes
+    for size in (1, 3):
+        monkeypatch.setattr(kfree, "_PAIR_SLICE", size)
+        assert _kth_power_prime_table(cubic, 2, 3000) == table
+        assert _kth_power_prime_table(cube, 3, 1500)[_N1 - 1] == [_P1]
 
 
 # ------------------------------------------------ lifted strides
@@ -533,3 +545,26 @@ def test_zero_values_stay_zero():
             while v and v % p == 0:
                 v //= p
         assert vals[n - 1] == v, n
+
+
+# ------------------------------------------------ k-th power cofactors
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_object_cofactor_filter_keeps_every_kth_power(k):
+    # q^k above 2^63 for q in every residue class of each filter modulus,
+    # their neighbours r^k +- 1, products of two primes near 2^40, 0 and 1
+    q0 = math.isqrt(1 << 64) if k == 2 else 2 ** (64 // k + 1)
+    qs = range(q0, q0 + max(_RESIDUE_MODULI))
+    powers = [q ** k for q in qs]
+    big = [sympy.nextprime(2 ** 40 + 977 * i) for i in range(8)]
+    vals = (powers + [v + 1 for v in powers] + [v - 1 for v in powers]
+            + [a * b for a in big for b in big] + [0, 1])
+    arr = np.array(vals, dtype=object)
+    assert min(powers) > 2 ** 63 and arr.dtype == object
+    want = [i for i, v in enumerate(vals)
+            if v > 1 and is_perfect_kth_power(v, k)]
+    got = _kth_power_cofactors(arr, k).tolist()
+    assert got == want
+    assert set(range(len(powers))) <= set(got)
+    if k == 2:
+        assert len(want) == len(powers) + len(big)

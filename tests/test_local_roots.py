@@ -367,3 +367,42 @@ def test_lift_roots_random_property(coeffs, pk):
     if data.roots is not None:
         assert sorted(data.roots) == want
     assert data.rho == len(want)
+
+
+# squarefree, with lc 1009 (the 169th prime, a slow-routed prime in the
+# third slice of 64), and (x^2 + 1)^2 (x - 3), whose repeated factor every
+# batched lane sees
+SLICE_POLYS = ["5,0,0,1", "1,0,1", "-7,2,0,1009", "-3,1,-6,2,-3,1"]
+
+
+def test_slices_match_the_per_prime_oracle(monkeypatch):
+    primes = primes_up_to(3000)
+    for coeffs in SLICE_POLYS:
+        f = IntPolynomial.parse(coeffs)
+        want = root_table(f, primes)
+        monkeypatch.setattr(local_roots, "_PRIME_SLICE", 64)
+        monkeypatch.setattr(local_roots, "_SPLIT_LANES", 40)
+        table = root_table(f, primes)
+        counts = batch_root_counts(f, primes)
+        monkeypatch.undo()
+        check_table_layout(table)
+        assert np.array_equal(table.counts, counts), coeffs
+        for p in primes.tolist():
+            assert roots_at(table, p) == list(roots_mod_p(f, p)), (coeffs, p)
+        for got in (table.counts, table.p, table.roots):
+            assert got.dtype == np.int64
+        assert np.array_equal(want.p, table.p), coeffs
+        assert np.array_equal(want.roots, table.roots), coeffs
+        assert np.array_equal(want.counts, table.counts), coeffs
+
+
+def test_root_table_transients_are_flat_in_P(traced_peak):
+    # beyond its result root_table holds one slice and the gathered
+    # multi-root lanes; all-lanes-at-once transients grew with pi(P)
+    f = IntPolynomial.parse("1,0,1")
+    extra = []
+    for P in (10 ** 6, 4 * 10 ** 6):
+        primes = primes_up_to(P)
+        t, peak = traced_peak(lambda: root_table(f, primes))
+        extra.append(peak - t.counts.nbytes - t.p.nbytes - t.roots.nbytes)
+    assert extra[1] < extra[0] + 2 ** 20, extra
