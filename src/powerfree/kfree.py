@@ -24,7 +24,7 @@ from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power
 from .local_roots import LIFT_ROOT_CAP, RootTable, lift_levels, root_table
 from .poly import (IntPolynomial, evaluate_range, has_fixed_kth_power,
-                   max_abs_value, profile, resultant)
+                   max_abs_value, profile, rational_roots, resultant)
 from .sieve import (DEFAULT_SEGMENT, _pool_map, _runs, _squarefree_segment,
                     primes_up_to)
 
@@ -276,7 +276,14 @@ def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
     Once every p <= P0 is divided out, these are exactly the cofactors
     divisible by a k-th prime power, and r is that prime (module docstring).
     The int64 test runs in chunks of _COFACTOR_CHUNK positions, so its
-    float and candidate copies stay small next to the segment.
+    float copies stay small next to the segment. Its root estimate r is
+    rint(sqrt(v)) for k = 2, rint(cbrt(v)) for k = 3 and rint(v ** (1/k))
+    above, capped at the largest r with r^k < 2^63, and v is a k-th power
+    iff r^k = v. That r is exact: for v = q^k < 2^63 the float of v is v (1
+    + d) with |d| <= 2^-53; sqrt is correctly rounded, cbrt is good to a few
+    ulps, and power also carries the rounding of 1/k, a relative ln(v)/k
+    2^-53 < 2^-49. So the estimate is q (1 + e) with |e| < 2^-48, and q <
+    2^32 puts it within 2^-16 of q, far inside the 1/2 that rint needs.
 
     Object values first pass a residue filter, one Python remainder each by
     the product of _RESIDUE_MODULI, and only those that are k-th power
@@ -292,16 +299,15 @@ def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
         return np.array([i for i in idx.tolist()
                          if is_perfect_kth_power(int(vals[i]), k)],
                         dtype=np.intp)
-    rbound = int(float(_INT64_MAX) ** (1.0 / k)) - 2
+    rmax = integer_nth_root(_INT64_MAX, k)
+    root = {2: np.sqrt, 3: np.cbrt}.get(k, lambda x: np.power(x, 1.0 / k))
     found = [np.zeros(0, dtype=np.intp)]
     for s in range(0, len(vals), _COFACTOR_CHUNK):
         idx = np.flatnonzero(vals[s:s + _COFACTOR_CHUNK] > 1) + s
         v = vals[idx]
-        r = np.rint(np.power(v.astype(np.float64), 1.0 / k)).astype(np.int64)
-        np.clip(r, 2, rbound, out=r)
-        hit = np.zeros(len(idx), dtype=bool)
-        for cand in (r - 1, r, r + 1):
-            hit |= cand ** k == v
+        r = np.rint(root(v.astype(np.float64))).astype(np.int64)
+        np.minimum(r, rmax, out=r)
+        hit = r ** k == v
         found.append(idx[hit])
     return np.concatenate(found)
 
@@ -513,43 +519,74 @@ def count_kfree(checkpoints, counts, density_result) -> list[CountRow]:
     return rows
 
 
-def _kth_power_prime_table(f: IntPolynomial, k: int,
-                           N: int) -> dict[int, list[int]]:
-    """{n - 1: ascending primes p with p^k | f(n)}, only for the n in [1, N]
-    where that set is not empty.
+def _kth_power_hits(f: IntPolynomial, k: int, N: int):
+    """Yield (s, e, n, primes) for the runs [s, e) of at most _RUN n that
+    tile [1, N]: every pair (n, p) in the run with p prime and p^k | f(n),
+    once each, as two int64 arrays sorted by n and then by p. A run holds
+    its values and hits only; nothing N-long is built.
 
     Exact: after every p <= P0 is divided out with full exponent tracking,
     each cofactor c has only prime factors > P0 and c <= max|f| <= P0^(k+1),
-    so Omega(c) <= k and a prime q with q^k | c forces c = q^k. That q
-    exceeds every sieved prime, so rows stay sorted. Raises CapacityError
-    when P0 exceeds ROOT_LIMIT.
+    so Omega(c) <= k and a prime q with q^k | c forces c = q^k. Raises, as
+    the first item is asked for and before any run is sieved, CapacityError
+    when P0 exceeds ROOT_LIMIT and HypothesisViolation when f vanishes at
+    an n in [1, N] (its integer roots, by poly.rational_roots).
     """
     _, roots, plan = _sieve_setup(f, k, N)
-    table: dict[int, list[int]] = {}
-
-    def record(pos: np.ndarray, primes: np.ndarray) -> None:
-        for i, p in zip(pos.tolist(), primes.tolist()):
-            table.setdefault(i, []).append(p)
-
-    vals = _cofactors(f, k, 1, N + 1, roots, plan, np.empty(N, dtype=bool),
-                      record)
-    zeros = (np.flatnonzero(vals == 0) + 1).tolist()
+    zeros = [int(r) for r in rational_roots(f)
+             if r.denominator == 1 and 1 <= r <= N]
     if zeros:
         raise HypothesisViolation(
             f"f(n) = 0 at n in {zeros[:5]}: the k-free decomposition "
             f"identity needs nonzero values"
         )
-    for i in _kth_power_cofactors(vals, k).tolist():
-        table.setdefault(i, []).append(integer_nth_root(int(vals[i]), k))
-    return table
+    for s, e, _ in _runs(1, N + 1, [0, N]):
+        hits = []
+        vals = _cofactors(f, k, s, e, roots, plan,
+                          np.empty(e - s, dtype=bool),
+                          lambda pos, primes: hits.append((pos, primes)))
+        idx = _kth_power_cofactors(vals, k)
+        hits.append((idx.astype(np.int64),
+                     np.array([integer_nth_root(int(v), k)
+                               for v in vals[idx].tolist()], dtype=np.int64)))
+        del vals
+        pos, primes = (np.concatenate(a) for a in zip(*hits))
+        order = np.lexsort((primes, pos))
+        yield s, e, pos[order] + s, primes[order]
 
 
-def _signed_subset_products(S) -> list[tuple[int, int]]:
-    """(prod(T), (-1)^|T|) for every subset T of S, the empty one first."""
-    out = [(1, 1)]
-    for p in S:
-        out += [(d * p, -sgn) for d, sgn in out]
-    return out
+def _subset_products(n: np.ndarray, primes: np.ndarray):
+    """Yield (rows, D, signs) per set size |S(n)| = s among the hits of one
+    run (_kth_power_hits): rows are the n with that size, ascending, and
+    D[i, t] = prod(T) over the 2^s subsets T of S(rows[i]), with signs[t] =
+    (-1)^|T|; column 0 is the empty subset, d = 1.
+
+    No product overflows: d^k | f(n) != 0 gives d^k <= max|f| <= P0^(k+1),
+    so d <= P0^(3/2) < 2^32 for P0 <= ROOT_LIMIT. The same bound keeps s
+    below 10, as the product of the first ten primes exceeds 2^32.
+    """
+    first = np.flatnonzero(np.diff(n, prepend=0))
+    size = np.diff(first, append=len(n))
+    for s in np.unique(size).tolist():
+        at = first[size == s]
+        D, signs = np.ones((len(at), 1), dtype=np.int64), np.ones(1, np.int64)
+        for j in range(s):
+            D = np.hstack([D, D * primes[at + j, None]])
+            signs = np.concatenate([signs, -signs])
+        yield n[at], D, signs
+
+
+def _exact_sum(w: np.ndarray, take=None, signs=None) -> int:
+    """sum(w) as a Python int, or with take a (len(w), m) bool matrix and m
+    signs the signed sum of its column sums of w over the marked rows, for
+    int64 w of at most _RUN entries. Exact: w = hi 2^32 + lo with |hi| <=
+    2^31 and 0 <= lo < 2^32, so every int64 sum of hi or lo stays below
+    2^18 2^32 = 2^50."""
+    hi, lo = w >> 32, w & 0xFFFFFFFF
+    if take is None:
+        return (int(hi.sum()) << 32) + int(lo.sum())
+    return sum(sg * ((h << 32) + g) for sg, h, g in
+               zip(signs.tolist(), (hi @ take).tolist(), (lo @ take).tolist()))
 
 
 @dataclass(frozen=True)
@@ -576,33 +613,37 @@ def decompose_sum(f: IntPolynomial, k: int, Y: int, N: int,
     each half a subset sum with sign (-1)^|T|; the identity small + large =
     total is not assumed here, both sides are computed and returned.
     Capped at N <= 10^6. Integer weights only, so everything is exact.
+
+    The sums stream over the runs of _kth_power_hits, O(run) in memory
+    beyond the caller's weights. Each run's sums are taken by _exact_sum,
+    exact for any int64 weights, and added up as Python ints; d <= Y is
+    exact for any Y, since every d is below 2^32 (_subset_products).
     """
     if N > 10 ** 6:
         raise CapacityError("decompose_sum caps N at 10^6")
     if N < 1 or Y < 1:
         raise ValueError("N >= 1 and Y >= 1 required")
     _check_sieve_hypotheses(f, k)
-    if weights is None:
-        w = np.ones(N, dtype=np.int64)
-    else:
-        w = np.asarray(weights)
-        if not np.issubdtype(w.dtype, np.integer):
+    if weights is not None:
+        weights = np.asarray(weights)
+        if not np.issubdtype(weights.dtype, np.integer):
             raise TypeError("weights must be integers for an exact identity")
-        if len(w) != N:
+        if len(weights) != N:
             raise ValueError("need one weight per n in [1, N]")
-        w = w.astype(np.int64)
-    table = _kth_power_prime_table(f, k, N)
-    # n with S(n) empty contribute only the empty subset: d = 1 <= Y
-    total = sum(w.tolist()) - sum(int(w[i]) for i in table)
-    small, large = total, 0
-    for i, S in table.items():
-        wn = int(w[i])
-        for d, sgn in _signed_subset_products(S):
-            if d <= Y:
-                small += wn * sgn
-            else:
-                large += wn * sgn
-    return SumDecomposition(Y, N, small, large, total)
+    Y64 = min(Y, _INT64_MAX)
+    small = large = total = 0
+    for s, e, n, primes in _kth_power_hits(f, k, N):
+        run = None if weights is None else weights[s - 1:e - 1].astype(
+            np.int64)
+        total += e - s if run is None else _exact_sum(run)
+        for rows, D, signs in _subset_products(n, primes):
+            w = np.ones(len(rows), np.int64) if run is None else run[rows - s]
+            below = D <= Y64
+            # n with S(n) empty contribute only the empty subset, d = 1 <= Y
+            total -= _exact_sum(w)
+            small += _exact_sum(w, below, signs)
+            large += _exact_sum(w, ~below, signs)
+    return SumDecomposition(Y, N, small + total, large, total)
 
 
 def tail_pair_count(f: IntPolynomial, k: int, Y: int, N: int) -> int:
@@ -616,8 +657,8 @@ def tail_pair_count(f: IntPolynomial, k: int, Y: int, N: int) -> int:
 
 
 def tail_pair_counts(f: IntPolynomial, k: int, rows) -> list[int]:
-    """tail_pair_count(f, k, Y, N) for each (N, Y) in rows, from one table
-    built up to the largest N. Capped at N <= 10^5."""
+    """tail_pair_count(f, k, Y, N) for each (N, Y) in rows, from one pass
+    of _kth_power_hits up to the largest N. Capped at N <= 10^5."""
     rows = list(rows)
     top = max(n for n, _ in rows)
     if top > 10 ** 5:
@@ -625,9 +666,11 @@ def tail_pair_counts(f: IntPolynomial, k: int, rows) -> list[int]:
     if min(n for n, _ in rows) < 1 or min(y for _, y in rows) < 1:
         raise ValueError("N >= 1 and Y >= 1 required")
     _check_sieve_hypotheses(f, k)
-    table = _kth_power_prime_table(f, k, top)
-    products = [(i, [d for d, _ in _signed_subset_products(S)])
-                for i, S in table.items()]
-    # Y >= 1, so the empty subset (d = 1) is never counted
-    return [sum(d > Y for i, ds in products if i < n for d in ds)
-            for n, Y in rows]
+    counts = [0] * len(rows)
+    for _, _, n, primes in _kth_power_hits(f, k, top):
+        for at, D, _ in _subset_products(n, primes):
+            for i, (N, Y) in enumerate(rows):
+                # Y >= 1, so the empty subset (d = 1) is never counted
+                m = int(np.searchsorted(at, N, side="right"))
+                counts[i] += int(np.count_nonzero(D[:m] > min(Y, _INT64_MAX)))
+    return counts

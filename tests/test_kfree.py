@@ -7,18 +7,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerfree import kfree
+from powerfree import kfree, sieve
 from powerfree.cli import count_rows
 from powerfree.ergodic import ProductKfree, omega_histogram
 from powerfree.errors import CapacityError, HypothesisViolation
 from powerfree.factorint import is_perfect_kth_power
 from powerfree.kfree import (_BUCKET_MIN_PRIME, _RESIDUE_MODULI, ROOT_LIMIT,
                              KfreeSieve, _cofactors, _kth_power_cofactors,
-                             _kth_power_prime_table, _lift_plan,
-                             _sieve_setup, count_kfree, decompose_sum,
-                             kfree_mask, product_kfree_mask,
+                             _lift_plan, _sieve_setup, count_kfree,
+                             decompose_sum, kfree_mask, product_kfree_mask,
                              sieve_prime_bound, tail_pair_count,
-                             twin_squarefree_mask)
+                             tail_pair_counts, twin_squarefree_mask)
 from powerfree.local_roots import lift_roots, root_table
 from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
                             parse_poly_or_product, profile, resultant)
@@ -256,9 +255,9 @@ _BIG = f"{2 * _Q ** 3 - 1},0,1"
 
 @pytest.mark.parametrize("text,k,N", [("1,0,1", 2, 2000), ("5,0,0,1", 2, 2000),
                                       ("2,0,0,1", 3, 2000), (_BIG, 3, 100)])
-def test_kth_power_prime_table_matches_factorint(text, k, N):
+def test_kth_power_prime_table_matches_factorint(text, k, N, prime_table):
     f = IntPolynomial.parse(text)
-    table = _kth_power_prime_table(f, k, N)
+    table = prime_table(f, k, N)
     assert table == factorint_table(f, k, N)
     P0 = sieve_prime_bound(f, k, N)
     if text == "1,0,1":
@@ -433,7 +432,7 @@ def test_bucketed_pass_matches_factorint(text, k, N, monkeypatch):
         assert masks[0].zero_hits == (3,)
 
 
-def test_bucketed_pass_designed_hits(monkeypatch):
+def test_bucketed_pass_designed_hits(monkeypatch, prime_table):
     cubic, squares, cube = (IntPolynomial.parse(t) for t, _, _ in
                             BUCKET_CASES[:3])
     # the Hensel lifts of the root n0 mod each prime reach its square
@@ -445,15 +444,15 @@ def test_bucketed_pass_designed_hits(monkeypatch):
     assert squares(_N0) % _P1 ** 3 and squares(_N0) % _P2 ** 3
     assert kfree_mask(squares, 3, 1500, segment_size=1000).bits[_N0 - 1]
     assert not kfree_mask(cube, 3, 1500, segment_size=1000).bits[_N1 - 1]
-    table = _kth_power_prime_table(cubic, 2, 3000)
+    table = prime_table(cubic, 2, 3000)
     assert table[_N0 - 1] == [_P1, _P2]
     assert table == factorint_table(cubic, 2, 3000)
-    assert _kth_power_prime_table(cube, 3, 1500)[_N1 - 1] == [_P1]
+    assert prime_table(cube, 3, 1500)[_N1 - 1] == [_P1]
     # short slices put slice edges among the bucketed primes
     for size in (1, 3):
         monkeypatch.setattr(kfree, "_PAIR_SLICE", size)
-        assert _kth_power_prime_table(cubic, 2, 3000) == table
-        assert _kth_power_prime_table(cube, 3, 1500)[_N1 - 1] == [_P1]
+        assert prime_table(cubic, 2, 3000) == table
+        assert prime_table(cube, 3, 1500)[_N1 - 1] == [_P1]
 
 
 # ------------------------------------------------ lifted strides
@@ -498,7 +497,7 @@ def _sieve_run(f, k, N, roots, plan):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("text,N", LIFT_CASES)
-def test_lifted_strides_match_factorint(text, N, k):
+def test_lifted_strides_match_factorint(text, N, k, prime_table):
     f = IntPolynomial.parse(text)
     if text == _BIG:
         assert evaluate_range(f, 1, N + 1).dtype == object
@@ -522,9 +521,9 @@ def test_lifted_strides_match_factorint(text, N, k):
         assert bits[i] == ref_bits[i] == (not small), i
     if _factored(text, N).count(None):
         with pytest.raises(HypothesisViolation):
-            _kth_power_prime_table(f, k, N)
+            prime_table(f, k, N)
     elif P0 <= ROOT_LIMIT:
-        assert _kth_power_prime_table(f, k, N) == factorint_table(f, k, N)
+        assert prime_table(f, k, N) == factorint_table(f, k, N)
 
 
 def test_zero_values_stay_zero():
@@ -568,3 +567,151 @@ def test_object_cofactor_filter_keeps_every_kth_power(k):
     assert set(range(len(powers))) <= set(got)
     if k == 2:
         assert len(want) == len(powers) + len(big)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_int64_cofactor_root_is_exact(k):
+    # q^k and q^k +- 1 for q at the top of int64 (where one root estimate
+    # decides), for q near 2^32 / k-th roots, for small q, and products of
+    # two primes near 2^30, against is_perfect_kth_power
+    rmax = math.isqrt((1 << 63) - 1) if k == 2 else \
+        int(sympy.integer_nthroot((1 << 63) - 1, k)[0])
+    qs = [*range(rmax - 40, rmax + 1), *range(2, 200),
+          *range(rmax // 3, rmax // 3 + 40)]
+    powers = [q ** k for q in qs]
+    big = [sympy.nextprime(2 ** 30 + 977 * i) for i in range(6)]
+    vals = (powers + [v + 1 for v in powers] + [v - 1 for v in powers]
+            + [a * b for a in big for b in big] + [0, 1, (1 << 63) - 1])
+    vals = [v for v in vals if v < 1 << 63]
+    arr = np.array(vals, dtype=np.int64)
+    want = [i for i, v in enumerate(vals)
+            if v > 1 and is_perfect_kth_power(v, k)]
+    for chunk in (kfree._COFACTOR_CHUNK, 7):
+        kfree._COFACTOR_CHUNK, saved = chunk, kfree._COFACTOR_CHUNK
+        try:
+            assert _kth_power_cofactors(arr, k).tolist() == want
+        finally:
+            kfree._COFACTOR_CHUNK = saved
+    assert len(want) >= len(qs)
+
+
+# ------------------------------------------------ threshold decomposition
+
+def brute_decomposition(text, k, Y, N, weights=None):
+    """(small, large, total) from sympy.factorint: every squarefree d whose
+    k-th power divides f(n), with sign (-1)^omega(d) and weight w(n)."""
+    small = large = total = 0
+    for i, fac in enumerate(_factored(text, N)):
+        w = 1 if weights is None else int(weights[i])
+        S = [p for p, e in fac.items() if e >= k]
+        total += w * (not S)
+        for msk in range(1 << len(S)):
+            T = [p for j, p in enumerate(S) if msk >> j & 1]
+            if math.prod(T) <= Y:
+                small += w * (-1) ** len(T)
+            else:
+                large += w * (-1) ** len(T)
+    return small, large, total
+
+
+def _parts(d):
+    return d.small_part, d.large_part, d.total
+
+
+DECOMPOSE_CASES = [("1,0,1", 2, 2000, (1, 5, 50, 316, 10 ** 6)),
+                   ("5,0,0,1", 2, 2000, (1, 10, 300, 10 ** 5)),
+                   (BUCKET_CASES[2][0], 3, 1500, (1, 100, 5000, _P1 * 2))]
+
+
+@pytest.mark.parametrize("text,k,N,Ys", DECOMPOSE_CASES)
+def test_decomposition_parts_match_factorint(text, k, N, Ys):
+    f = IntPolynomial.parse(text)
+    lam = build_tables(1, N + 1).liouville_values()
+    for Y in Ys:
+        for w in (None, lam):
+            want = brute_decomposition(text, k, Y, N, w)
+            assert _parts(decompose_sum(f, k, Y, N, weights=w)) == want, Y
+    if text == BUCKET_CASES[2][0]:
+        # the designed cube of a bucketed prime sits in the large part
+        assert brute_decomposition(text, k, 100, N)[1] != 0
+
+
+@pytest.mark.parametrize("run", [1, 97, 1000])
+def test_decomposition_across_run_edges(run, monkeypatch):
+    # runs of 97 and 1000 n cut [1, N] many times, inside and between the
+    # groups of hits; runs of 1 hold one n each
+    f = IntPolynomial.parse("1,0,1")
+    N = 2000 if run > 1 else 400
+    lam = build_tables(1, N + 1).liouville_values()
+    rows = [(N, 1), (N // 2 + 3, 10), (1, 1), (N - 1, 200)]
+    want = [_parts(decompose_sum(f, 2, Y, N, weights=w))
+            for Y in (5, 316) for w in (None, lam)]
+    tails = tail_pair_counts(f, 2, rows)
+    cubic = tail_pair_counts(IntPolynomial.parse("5,0,0,1"), 2, rows)
+    monkeypatch.setattr(sieve, "_RUN", run)
+    assert [_parts(decompose_sum(f, 2, Y, N, weights=w))
+            for Y in (5, 316) for w in (None, lam)] == want
+    assert want[0] == brute_decomposition("1,0,1", 2, 5, N)
+    assert tail_pair_counts(f, 2, rows) == tails
+    assert tail_pair_counts(IntPolynomial.parse("5,0,0,1"), 2, rows) == cubic
+    assert tails == [brute_tail_pairs(f, 2, y, n) for n, y in rows]
+
+
+def test_decomposition_is_exact_for_any_int64_weights(monkeypatch):
+    # weights near +-2^62 and at the ends of int64, whose sums overflow
+    # int64 many times over, inside one run and across runs of 97
+    f = IntPolynomial.parse("1,0,1")
+    N = 2000
+    rng = np.random.default_rng(16)
+    w = rng.integers(-2 ** 10, 2 ** 10, size=N) + np.where(
+        rng.random(N) < 0.5, -2 ** 62, 2 ** 62)
+    w[:7] = [2 ** 63 - 1, -2 ** 63, 2 ** 63 - 1, -2 ** 63, 2 ** 62, 1, 0]
+    w = w.astype(np.int64)
+    want = [brute_decomposition("1,0,1", 2, Y, N, w) for Y in (5, 316)]
+    assert abs(want[0][2]) > 2 ** 63
+    assert [_parts(decompose_sum(f, 2, Y, N, weights=w))
+            for Y in (5, 316)] == want
+    monkeypatch.setattr(sieve, "_RUN", 97)
+    assert [_parts(decompose_sum(f, 2, Y, N, weights=w))
+            for Y in (5, 316)] == want
+
+
+def test_decomposition_on_object_values_with_large_Y():
+    # _BIG's values take the object dtype, and f(1) = 2 q^3 with q far
+    # above P0: Y = 2^40 and 2^70 put every d in the small part, Y = q - 1
+    # puts q in the large one
+    f = IntPolynomial.parse(_BIG)
+    N = 100
+    for Y in (2 ** 40, 2 ** 70, _Q - 1, _Q):
+        assert _parts(decompose_sum(f, 3, Y, N)) == \
+            brute_decomposition(_BIG, 3, Y, N)
+    assert decompose_sum(f, 3, _Q - 1, N).large_part == -1
+    assert tail_pair_count(f, 3, _Q - 1, N) == 1
+    assert tail_pair_count(f, 3, 2 ** 40, N) == 0
+
+
+def test_decomposition_pins_the_benchmark_shape():
+    # decompose_sum(x^2 + 1, 2, 1000, N) as the benchmark runs it, two runs
+    d = decompose_sum(IntPolynomial.parse("1,0,1"), 2, 1000, 300321)
+    assert _parts(d) == (268747, -12, 268735)
+
+
+def test_decomposition_zero_values_raise():
+    # x^3 - 27 vanishes at 3: the identity needs nonzero values, and the
+    # error comes before any run is sieved
+    f = IntPolynomial.parse("-27,0,0,1")
+    for run in (lambda: decompose_sum(f, 2, 10, 100),
+                lambda: tail_pair_count(f, 2, 10, 100)):
+        with pytest.raises(HypothesisViolation, match=r"f\(n\) = 0 at n in "
+                                                       r"\[3\]"):
+            run()
+    assert decompose_sum(f, 2, 10, 2).total == 2  # the zero lies past N
+
+
+def test_decompose_peak_is_flat_in_N(traced_peak):
+    # the hits stream one run at a time, so N = 10^6 holds no more than
+    # the single run of N = 2.5 * 10^5
+    f = IntPolynomial.parse("1,0,1")
+    peaks = [traced_peak(lambda: decompose_sum(f, 2, 1000, N))[1]
+             for N in (250000, 10 ** 6)]
+    assert peaks[1] - peaks[0] < 2 ** 20, peaks

@@ -43,6 +43,46 @@ def test_roots_mod_p_gcd_route_vs_scan_route():
         assert roots_mod_p(f, p) == _scan_roots(f, p), p
 
 
+# primes above SCAN_LIMIT on both sides of p = 1/3 (mod 4), and p - 1 of
+# high 2-adic valuation (Tonelli-Shanks' long case): 2^16 + 1, 3 * 2^18 + 1
+CLOSED_FORM_PRIMES = [2053, 2063, 4099, 4111, 40009, 40031, 65537, 786433]
+
+
+def _closed_form_polys(p):
+    return [[-7, 3], [2, -5], [10 ** 12, 1009], [1, 0, 1], [7, 0, 1],
+            [-5, 2, 3], [-2, 0, 1], [3, 1, -2],
+            [25 + p, -10, 1],    # disc -4p: the double root 5
+            [-p, 0, 1]]          # disc 4p: the double root 0
+
+
+def test_roots_mod_p_closed_form_vs_scan(monkeypatch):
+    # degree <= 2 with p not dividing lc never reaches the gcd split
+    def boom(cs, p):
+        raise AssertionError(f"gcd split called for {cs} mod {p}")
+
+    monkeypatch.setattr(modpoly, "roots_prime_gcd", boom)
+    counts = set()
+    for p in CLOSED_FORM_PRIMES:
+        assert p > SCAN_LIMIT and sympy.isprime(p)
+        for coeffs in _closed_form_polys(p):
+            f = IntPolynomial.from_coeffs(coeffs)
+            got = roots_mod_p(f, p)
+            assert got == _scan_roots(f, p), (coeffs, p)
+            counts.add(len(got))
+        assert roots_mod_p(IntPolynomial.from_coeffs([25 + p, -10, 1]),
+                           p) == (5,)
+    assert counts == {0, 1, 2}
+    assert {p % 4 for p in CLOSED_FORM_PRIMES} == {1, 3}
+
+
+def test_roots_mod_p_lc_prime_keeps_the_gcd_route():
+    # p | lc(f) drops the degree mod p: the closed form does not apply
+    for p in CLOSED_FORM_PRIMES[:4] + [65537]:
+        for coeffs in ([3, 1, p], [1, 2 * p], [-4, 5, 3 * p]):
+            f = IntPolynomial.from_coeffs(coeffs)
+            assert roots_mod_p(f, p) == _scan_roots(f, p), (coeffs, p)
+
+
 def test_lift_roots_small_prime_powers_exhaustive():
     for coeffs in TEST_POLYS:
         f = IntPolynomial.from_coeffs(coeffs)
