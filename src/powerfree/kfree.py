@@ -24,7 +24,7 @@ from .errors import CapacityError, HypothesisViolation
 from .factorint import factorize, integer_nth_root, is_perfect_kth_power
 from .local_roots import LIFT_ROOT_CAP, RootTable, lift_levels, root_table
 from .poly import (IntPolynomial, evaluate_range, has_fixed_kth_power,
-                   max_abs_value, profile, rational_roots, resultant)
+                   max_abs_value, profile, resultant)
 from .sieve import (DEFAULT_SEGMENT, _pool_map, _runs, _squarefree_segment,
                     primes_up_to)
 
@@ -519,6 +519,28 @@ def count_kfree(checkpoints, counts, density_result) -> list[CountRow]:
     return rows
 
 
+def _integer_zeros(f: IntPolynomial, N: int) -> list[int]:
+    """The n in [1, N] with f(n) = 0, ascending, for N < 2^20.
+
+    Such an n divides the lowest nonzero coefficient c, so n <= c. The n
+    with c mod n = 0 are found a run at a time by Horner's rule on c's
+    base-2^31 digits (every step stays below 2^52), and each is checked
+    exactly. Nothing is factored, so c may be any size.
+    """
+    c = abs(next(x for x in f.coeffs if x))
+    digits = [c >> s & (2 ** 31 - 1) for s in range(0, c.bit_length(), 31)]
+    zeros = []
+    for s, e, _ in _runs(1, min(N, c) + 1, [0, N]):
+        n = np.arange(s, e, dtype=np.int64)
+        rem = np.zeros(e - s, dtype=np.int64)
+        for d in reversed(digits):
+            rem <<= 31
+            rem += d
+            rem %= n
+        zeros += [m for m in n[rem == 0].tolist() if f(m) == 0]
+    return zeros
+
+
 def _kth_power_hits(f: IntPolynomial, k: int, N: int):
     """Yield (s, e, n, primes) for the runs [s, e) of at most _RUN n that
     tile [1, N]: every pair (n, p) in the run with p prime and p^k | f(n),
@@ -530,11 +552,10 @@ def _kth_power_hits(f: IntPolynomial, k: int, N: int):
     so Omega(c) <= k and a prime q with q^k | c forces c = q^k. Raises, as
     the first item is asked for and before any run is sieved, CapacityError
     when P0 exceeds ROOT_LIMIT and HypothesisViolation when f vanishes at
-    an n in [1, N] (its integer roots, by poly.rational_roots).
+    an n in [1, N] (_integer_zeros).
     """
     _, roots, plan = _sieve_setup(f, k, N)
-    zeros = [int(r) for r in rational_roots(f)
-             if r.denominator == 1 and 1 <= r <= N]
+    zeros = _integer_zeros(f, N)
     if zeros:
         raise HypothesisViolation(
             f"f(n) = 0 at n in {zeros[:5]}: the k-free decomposition "

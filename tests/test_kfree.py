@@ -570,7 +570,7 @@ def test_object_cofactor_filter_keeps_every_kth_power(k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_int64_cofactor_root_is_exact(k):
+def test_int64_cofactor_root_is_exact(k, monkeypatch):
     # q^k and q^k +- 1 for q at the top of int64 (where one root estimate
     # decides), for q near 2^32 / k-th roots, for small q, and products of
     # two primes near 2^30, against is_perfect_kth_power
@@ -586,12 +586,9 @@ def test_int64_cofactor_root_is_exact(k):
     arr = np.array(vals, dtype=np.int64)
     want = [i for i, v in enumerate(vals)
             if v > 1 and is_perfect_kth_power(v, k)]
-    for chunk in (kfree._COFACTOR_CHUNK, 7):
-        kfree._COFACTOR_CHUNK, saved = chunk, kfree._COFACTOR_CHUNK
-        try:
-            assert _kth_power_cofactors(arr, k).tolist() == want
-        finally:
-            kfree._COFACTOR_CHUNK = saved
+    assert _kth_power_cofactors(arr, k).tolist() == want
+    monkeypatch.setattr(kfree, "_COFACTOR_CHUNK", 7)
+    assert _kth_power_cofactors(arr, k).tolist() == want
     assert len(want) >= len(qs)
 
 
@@ -696,9 +693,10 @@ def test_decomposition_pins_the_benchmark_shape():
     assert _parts(d) == (268747, -12, 268735)
 
 
-def test_decomposition_zero_values_raise():
-    # x^3 - 27 vanishes at 3: the identity needs nonzero values, and the
-    # error comes before any run is sieved
+def test_decomposition_zero_values_raise(monkeypatch):
+    # x^3 - 27 vanishes at 3, and -(x - 1)(x - 300000) at 1 and 300000,
+    # two runs apart: the identity needs nonzero values, and the error
+    # names every zero before any run is sieved
     f = IntPolynomial.parse("-27,0,0,1")
     for run in (lambda: decompose_sum(f, 2, 10, 100),
                 lambda: tail_pair_count(f, 2, 10, 100)):
@@ -706,6 +704,27 @@ def test_decomposition_zero_values_raise():
                                                        r"\[3\]"):
             run()
     assert decompose_sum(f, 2, 10, 2).total == 2  # the zero lies past N
+    g = IntPolynomial.parse("-300000,300001,-1")
+    for run in (_RUN, 97):
+        monkeypatch.setattr(sieve, "_RUN", run)
+        with pytest.raises(HypothesisViolation,
+                           match=r"at n in \[1, 300000\]"):
+            decompose_sum(g, 2, 10, 300001)
+    monkeypatch.undo()
+    with pytest.raises(HypothesisViolation, match=r"at n in \[1\]"):
+        tail_pair_count(g, 2, 10, 20)
+
+
+def test_decomposition_never_factors_the_constant():
+    # the constant q > 3.3 * 10^24 is a prime beyond factorize's proven
+    # primality range; zeros are found without factoring it
+    q = sympy.nextprime(10 ** 25)
+    f = IntPolynomial.parse(f"{q},1")
+    with pytest.raises(ValueError, match="proven witness range"):
+        kfree.factorize(q)
+    d = decompose_sum(f, 5, 10, 100)
+    assert _parts(d) == (96, 0, 96)
+    assert d.total == kfree_mask(f, 5, 100).count
 
 
 def test_decompose_peak_is_flat_in_N(traced_peak):
