@@ -12,9 +12,8 @@ from .density import (DensityResult, density, estermann_constant, legendre,
 from .dynamics import (GOLDEN_ROTATION, CyclicRotation, IrrationalRotation,
                        OrbitTable, PairObservable, TrigObservable,
                        TwoPointSwap, VectorObservable, orbit_table)
-from .ergodic import (AllIntegers, BeattyMap, Condition, IdentityMap,
-                      KfreeValues, MaskCondition, OmegaHistogram,
-                      ProductKfree, ProgressionMap, ReportRow, TwinSquarefree,
+from .ergodic import (AllIntegers, BeattyMap, OmegaHistogram, ProductKfree,
+                      ProgressionMap, ReportRow, TwinSquarefree,
                       convergence_report, default_j_max, ergodic_average,
                       exponent_fit, omega_histogram, omega_histograms)
 from .errors import CapacityError, HypothesisViolation
@@ -23,12 +22,12 @@ from .kfree import (CountRow, KfreeMask, KfreeSieve, SumDecomposition,
                     checkpoint_counts, count_kfree, decompose_sum,
                     kfree_mask, kfree_range, product_kfree_mask,
                     sieve_prime_bound, tail_pair_count,
-                    twin_squarefree_mask, twin_squarefree_range)
+                    twin_squarefree_range)
 from .local_roots import (LocalRootData, RootTable, batch_root_counts,
                           batch_roots, count_roots_mod_p, is_bad_prime,
                           lift_levels, lift_roots, local_root_count,
                           root_table, roots_mod_p)
-from .poly import (IntPolynomial, PolyProfile, bad_primes, fixed_divisor,
+from .poly import (IntPolynomial, PolyProfile, fixed_divisor,
                    has_fixed_kth_power, irreducibility_check, max_abs_value,
                    profile, rational_roots, resultant,
                    resultant_with_derivative)
@@ -37,15 +36,15 @@ from .sieve import ArithTables, build_tables, primes_up_to
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithTables", "AllIntegers", "BeattyMap", "CapacityError", "Condition",
+    "ArithTables", "AllIntegers", "BeattyMap", "CapacityError",
     "CountRow", "CyclicRotation", "DensityResult", "GOLDEN_ROTATION",
-    "HypothesisViolation", "IdentityMap", "IntPolynomial",
-    "IrrationalRotation", "KfreeMask", "KfreeSieve", "KfreeValues",
+    "HypothesisViolation", "IntPolynomial",
+    "IrrationalRotation", "KfreeMask", "KfreeSieve",
     "LocalRootData",
-    "MaskCondition", "OmegaHistogram", "OrbitTable", "PairObservable",
+    "OmegaHistogram", "OrbitTable", "PairObservable",
     "PolyProfile", "ProductKfree", "ProgressionMap", "ReportRow", "RootTable",
     "SumDecomposition", "TrigObservable", "TwinSquarefree", "TwoPointSwap",
-    "VectorObservable", "bad_primes", "batch_root_counts", "batch_roots",
+    "VectorObservable", "batch_root_counts", "batch_roots",
     "build_tables", "checkpoint_counts", "convergence_report", "count_kfree",
     "count_roots_mod_p",
     "decompose_sum", "default_j_max", "density", "ergodic_average",
@@ -60,5 +59,5 @@ __all__ = [
     "quadratic_pair_constant", "rational_roots", "resultant",
     "resultant_with_derivative", "root_table", "roots_mod_p",
     "sieve_prime_bound", "tail_pair_count", "twin_constant",
-    "twin_squarefree_mask", "twin_squarefree_range",
+    "twin_squarefree_range",
 ]

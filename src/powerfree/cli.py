@@ -41,10 +41,9 @@ from .density import DensityResult, density, twin_constant
 from .dynamics import (GOLDEN_ROTATION, CyclicRotation, IrrationalRotation,
                        PairObservable, TrigObservable, TwoPointSwap,
                        VectorObservable, orbit_table)
-from .ergodic import (AllIntegers, BeattyMap, IdentityMap, KfreeValues,
-                      ProductKfree, ProgressionMap, TwinSquarefree,
-                      convergence_report, default_j_max, ergodic_average,
-                      exponent_fit, omega_histograms)
+from .ergodic import (AllIntegers, BeattyMap, ProductKfree, ProgressionMap,
+                      TwinSquarefree, convergence_report, default_j_max,
+                      ergodic_average, exponent_fit, omega_histograms)
 from .errors import CapacityError, HypothesisViolation
 from .kfree import (ROOT_LIMIT, KfreeSieve, checkpoint_counts, count_kfree,
                     kfree_range, tail_pair_counts, twin_squarefree_range)
@@ -128,7 +127,7 @@ def parse_condition(text: str):
         return TwinSquarefree()
     if text.startswith("kfree:"):
         poly, k = _fields("condition", text, ":", "kfree:<coeffs>:<k>")
-        return KfreeValues(IntPolynomial.parse(poly), int(k))
+        return ProductKfree((IntPolynomial.parse(poly),), int(k))
     if text.startswith("product:"):
         polys, k = _fields("condition", text, ":",
                            "product:<coeffs>*<coeffs>...:<k>")
@@ -138,7 +137,7 @@ def parse_condition(text: str):
 
 def parse_argmap(text: str):
     if text == "identity":
-        return IdentityMap()
+        return ProgressionMap(1, 0)
     if text.startswith("prog:"):
         m, r = _fields("argmap", text, ",", "prog:<m>,<r>")
         return ProgressionMap(int(m), int(r))

@@ -60,9 +60,10 @@ def density(f: IntPolynomial, k: int, P: int,
     cofactor prime (above 3.3*10^24) that ValueError propagates, exit 2 on
     the command line, though kfree_mask on the same f works.
 
-    roots, a RootTable of f such as KfreeMask.roots, supplies rho_p at the
-    good primes it covers; the others go through batch_root_counts, and
-    each singular p through lift_roots, whose level walk gives rho_f(p^k).
+    roots, a RootTable of f such as the one KfreeSieve sets up per factor,
+    supplies rho_p at the good primes it covers; the others go through
+    batch_root_counts, and each singular p through lift_roots, whose level
+    walk gives rho_f(p^k).
     The counts agree either way and fsum is correctly rounded, so the value
     is bit for bit the same with or without it. fsum takes the terms from
     a generator, one slice of _PRIME_SLICE primes at a time, so a slice's

@@ -1,12 +1,17 @@
 """Averages of g(T^(Omega(a(n))) x) over sieved index sets.
 
-The pipeline: an argument map a(n) (identity, arithmetic progression, or a
-Beatty sequence floor(alpha n + beta)), a condition selecting which n count
-(all, k-free values of a polynomial, twin squarefree pairs, a product
-mask, or an arbitrary precomputed mask), then a histogram of Omega(a(n))
-over the selected n. Any orbit average collapses to a dot product against
-that histogram, so convergence studies across many checkpoints reuse one
-pass of sieve work.
+The pipeline: an argument map a(n) (an arithmetic progression, the
+identity being ProgressionMap(1, 0), or a Beatty sequence
+floor(alpha n + beta)), a condition selecting which n count (all, k-free
+values of a product of polynomials, or twin squarefree pairs), then a
+histogram of Omega(a(n)) over the selected n. Any orbit average collapses
+to a dot product against that histogram, so convergence studies across
+many checkpoints reuse one pass of sieve work.
+
+A condition has selector(N), which makes the set-up for [1, N], so its
+errors come before any pass, and returns select(s, e): the flags of the n
+in [s, e) as a bool array, or None when every n counts. density(P, N) is
+the predicted share of selected n.
 
 The histograms stream: the argument axis is sieved one window at a time,
 and every map is non-decreasing, so the n whose arguments fall in a window
@@ -26,32 +31,11 @@ import numpy as np
 from . import kfree
 from .density import density, twin_constant
 from .dynamics import OrbitTable
-from .poly import IntPolynomial
 from .sieve import (DEFAULT_SEGMENT, _omega_segment, _pool_map, _runs,
                     primes_up_to)
 
 
 # ---------------------------------------------------------------- maps
-
-@dataclass(frozen=True)
-class IdentityMap:
-    def map_values(self, n: np.ndarray) -> np.ndarray:
-        return n
-
-    def max_argument(self, N: int) -> int:
-        return N
-
-    def first_index(self, A: int) -> int:
-        """Smallest n >= 1 with a(n) >= A."""
-        return max(1, A)
-
-    def window_index(self, lo: int, hi: int, A: int) -> slice:
-        """a(n) - A for n in [lo, hi), as an index into a window at A."""
-        return slice(lo - A, hi - A)
-
-    def label(self) -> str:
-        return "identity"
-
 
 @dataclass(frozen=True)
 class ProgressionMap:
@@ -76,9 +60,6 @@ class ProgressionMap:
     def window_index(self, lo: int, hi: int, A: int) -> slice:
         start = self.m * lo + self.r - A
         return slice(start, start + self.m * (hi - lo), self.m)
-
-    def label(self) -> str:
-        return f"prog:{self.m},{self.r}"
 
 
 @dataclass(frozen=True)
@@ -123,27 +104,10 @@ class BeattyMap:
     def window_index(self, lo: int, hi: int, A: int) -> np.ndarray:
         return self.map_values(np.arange(lo, hi, dtype=np.int64)) - A
 
-    def label(self) -> str:
-        return f"beatty:{self.alpha},{self.beta}"
-
 
 # ---------------------------------------------------------- conditions
 
-class Condition:
-    """Which n count. selector(N) makes the set-up for [1, N], so its errors
-    come before any pass, and returns select(s, e): the flags of the n in
-    [s, e) as a bool array, or None when every n counts."""
-
-    def mask(self, N: int) -> np.ndarray:
-        """The whole indicator on [1, N], from the same per-range flags."""
-        select, bits = self.selector(N), np.empty(N, dtype=bool)
-        for s in range(1, N + 1, DEFAULT_SEGMENT):
-            sel = select(s, min(s + DEFAULT_SEGMENT, N + 1))
-            bits[s - 1:s - 1 + DEFAULT_SEGMENT] = True if sel is None else sel
-        return bits
-
-
-class AllIntegers(Condition):
+class AllIntegers:
     """Every n counts."""
 
     def selector(self, N: int):
@@ -152,11 +116,8 @@ class AllIntegers(Condition):
     def density(self, P: int, N: int) -> float:
         return 1.0
 
-    def label(self) -> str:
-        return "all"
 
-
-class ProductKfree(Condition):
+class ProductKfree:
     """n counts when the product of the factors is k-free at n."""
 
     def __init__(self, factors, k: int):
@@ -178,22 +139,8 @@ class ProductKfree(Condition):
     def density(self, P: int, N: int) -> float:
         return density(self._expanded, self.k, P).value
 
-    def label(self) -> str:
-        return "product:" + "*".join(g.text() for g in self.factors) + f":{self.k}"
 
-
-class KfreeValues(ProductKfree):
-    """n counts when f(n) is k-free; density from the Euler product."""
-
-    def __init__(self, f: IntPolynomial, k: int):
-        super().__init__((f,), k)
-        self.f = f
-
-    def label(self) -> str:
-        return f"kfree:{self.f.text()}:{self.k}"
-
-
-class TwinSquarefree(Condition):
+class TwinSquarefree:
     """n counts when n and n+1 are both squarefree."""
 
     def selector(self, N: int):
@@ -202,28 +149,6 @@ class TwinSquarefree(Condition):
 
     def density(self, P: int, N: int) -> float:
         return twin_constant(P).value
-
-    def label(self) -> str:
-        return "twinsqfree"
-
-
-class MaskCondition(Condition):
-    """A precomputed indicator; density is its empirical frequency."""
-
-    def __init__(self, bits: np.ndarray, name: str = "mask"):
-        self.bits = np.asarray(bits, dtype=bool)
-        self.name = name
-
-    def selector(self, N: int):
-        if N > len(self.bits):
-            raise ValueError(f"mask holds {len(self.bits)} bits, N={N} asked")
-        return lambda s, e: self.bits[s - 1:e - 1]
-
-    def density(self, P: int, N: int) -> float:
-        return float(self.mask(N).sum()) / N
-
-    def label(self) -> str:
-        return self.name
 
 
 # ---------------------------------------------------------- histograms
@@ -324,7 +249,7 @@ def omega_histogram(N: int, condition=None, argmap=None, *,
                     threads: int = 1, segment_size: int = DEFAULT_SEGMENT,
                     j_max: int | None = None, tables=None) -> OmegaHistogram:
     """Histogram of Omega over mapped arguments of the selected n <= N."""
-    argmap = argmap if argmap is not None else IdentityMap()
+    argmap = argmap if argmap is not None else ProgressionMap(1, 0)
     return omega_histograms(N, [argmap], condition, threads=threads,
                             segment_size=segment_size, j_max=j_max,
                             tables=tables)[0]
@@ -363,7 +288,7 @@ def convergence_report(system, observable, x, *, N_values, condition=None,
     from .dynamics import orbit_table
 
     condition = condition if condition is not None else AllIntegers()
-    argmap = argmap if argmap is not None else IdentityMap()
+    argmap = argmap if argmap is not None else ProgressionMap(1, 0)
     Ns = sorted(int(v) for v in N_values)
     if not Ns or Ns[0] < 1:
         raise ValueError("need positive checkpoints")

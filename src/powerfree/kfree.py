@@ -47,9 +47,7 @@ class KfreeMask:
     """Indicator of k-free values of f on [1, N]; bits[n - 1] is n's flag.
 
     zero_hits lists the n with f(n) = 0 (never k-free; 0 is divisible by
-    everything). prime_bound is the sieving bound P0 actually used, and
-    roots the table of roots mod every p <= P0 it sieved with (None for a
-    product of factors), which density can reuse.
+    everything). prime_bound is the sieving bound P0 actually used.
     """
 
     poly: IntPolynomial
@@ -58,19 +56,10 @@ class KfreeMask:
     bits: np.ndarray
     zero_hits: tuple[int, ...]
     prime_bound: int
-    roots: RootTable | None = None
 
     @property
     def count(self) -> int:
         return int(self.bits.sum())
-
-    def counts_at(self, checkpoints) -> list[int]:
-        out = []
-        for n in checkpoints:
-            if not 1 <= n <= self.N:
-                raise ValueError(f"checkpoint {n} outside [1, {self.N}]")
-            out.append(int(self.bits[:n].sum()))
-        return out
 
 
 def sieve_prime_bound(f: IntPolynomial, k: int, N: int) -> int:
@@ -421,8 +410,8 @@ def kfree_range(sv: KfreeSieve, a: int, b: int, out: np.ndarray) -> list[int]:
 def kfree_mask(f: IntPolynomial, k: int, N: int, *,
                segment_size: int = DEFAULT_SEGMENT, threads: int = 1,
                root_limit: int = ROOT_LIMIT) -> KfreeMask:
-    """Exact k-free indicator for f on [1, N], keeping f's roots for
-    density: product_kfree_mask of one factor, raising as KfreeSieve."""
+    """Exact k-free indicator for f on [1, N]: product_kfree_mask of one
+    factor, raising as KfreeSieve."""
     return product_kfree_mask((f,), k, N, segment_size=segment_size,
                               threads=threads, root_limit=root_limit)
 
@@ -443,8 +432,7 @@ def product_kfree_mask(factors, k: int, N: int, *,
     _, zeros = checkpoint_counts(flags, N, [N], segment_size=segment_size,
                                  threads=threads)
     return KfreeMask(sv.poly, k, N, bits, tuple(zeros),
-                     max(P0 for P0, _, _ in sv.setups),
-                     sv.setups[0][1] if len(sv.factors) == 1 else None)
+                     max(P0 for P0, _, _ in sv.setups))
 
 
 def checkpoint_counts(flags, N: int, checkpoints, *,
@@ -480,13 +468,6 @@ def checkpoint_counts(flags, N: int, checkpoints, *,
         counts += c
         marks += found
     return np.cumsum(counts)[:len(cps)].tolist(), marks
-
-
-def twin_squarefree_mask(N: int) -> np.ndarray:
-    """bits[n - 1] set when n and n + 1 are both squarefree, n in [1, N]."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    return twin_squarefree_range(1, N + 1, primes_up_to(math.isqrt(N + 1)))
 
 
 def twin_squarefree_range(a: int, b: int, primes: np.ndarray) -> np.ndarray:

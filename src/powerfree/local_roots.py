@@ -77,11 +77,11 @@ def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """Sorted distinct roots of f mod p.
 
     Small p (up to SCAN_LIMIT) uses a full residue scan. Above it, degree
-    1 and 2 with p not dividing lc(f) take the closed form of _small_roots;
-    any other f splits the linear part of f mod p: gcd(x^p - x, f) collects
-    the roots as a product of linear factors, and deterministic
-    equal-degree splitting extracts them. Every way, each root is
-    re-checked by exact evaluation.
+    1 and 2 with p not dividing lc(f) take the closed forms of
+    modpoly.split_linear_roots; any other f splits the linear part of f mod
+    p: gcd(x^p - x, f) collects the roots as a product of linear factors,
+    and deterministic equal-degree splitting extracts them. Every way, each
+    root is re-checked by exact evaluation.
     """
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
@@ -93,26 +93,11 @@ def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     if p <= SCAN_LIMIT:
         roots = _scan_roots(f, p)
     elif f.degree <= 2 and f.leading % p:
-        roots = _small_roots(f.coeffs, p)
+        roots = tuple(modpoly.split_linear_roots(list(f.coeffs), p))
     else:
         roots = tuple(sorted(modpoly.roots_prime_gcd(list(f.coeffs), p)))
     _certify(f, p, roots)
     return roots
-
-
-def _small_roots(cs, p: int) -> tuple[int, ...]:
-    """Sorted roots mod an odd prime p of c0 + c1 x (+ c2 x^2), p not
-    dividing the leading coefficient: -c0/c1, or (-c1 +- s)/(2 c2) with s a
-    square root of the discriminant c1^2 - 4 c0 c2 (one root when p divides
-    it, none when it is no square mod p)."""
-    if len(cs) == 2:
-        return ((-cs[0] * pow(cs[1], -1, p)) % p,)
-    c, b, a = cs
-    s = modpoly.sqrt_mod_p(b * b - 4 * a * c, p)
-    if s is None:
-        return ()
-    inv = pow(2 * a, -1, p)
-    return tuple(sorted({(-b + s) * inv % p, (-b - s) * inv % p}))
 
 
 def count_roots_mod_p(f: IntPolynomial, p: int) -> int:
@@ -196,7 +181,7 @@ def local_root_count(f: IntPolynomial, p: int, k: int) -> int:
 _BATCH_MIN_PRIME = 50
 # primes per routing, Frobenius ladder and certification step, so every
 # temporary of a pass over the primes is one slice wide (batch_split_part
-# runs its ladder in lanes of the same width)
+# runs its ladder over all the lanes it is given at once)
 _PRIME_SLICE = 1 << 13
 # multi-root lanes per batch_linear_roots call: a call has a fixed cost of
 # a few tens of ms (one ladder per splitting round, whatever its width), so

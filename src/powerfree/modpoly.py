@@ -32,9 +32,6 @@ import numpy as np
 
 _BATCH_PRIME_CAP = 1 << 31
 _INT64_MAX = (1 << 63) - 1
-# lanes per step of batch_split_part: bounds its int64 temporaries to a few
-# hundred kB each, whatever the number of primes
-_LANE_CHUNK = 1 << 13
 
 
 # ---------------------------------------------------------------- per-prime
@@ -54,7 +51,7 @@ def poly_deg(a) -> int:
 
 
 def poly_monic(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], p - 2, p)
+    inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
@@ -62,7 +59,7 @@ def poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
     """a mod b over F_p; b nonzero."""
     a = a[:]
     db = poly_deg(b)
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, p)
     while poly_deg(a) >= db:
         da = poly_deg(a)
         c = a[-1] * inv % p
@@ -136,21 +133,26 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
 
 
 def split_linear_roots(g: list[int], p: int) -> list[int]:
-    """Roots of g over F_p, where g is a nonzero product of distinct linear
-    factors (as any divisor of x^p - x is). Deterministic shift sequence."""
+    """Sorted roots of g over F_p, g nonzero mod p. Degrees 1 and 2 take the
+    closed forms (-g0, or (-b +- s)/2 with s a square root of the
+    discriminant: one root when it is 0, none when it is no square), so any
+    such g may come in; from degree 3 on, g must be a product of distinct
+    linear factors (as any divisor of x^p - x is), split along a
+    deterministic shift sequence. At p = 2 both residues are tested."""
     g = poly_monic(poly_mod_p(g, p), p)
     d = poly_deg(g)
     if d <= 0:
         return []
+    if p == 2:  # 2 has no inverse there, so no closed form
+        return [r for r, v in ((0, g[0]), (1, sum(g))) if v % 2 == 0]
     if d == 1:
         return [(-g[0]) % p]
     if d == 2:
         b, c = g[1], g[0]
-        disc = (b * b - 4 * c) % p
-        s = sqrt_mod_p(disc, p)
-        if s is None:  # cannot happen for split input; defensive
-            raise ArithmeticError(f"expected split quadratic mod {p}")
-        inv2 = pow(2, p - 2, p)
+        s = sqrt_mod_p(b * b - 4 * c, p)
+        if s is None:
+            return []
+        inv2 = (p + 1) // 2
         return sorted({(-b + s) * inv2 % p, (-b - s) * inv2 % p})
     # degree >= 3: equal-degree splitting by quadratic-residue classes of
     # shifted roots; the shift a walks 1, 2, 3, ... (a = 0 never splits
@@ -175,7 +177,7 @@ def _poly_quotient_exact(a: list[int], b: list[int], p: int) -> list[int]:
     """a / b over F_p when b | a exactly."""
     a = a[:]
     db = poly_deg(b)
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, p)
     q = [0] * (poly_deg(a) - db + 1)
     while poly_deg(a) >= db:
         da = poly_deg(a)
@@ -412,27 +414,27 @@ def batch_split_part(coeffs, primes: np.ndarray):
 
     Requires every p to exceed max(3, |lc|'s prime divisors): callers route
     tiny primes and divisors of the leading coefficient to the scan path.
+    All lanes run at once, so the caller bounds their number and with it the
+    int64 temporaries (local_roots passes one slice of _PRIME_SLICE primes).
     """
-    P_all = np.asarray(primes, dtype=np.int64)
-    d, n = len(coeffs) - 1, len(P_all)
-    counts = np.zeros(n, dtype=np.int64)
-    G = np.zeros((d + 1, n), dtype=np.int64)
-    if n and int(P_all.max()) >= _BATCH_PRIME_CAP:
+    P = np.asarray(primes, dtype=np.int64)
+    d = len(coeffs) - 1
+    if not len(P):
+        return np.zeros(0, dtype=np.int64), np.zeros((d + 1, 0), dtype=np.int64)
+    if int(P.max()) >= _BATCH_PRIME_CAP:
         raise ValueError("batch path caps primes at 2^31")
-    for lo in range(0, n, _LANE_CHUNK):
-        P = P_all[lo:lo + _LANE_CHUNK]
-        C = reduce_coeffs(coeffs, P)
-        # f made monic; at lc(f) = 1 it already is, so no Fermat inverse
-        Fm = C if coeffs[-1] == 1 else C * _pow_vec(C[d], P - 2, P) % P
-        H = np.zeros_like(Fm)
-        H[:d] = _powmod_ladder(None, P, Fm[:d], P)
-        # h = x^p - x, with x itself reduced mod the monic f (nontrivial for
-        # d = 1, where x = -F[0] in the quotient ring)
-        if d == 1:
-            H[0] = (H[0] + Fm[0]) % P
-        else:
-            H[1] = (H[1] - 1) % P
-        G[:, lo:lo + _LANE_CHUNK], counts[lo:lo + _LANE_CHUNK] = _gcd_vec(Fm, H, P)
+    C = reduce_coeffs(coeffs, P)
+    # f made monic; at lc(f) = 1 it already is, so no Fermat inverse
+    Fm = C if coeffs[-1] == 1 else C * _pow_vec(C[d], P - 2, P) % P
+    H = np.zeros_like(Fm)
+    H[:d] = _powmod_ladder(None, P, Fm[:d], P)
+    # h = x^p - x, with x itself reduced mod the monic f (nontrivial for
+    # d = 1, where x = -F[0] in the quotient ring)
+    if d == 1:
+        H[0] = (H[0] + Fm[0]) % P
+    else:
+        H[1] = (H[1] - 1) % P
+    G, counts = _gcd_vec(Fm, H, P)
     return counts, G
 
 

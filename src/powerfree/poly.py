@@ -254,24 +254,6 @@ def resultant_with_derivative(f: IntPolynomial) -> int:
     return resultant(f, f.derivative())
 
 
-def is_squarefree_poly(f: IntPolynomial) -> bool:
-    return resultant_with_derivative(f) != 0
-
-
-def bad_prime_product(f: IntPolynomial) -> int:
-    """Res(f, f') * lc(f): p is singular for f exactly when p divides this."""
-    return resultant_with_derivative(f) * f.leading
-
-
-def bad_primes(f: IntPolynomial) -> tuple[int, ...]:
-    """Sorted primes where reduction of f mod p is singular (repeated root
-    or dropped degree). Needs a squarefree f, else every prime qualifies."""
-    prod = bad_prime_product(f)
-    if prod == 0:
-        raise ValueError("repeated factor: every prime is singular")
-    return prime_factors(abs(prod))
-
-
 def rational_roots(f: IntPolynomial) -> list[Fraction]:
     """All rational roots, in lowest terms, by the rational root theorem
     with exact integer verification."""
@@ -311,13 +293,15 @@ def irreducibility_check(f: IntPolynomial) -> str:
     """Advisory tier: "proved", "refuted", or "unverified".
 
     Degree 1 is proved. Degrees 2 and 3 are irreducible over Q exactly when
-    they have no rational root. For degree >= 4 a repeated factor or a
-    rational root refutes; otherwise the check looks for a prime p < 100,
-    nonsingular for f, with f mod p irreducible (no factor of degree <=
-    d/2, detected through gcd(x^(p^i) - x, f) being trivial for i <= d/2),
-    which proves irreducibility of the primitive part; failing all that the
-    answer is "unverified". Reducible polynomials without rational roots,
-    e.g. products of two irreducible quadratics, land in "unverified".
+    they have no rational root; for degree 2 that is a discriminant which is
+    no perfect square, so nothing is factored. For degree >= 4 a repeated
+    factor or a rational root refutes; otherwise the check looks for a
+    prime p < 100, nonsingular for f (not dividing Res(f, f') * lc(f)), with
+    f mod p irreducible (no factor of degree <= d/2, detected through
+    gcd(x^(p^i) - x, f) being trivial for i <= d/2), which proves
+    irreducibility of the primitive part; failing all that the answer is
+    "unverified". Reducible polynomials without rational roots, e.g.
+    products of two irreducible quadratics, land in "unverified".
     """
     if f.degree == 0:
         raise ValueError("degree >= 1 required")
@@ -327,20 +311,22 @@ def irreducibility_check(f: IntPolynomial) -> str:
     d = pp.degree
     if d == 1:
         return "proved"
-    if not is_squarefree_poly(pp):
+    prof = profile(pp)
+    if not prof.is_squarefree_poly:
         return "refuted"
-    has_root = bool(rational_roots(pp))
-    if d <= 3:
-        return "refuted" if has_root else "proved"
-    if has_root:
+    if d == 2:
+        c, b, a = pp.coeffs
+        disc = b * b - 4 * a * c
+        return "refuted" if disc >= 0 and math.isqrt(disc) ** 2 == disc else "proved"
+    if rational_roots(pp):
         return "refuted"
-    bad = set(bad_primes(pp))
+    if d == 3:
+        return "proved"
+    bad = prof.resultant_with_derivative * prof.leading
     from .sieve import primes_up_to  # local import avoids a cycle at load
 
     for p in primes_up_to(_IRRED_PRIME_SCAN).tolist():
-        if p in bad:
-            continue
-        if _irreducible_mod_p(pp, p):
+        if bad % p and _irreducible_mod_p(pp, p):
             return "proved"
     return "unverified"
 

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 
@@ -33,3 +34,31 @@ def _kth_power_prime_table(f, k, N):
 @pytest.fixture
 def prime_table():
     return _kth_power_prime_table
+
+
+class MaskCondition:
+    """A precomputed indicator as an ergodic condition (bits[n - 1] is n's
+    flag); its density is the empirical frequency on [1, N]."""
+
+    def __init__(self, bits):
+        self.bits = np.asarray(bits, dtype=bool)
+
+    def selector(self, N):
+        if N > len(self.bits):
+            raise ValueError(f"mask holds {len(self.bits)} bits, N={N} asked")
+        return lambda s, e: self.bits[s - 1:e - 1]
+
+    def density(self, P, N):
+        return float(whole_mask(self, N).sum()) / N
+
+
+def whole_mask(condition, N):
+    """A condition's whole indicator on [1, N], assembled from the flags
+    its selector gives per range of DEFAULT_SEGMENT n."""
+    from powerfree.sieve import DEFAULT_SEGMENT as step
+
+    select, bits = condition.selector(N), np.empty(N, dtype=bool)
+    for s in range(1, N + 1, step):
+        sel = select(s, min(s + step, N + 1))
+        bits[s - 1:s - 1 + step] = True if sel is None else sel
+    return bits

@@ -12,6 +12,7 @@ Large artifacts are built twice, at 1 and at 8 threads, and the pairs
 are compared byte for byte in the thread-invariance test at the end.
 """
 
+import math
 import time
 
 import numpy as np
@@ -25,12 +26,12 @@ from powerfree.dynamics import (GOLDEN_ROTATION, CyclicRotation,
                                 IrrationalRotation, PairObservable,
                                 TrigObservable, TwoPointSwap,
                                 VectorObservable, orbit_table)
-from powerfree.ergodic import (AllIntegers, MaskCondition, ProgressionMap,
-                               default_j_max, ergodic_average, exponent_fit,
-                               omega_histogram)
+from conftest import MaskCondition
+from powerfree.ergodic import (AllIntegers, ProgressionMap, default_j_max,
+                               ergodic_average, exponent_fit, omega_histogram)
 from powerfree.factorint import factorize
 from powerfree.kfree import (decompose_sum, kfree_mask, product_kfree_mask,
-                             tail_pair_count, twin_squarefree_mask)
+                             tail_pair_count, twin_squarefree_range)
 from powerfree.local_roots import lift_roots, local_root_count
 from powerfree.poly import IntPolynomial, evaluate_range
 from powerfree.sieve import build_tables, primes_up_to
@@ -78,8 +79,9 @@ def small_masks_pair():
 
 @pytest.fixture(scope="module")
 def twin_pair():
-    # twin_squarefree_mask takes no thread count, so both calls are serial
-    return _timed_pair(lambda t: twin_squarefree_mask(N7))
+    # twin_squarefree_range takes no thread count, so both calls are serial
+    return _timed_pair(lambda t: twin_squarefree_range(
+        1, N7 + 1, primes_up_to(math.isqrt(N7 + 1))))
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +291,7 @@ def test_rotation_average_over_squarefree_quadratic_reaches_density(
     c = estermann_constant(N6).value
     residuals = {}
     for n in (N5, N7):
-        cond = MaskCondition(mask.bits[:n], "squarefree-values")
+        cond = MaskCondition(mask.bits[:n])
         hist = omega_histogram(n, cond, tables=tables, j_max=jm)
         residuals[n] = ergodic_average(hist, orbit) - c
     assert abs(residuals[N7]) <= abs(residuals[N5]) \
@@ -326,7 +328,7 @@ def test_signed_average_over_product_squarefree_vanishes(
     mask = product_pair[0]
     tables = tables7_pair[0]
     jm = default_j_max(N7)
-    cond = MaskCondition(mask.bits, "product-squarefree")
+    cond = MaskCondition(mask.bits)
     hist = omega_histogram(N7, cond, tables=tables, j_max=jm)
     avg = ergodic_average(hist, _swap_orbit(jm))
     assert abs(avg) < 1e-2, f"|average| = {abs(avg):.2e}"

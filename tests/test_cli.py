@@ -14,9 +14,8 @@ from powerfree.cli import (ExperimentConfig, REPRO, build_parser, count_rows,
 from powerfree.dynamics import (CyclicRotation, IrrationalRotation,
                                 PairObservable, TrigObservable, TwoPointSwap,
                                 VectorObservable)
-from powerfree.ergodic import (AllIntegers, BeattyMap, IdentityMap,
-                               KfreeValues, ProductKfree, ProgressionMap,
-                               TwinSquarefree)
+from powerfree.ergodic import (AllIntegers, BeattyMap, ProductKfree,
+                               ProgressionMap, TwinSquarefree)
 from powerfree.kfree import tail_pair_count
 from powerfree.local_roots import local_root_count
 from powerfree.poly import IntPolynomial, profile
@@ -69,8 +68,8 @@ def test_condition_descriptors():
     assert isinstance(parse_condition("all"), AllIntegers)
     assert isinstance(parse_condition("twinsqfree"), TwinSquarefree)
     kf = parse_condition("kfree:1,0,1:2")
-    assert isinstance(kf, KfreeValues)
-    assert kf.label() == "kfree:1,0,1:2"
+    assert isinstance(kf, ProductKfree)
+    assert kf.factors == (IntPolynomial.parse("1,0,1"),) and kf.k == 2
     pr = parse_condition("product:1,0,1*2,0,1:2")
     assert isinstance(pr, ProductKfree)
     with pytest.raises(ValueError):
@@ -86,7 +85,7 @@ def test_condition_descriptors():
 
 
 def test_argmap_descriptors():
-    assert isinstance(parse_argmap("identity"), IdentityMap)
+    assert parse_argmap("identity") == ProgressionMap(1, 0)
     pm = parse_argmap("prog:3,1")
     assert isinstance(pm, ProgressionMap)
     assert pm.m == 3 and pm.r == 1

@@ -8,7 +8,7 @@ from powerfree import local_roots
 from powerfree.density import (density, estermann_constant, legendre,
                                quadratic_pair_constant, twin_constant)
 from powerfree.errors import HypothesisViolation
-from powerfree.kfree import kfree_mask
+from powerfree.kfree import KfreeSieve
 from powerfree.local_roots import local_root_count, root_table
 from powerfree.poly import IntPolynomial
 from powerfree.sieve import primes_up_to
@@ -121,13 +121,12 @@ def test_legendre_matches_sympy():
 def test_density_from_mask_roots_is_bit_identical(text, k):
     # 7 + 5x^3 has the prime 5 dividing its leading coefficient
     f = IntPolynomial.parse(text)
-    mask = kfree_mask(f, k, 10 ** 4)
-    P0 = mask.prime_bound
+    P0, roots, _ = KfreeSieve((f,), k, 10 ** 4).setups[0]
     # P below, at and above the table's bound: above it the remaining
     # primes go through batch_root_counts
     for P in (P0 // 3, P0, 3 * P0):
         a = density(f, k, P)
-        b = density(f, k, P, mask.roots)
+        b = density(f, k, P, roots)
         assert (a.value, a.lower, a.upper) == (b.value, b.lower, b.upper), P
     with pytest.raises(ValueError):
         density(f, k, P0, root_table(IntPolynomial.parse("1,0,1"),

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from powerfree.dynamics import (CyclicRotation, PairObservable, TwoPointSwap,
                                 VectorObservable, orbit_table)
-from powerfree.ergodic import (AllIntegers, BeattyMap, IdentityMap,
-                               KfreeValues, MaskCondition, ProductKfree,
+from conftest import MaskCondition, whole_mask
+from powerfree.ergodic import (AllIntegers, BeattyMap, ProductKfree,
                                ProgressionMap, TwinSquarefree,
                                _interval_counts, convergence_report,
                                default_j_max, ergodic_average, exponent_fit,
@@ -24,10 +24,12 @@ def big_omega(n):
 
 
 def test_identity_map():
-    m = IdentityMap()
+    m = ProgressionMap(1, 0)
     n = np.arange(1, 11, dtype=np.int64)
     assert m.map_values(n).tolist() == list(range(1, 11))
     assert m.max_argument(10) == 10
+    assert [m.first_index(A) for A in (-3, 0, 1, 7)] == [1, 1, 1, 7]
+    assert m.window_index(5, 9, 3) == slice(2, 6, 1)
 
 
 def test_progression_map():
@@ -80,24 +82,23 @@ def test_beatty_exactness_property(p, q, r):
 def test_conditions_mask_and_density():
     N = 2000
     allc = AllIntegers()
-    assert int(allc.mask(N).sum()) == N
+    assert int(whole_mask(allc, N).sum()) == N
     assert allc.density(100, N) == 1.0
 
-    kf = KfreeValues(IntPolynomial.parse("1,0,1"), 2)
-    mask = kf.mask(N)
+    kf = ProductKfree((IntPolynomial.parse("1,0,1"),), 2)
+    mask = whole_mask(kf, N)
     assert mask.dtype == bool and len(mask) == N
     assert 0.0 < kf.density(10 ** 4, N) < 1.0
 
     tw = TwinSquarefree()
-    assert int(tw.mask(N).sum()) > 0
+    assert int(whole_mask(tw, N).sum()) > 0
     pk = ProductKfree(parse_poly_or_product("1,0,1*2,0,1"), 2)
-    assert len(pk.mask(N)) == N
+    assert len(whole_mask(pk, N)) == N
 
     bits = np.zeros(N, dtype=bool)
     bits[::2] = True
-    mc = MaskCondition(bits, "evens")
+    mc = MaskCondition(bits)
     assert mc.density(100, N) == 0.5
-    assert mc.label() == "evens"
 
 
 def test_omega_histogram_small_brute():
@@ -112,9 +113,9 @@ def test_omega_histogram_small_brute():
 
 def test_omega_histogram_with_condition_and_map():
     N = 300
-    kf = KfreeValues(IntPolynomial.parse("1,0,1"), 2)
+    kf = ProductKfree((IntPolynomial.parse("1,0,1"),), 2)
     hist = omega_histogram(N, kf, ProgressionMap(2, 1))
-    sel = kf.mask(N)
+    sel = whole_mask(kf, N)
     want = {}
     for n in range(1, N + 1):
         if sel[n - 1]:
@@ -185,8 +186,8 @@ def test_default_j_max_covers_omega():
 # ------------------------------------------------------ streaming core
 
 STREAM_N = 20000
-STREAM_MAPS = [IdentityMap()] + [ProgressionMap(m, r) for m in (2, 3, 4)
-                                 for r in range(m)] + [
+STREAM_MAPS = [ProgressionMap(m, r) for m in (1, 2, 3, 4)
+               for r in range(m)] + [
     BeattyMap(Fraction(5, 13), Fraction(8, 13)),      # alpha < 1
     BeattyMap(Fraction(13, 8), Fraction(1, 2)),       # alpha > 1, exact hits
     # alpha n + beta sits 10^-6 (n - 1) below the integer n
@@ -228,7 +229,7 @@ def stream_case():
             lo, hi = STREAM_CUTS[c], STREAM_CUTS[c + 1]
             vals = om[np.asarray(a[lo:hi])][bits[lo:hi]]
             want[i, c] = np.bincount(vals, minlength=jm + 1)
-    return MaskCondition(bits, "random"), jm, want
+    return MaskCondition(bits), jm, want
 
 
 @pytest.mark.parametrize("segment_size", [1024, 7777])
@@ -259,11 +260,11 @@ def test_convergence_report_streams_in_bounded_memory(traced_peak):
     # today's cost is the condition mask (1 byte per n) plus O(segment);
     # whole-window int64 arguments and Omega tables took about 30 bytes per n
     N = 2 * 10 ** 6
-    cond = KfreeValues(IntPolynomial.parse("1,0,1"), 2)
+    cond = ProductKfree((IntPolynomial.parse("1,0,1"),), 2)
     rows, peak = traced_peak(lambda: convergence_report(
         TwoPointSwap(), PairObservable(1.0, -1.0), 0, N_values=[10 ** 5, N],
         condition=cond, P=10 ** 4, segment_size=2 ** 16))
-    assert rows[-1].selected == int(cond.mask(N).sum())
+    assert rows[-1].selected == int(whole_mask(cond, N).sum())
     assert peak < 4 * N, f"peak {peak / N:.2f} bytes per n"
 
 
@@ -293,7 +294,7 @@ def sieved_conditions():
     pair = parse_poly_or_product("1,0,1*2,0,1")
     sq = np.array([all(e < 2 for e in sympy.factorint(n).values())
                    for n in range(1, COND_N + 2)])
-    return [(KfreeValues(quad, 2), _brute_kfree([quad], 2, COND_N)),
+    return [(ProductKfree((quad,), 2), _brute_kfree([quad], 2, COND_N)),
             (ProductKfree(pair, 2), _brute_kfree(pair, 2, COND_N)),
             (TwinSquarefree(), sq[:-1] & sq[1:])]
 
@@ -306,7 +307,7 @@ def test_selector_ranges_match_mask():
     quad, linear = IntPolynomial.parse("1,0,1"), IntPolynomial.parse("1,1")
     pair3 = parse_poly_or_product("1,0,1*3,0,1")
     conds = [(AllIntegers(), np.ones(N, dtype=bool)),
-             (KfreeValues(quad, 2), _brute_kfree([quad], 2, N)),
+             (ProductKfree((quad,), 2), _brute_kfree([quad], 2, N)),
              (ProductKfree([linear, quad], 2),
               _brute_kfree([linear, quad], 2, N)),
              (ProductKfree(pair3, 3), _brute_kfree(pair3, 3, N)),
@@ -315,7 +316,7 @@ def test_selector_ranges_match_mask():
     ranges = [(1, 2), (1, 1025), (1024, 1026), (1023, 2049), (4095, 4097),
               (4999, 5001), (2, 5001), (1, 5001)]
     for cond, want in conds:
-        whole = cond.mask(N)
+        whole = whole_mask(cond, N)
         assert whole.dtype == bool and whole.tolist() == want.tolist()
         select = cond.selector(N)
         for s, e in ranges:
@@ -330,18 +331,18 @@ def test_selector_ranges_match_mask():
 @pytest.mark.parametrize("segment_size", [1024, 7777])
 def test_sieved_conditions_match_brute_omega(sieved_conditions,
                                              segment_size, threads):
-    maps = [IdentityMap(), ProgressionMap(3, 1),
+    maps = [ProgressionMap(1, 0), ProgressionMap(3, 1),
             BeattyMap(Fraction(13, 8), Fraction(1, 2))]
     om = _omega_upto(max(am.max_argument(COND_N) for am in maps))
     n = np.arange(1, COND_N + 1, dtype=np.int64)
     args = [am.map_values(n) for am in maps]
     swap, liouville = TwoPointSwap(), PairObservable(1.0, -1.0)
-    for cond, sel in sieved_conditions:
+    for i, (cond, sel) in enumerate(sieved_conditions):
         hists = omega_histograms(COND_N, maps, cond, threads=threads,
                                  segment_size=segment_size)
         for h, a in zip(hists, args):
             want = np.bincount(om[a][sel], minlength=len(h.counts))
-            assert h.counts.tolist() == want.tolist(), cond.label()
+            assert h.counts.tolist() == want.tolist(), i
             assert h.selected == int(sel.sum())
         for am, a in zip(maps[:2], args):
             rows = convergence_report(swap, liouville, 0, N_values=COND_CUTS,
@@ -351,7 +352,7 @@ def test_sieved_conditions_match_brute_omega(sieved_conditions,
             for r in rows:
                 lam = 1 - 2 * (om[a[:r.N]][sel[:r.N]] & 1)
                 assert r.selected == int(sel[:r.N].sum())
-                assert r.average == int(lam.sum()) / r.N, (cond.label(), r)
+                assert r.average == int(lam.sum()) / r.N, (i, r)
 
 
 def test_convergence_report_peak_is_flat_in_N(traced_peak):
@@ -359,7 +360,7 @@ def test_convergence_report_peak_is_flat_in_N(traced_peak):
     # at N = 4*10^6 stays within 1 MB of the peak at 10^6
     peaks = []
     for N in (10 ** 6, 4 * 10 ** 6):
-        cond = KfreeValues(IntPolynomial.parse("1,0,1"), 2)
+        cond = ProductKfree((IntPolynomial.parse("1,0,1"),), 2)
         peaks.append(traced_peak(lambda: convergence_report(
             TwoPointSwap(), PairObservable(1.0, -1.0), 0, N_values=[N],
             condition=cond, P=10 ** 4, segment_size=2 ** 18))[1])
@@ -373,7 +374,7 @@ def test_interval_pass_peak_is_capped_at_a_run(traced_peak):
     N = 4 * 2 ** 20
     cond = ProductKfree(parse_poly_or_product("1,0,1*2,0,1"), 2)
     _, peak = traced_peak(lambda: _interval_counts(
-        N, [IdentityMap()], cond, [0, N], default_j_max(N), threads=1,
+        N, [ProgressionMap(1, 0)], cond, [0, N], default_j_max(N), threads=1,
         segment_size=DEFAULT_SEGMENT, tables=None))
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
 

@@ -14,10 +14,11 @@ from powerfree.errors import CapacityError, HypothesisViolation
 from powerfree.factorint import is_perfect_kth_power
 from powerfree.kfree import (_BUCKET_MIN_PRIME, _RESIDUE_MODULI, ROOT_LIMIT,
                              KfreeSieve, _cofactors, _kth_power_cofactors,
-                             _lift_plan, _sieve_setup, count_kfree,
-                             decompose_sum, kfree_mask, product_kfree_mask,
-                             sieve_prime_bound, tail_pair_count,
-                             tail_pair_counts, twin_squarefree_mask)
+                             _lift_plan, _sieve_setup, checkpoint_counts,
+                             count_kfree, decompose_sum, kfree_mask,
+                             product_kfree_mask, sieve_prime_bound,
+                             tail_pair_count, tail_pair_counts,
+                             twin_squarefree_range)
 from powerfree.local_roots import lift_roots, root_table
 from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
                             parse_poly_or_product, profile, resultant)
@@ -76,7 +77,7 @@ def test_product_mask_matches_brute_and_expanded():
 
 def test_twin_squarefree_matches_brute():
     N = 3000
-    bits = twin_squarefree_mask(N)
+    bits = twin_squarefree_range(1, N + 1, primes_up_to(math.isqrt(N + 1)))
     for n in range(1, N + 1):
         want = (sympy.mobius(n) != 0) and (sympy.mobius(n + 1) != 0)
         assert bool(bits[n - 1]) == want, n
@@ -195,21 +196,25 @@ def test_correction_changes_the_factor_and():
         assert (anded & ~want).any() and not (want & ~anded).any()
 
 
-def test_counts_at_validates_range():
+def test_checkpoint_counts_validates_range():
     f = IntPolynomial.parse("1,0,1")
     mask = kfree_mask(f, 2, 100)
+
+    def flags(s, e):
+        return mask.bits[s - 1:e - 1], []
     with pytest.raises(ValueError):
-        mask.counts_at([0])
+        checkpoint_counts(flags, 100, [0])
     with pytest.raises(ValueError):
-        mask.counts_at([101])
-    assert mask.counts_at([100]) == [int(mask.bits.sum())]
+        checkpoint_counts(flags, 100, [101])
+    assert checkpoint_counts(flags, 100, [100])[0] == [int(mask.bits.sum())]
 
 
 def test_count_kfree_rows():
     f = IntPolynomial.parse("1,0,1")
     mask = kfree_mask(f, 2, 1000)
     cps = [10, 100, 1000]
-    rows = count_kfree(cps, mask.counts_at(cps), 0.894841940656975)
+    counts = np.cumsum(mask.bits)[np.array(cps) - 1].tolist()
+    rows = count_kfree(cps, counts, 0.894841940656975)
     assert [r.count for r in rows] == [int(mask.bits[:n].sum())
                                        for n in (10, 100, 1000)]
     assert rows[-1].count == 895
@@ -282,11 +287,13 @@ def _mask_counts(text, k, N, cps):
     """(counts at cps, zero hits) from the whole-N masks, built in segments
     of 1000 so that no run edge falls inside one."""
     if text == "twinsqfree":
-        bits = twin_squarefree_mask(N)
+        bits = twin_squarefree_range(1, N + 1,
+                                     primes_up_to(math.isqrt(N + 1)))
         return np.cumsum(bits)[np.array(cps) - 1].tolist(), []
     mask = product_kfree_mask(parse_poly_or_product(text), k, N,
                               segment_size=1000)
-    return mask.counts_at(cps), list(mask.zero_hits)
+    return (np.cumsum(mask.bits)[np.array(cps) - 1].tolist(),
+            list(mask.zero_hits))
 
 
 @pytest.mark.parametrize("text,k", COUNT_CASES)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -46,6 +47,20 @@ def test_roots_small_primes_brute():
                 continue
             want = brute_roots(coeffs, p)
             assert sorted(roots_prime_gcd(coeffs, p)) == want, (coeffs, p)
+
+
+def test_roots_at_p_2_3_5_match_brute():
+    # 2 has no inverse mod 2: the quadratic closed form must not serve p = 2
+    assert roots_prime_gcd([0, 1, 1], 2) == [0, 1]
+    assert roots_prime_gcd([0, 1, 0, 1], 2) == [0, 1]
+    for p in (2, 3, 5):
+        for coeffs in itertools.product(range(p), repeat=4):
+            want = brute_roots(coeffs, p)
+            assert sorted(roots_prime_gcd(list(coeffs), p)) == want, (coeffs, p)
+            # the closed forms of degree <= 2 take any g that is nonzero mod p
+            if any(coeffs[:3]) and not coeffs[3]:
+                got = split_linear_roots(list(coeffs[:3]), p)
+                assert got == want, (coeffs, p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -320,13 +335,11 @@ def test_batch_split_part_skips_inverse_for_monic(monkeypatch):
     monkeypatch.setattr(modpoly, "_pow_vec", spy)
     primes = primes_up_to(200000)
     primes = primes[primes > 50]
-    chunks = -(-len(primes) // modpoly._LANE_CHUNK)
-    assert chunks >= 2
     counts, G = batch_split_part([5, 0, 0, 1], primes)
-    # one inverse per chunk is left: the monic scaling of the gcd
-    assert len(calls) == chunks
+    # one inverse per call is left: the monic scaling of the gcd
+    assert len(calls) == 1
     calls.clear()
-    # 3 (x^3 + 5) has the same monic split part, at two inverses per chunk
+    # 3 (x^3 + 5) has the same monic split part, at two inverses per call
     counts3, G3 = batch_split_part([15, 0, 0, 3], primes)
-    assert len(calls) == 2 * chunks
+    assert len(calls) == 2
     assert np.array_equal(counts, counts3) and np.array_equal(G, G3)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerfree.poly import (_HORNER_CHUNK, _INT64_MAX, IntPolynomial,
-                            bad_primes, coefficient_bound,
-                            evaluate_range, fixed_divisor,
+                            coefficient_bound, evaluate_range, fixed_divisor,
                             has_fixed_kth_power, irreducibility_check,
                             max_abs_value, parse_poly_or_product, profile,
                             rational_roots, resultant,
@@ -170,13 +169,15 @@ def test_has_fixed_kth_power():
 
 
 def test_bad_primes_frozen():
-    assert bad_primes(IntPolynomial.parse("1,0,1")) == (2,)
-    assert bad_primes(IntPolynomial.parse("2,0,0,1")) == (2, 3)
-    assert bad_primes(IntPolynomial.parse("5,0,0,1")) == (3, 5)
-    assert bad_primes(IntPolynomial.parse("4,1,0,1")) == (2, 109)
-    assert bad_primes(IntPolynomial.parse("2,0,3,0,1")) == (2,)
+    def bad_primes(text):
+        return profile(IntPolynomial.parse(text)).bad_primes
+    assert bad_primes("1,0,1") == (2,)
+    assert bad_primes("2,0,0,1") == (2, 3)
+    assert bad_primes("5,0,0,1") == (3, 5)
+    assert bad_primes("4,1,0,1") == (2, 109)
+    assert bad_primes("2,0,3,0,1") == (2,)
     # leading coefficient prime joins the bad set
-    assert 2 in bad_primes(IntPolynomial.parse("1,3,0,2"))
+    assert 2 in bad_primes("1,3,0,2")
 
 
 def test_coefficient_bound_dominates():
@@ -275,6 +276,30 @@ def test_irreducibility_never_lies():
         spoly = sym(list(coeffs))
         truly = spoly.is_irreducible or f.degree == 1
         assert verdict == ("proved" if truly else "refuted"), coeffs
+
+
+def test_irreducibility_without_factoring():
+    # x^2 + q with q a prime above factorint's proven range: the
+    # discriminant -4q is no square, and nothing needs factoring
+    q = sympy.nextprime(10 ** 25)
+    assert irreducibility_check(IntPolynomial.parse(f"{q},0,1")) == "proved"
+    # x^4 + a x + 1: rational roots can only be +-1, and the good-prime scan
+    # tests Res(f, f') * lc(f) mod p instead of factoring the discriminant
+    a = sympy.nextprime(10 ** 13)
+    f = IntPolynomial.parse(f"1,{a},0,0,1")
+    assert irreducibility_check(f) == "proved" and sym([1, a, 0, 0, 1]).is_irreducible
+    import random
+    rng = random.Random(26)
+    big = 10 ** 26
+    for _ in range(40):
+        coeffs = [rng.randint(-big, big) for _ in range(3)]
+        coeffs[2] = coeffs[2] or 1
+        if rng.random() < 0.5:  # (u x + v)(s x + t), a split quadratic
+            u, v, s_, t = (rng.randint(1, 10 ** 13) for _ in range(4))
+            coeffs = [v * t, u * t + v * s_, u * s_]
+        f = IntPolynomial.from_coeffs(coeffs)
+        truly = sym(list(coeffs)).is_irreducible
+        assert irreducibility_check(f) == ("proved" if truly else "refuted"), coeffs
 
 
 def test_profile_caches_and_aggregates():
