@@ -7,8 +7,7 @@ lifting, and Euler-product densities with rigorous truncation enclosures;
 on top sits an engine for averages of observables along uniquely ergodic
 systems sampled at Omega of sieved arguments.
 """
-from .density import (DensityResult, density, estermann_constant, legendre,
-                      quadratic_pair_constant, twin_constant)
+from .density import DensityResult, density, twin_constant
 from .dynamics import (GOLDEN_ROTATION, CyclicRotation, IrrationalRotation,
                        OrbitTable, PairObservable, TrigObservable,
                        TwoPointSwap, VectorObservable, orbit_table)
@@ -23,10 +22,10 @@ from .kfree import (CountRow, KfreeMask, KfreeSieve, SumDecomposition,
                     kfree_mask, kfree_range, product_kfree_mask,
                     sieve_prime_bound, tail_pair_count,
                     twin_squarefree_range)
-from .local_roots import (LocalRootData, RootTable, batch_root_counts,
-                          batch_roots, count_roots_mod_p, is_bad_prime,
-                          lift_levels, lift_roots, local_root_count,
-                          root_table, roots_mod_p)
+from .local_roots import (RootTable, batch_root_counts, batch_roots,
+                          count_roots_mod_p, is_bad_prime, lift_levels,
+                          lift_roots, local_root_count, root_table,
+                          roots_mod_p)
 from .poly import (IntPolynomial, PolyProfile, fixed_divisor,
                    has_fixed_kth_power, irreducibility_check, max_abs_value,
                    profile, rational_roots, resultant,
@@ -40,7 +39,6 @@ __all__ = [
     "CountRow", "CyclicRotation", "DensityResult", "GOLDEN_ROTATION",
     "HypothesisViolation", "IntPolynomial",
     "IrrationalRotation", "KfreeMask", "KfreeSieve",
-    "LocalRootData",
     "OmegaHistogram", "OrbitTable", "PairObservable",
     "PolyProfile", "ProductKfree", "ProgressionMap", "ReportRow", "RootTable",
     "SumDecomposition", "TrigObservable", "TwinSquarefree", "TwoPointSwap",
@@ -48,16 +46,14 @@ __all__ = [
     "build_tables", "checkpoint_counts", "convergence_report", "count_kfree",
     "count_roots_mod_p",
     "decompose_sum", "default_j_max", "density", "ergodic_average",
-    "estermann_constant",
     "exponent_fit", "factorize", "fixed_divisor", "has_fixed_kth_power",
     "integer_nth_root", "irreducibility_check", "is_bad_prime",
     "is_perfect_kth_power", "is_prime", "kfree_mask", "kfree_range",
-    "legendre",
     "lift_levels", "lift_roots", "local_root_count", "max_abs_value",
     "omega_histogram", "omega_histograms",
     "orbit_table", "primes_up_to", "product_kfree_mask", "profile",
-    "quadratic_pair_constant", "rational_roots", "resultant",
-    "resultant_with_derivative", "root_table", "roots_mod_p",
+    "rational_roots", "resultant", "resultant_with_derivative",
+    "root_table", "roots_mod_p",
     "sieve_prime_bound", "tail_pair_count", "twin_constant",
     "twin_squarefree_range",
 ]

@@ -7,10 +7,6 @@ count is at most deg f, so the missing log mass is below
 2 deg f / ((k-1) P^(k-1)) once every singular prime is inside the cutoff.
 Each constant here therefore comes with certified lower/upper enclosure,
 not just a point value.
-
-The named constants (twin squarefree, the quadratic n^2 + 1 density, the
-two-quadratic pair density) are written out from their closed prime forms
-as an independent route to the same numbers the generic evaluator gives.
 """
 from __future__ import annotations
 
@@ -21,7 +17,7 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .local_roots import (_PRIME_SLICE, RootTable, batch_root_counts,
-                          lift_roots)
+                          local_root_count)
 from .poly import IntPolynomial, has_fixed_kth_power, profile
 from .sieve import primes_up_to
 
@@ -62,8 +58,8 @@ def density(f: IntPolynomial, k: int, P: int,
 
     roots, a RootTable of f such as the one KfreeSieve sets up per factor,
     supplies rho_p at the good primes it covers; the others go through
-    batch_root_counts, and each singular p through lift_roots, whose level
-    walk gives rho_f(p^k).
+    batch_root_counts, and each singular p through local_root_count, which
+    walks its roots to p^(k-1) and counts their children mod p^k.
     The counts agree either way and fsum is correctly rounded, so the value
     is bit for bit the same with or without it. fsum takes the terms from
     a generator, one slice of _PRIME_SLICE primes at a time, so a slice's
@@ -96,7 +92,7 @@ def density(f: IntPolynomial, k: int, P: int,
                          f"for {f.text()}")
     singular = []
     for p in sorted(bad):
-        rho = lift_roots(f, p, k).rho
+        rho = local_root_count(f, p, k)
         pk = p ** k
         if rho == pk:
             return DensityResult(0.0, 0.0, 0.0, P, k, d, bad)
@@ -138,54 +134,3 @@ def twin_constant(P: int) -> DensityResult:
     value = math.exp(math.fsum(logs))
     tail = 4.0 / P  # 2 * 2 / ((2-1) * P)
     return DensityResult(value, value * math.exp(-tail), value, P, 2, 2, ())
-
-
-def estermann_constant(P: int) -> DensityResult:
-    """prod_{p <= P, p = 1 mod 4} (1 - 2/p^2): density of squarefree n^2+1.
-
-    Only p = 1 mod 4 contribute (n^2 = -1 needs -1 to be a square; at p = 2
-    the value n^2 + 1 is never divisible by 4). Tail: the p > P terms are
-    spaced at least 4 apart among integers = 1 mod 4, so the missing log
-    mass is under sum_{m > P, m = 1 mod 4} 4/m^2 <= 1/(P-3).
-    """
-    if P < 5:
-        raise ValueError("P >= 5 required")
-    logs = [math.log1p(-2.0 / p ** 2)
-            for p in primes_up_to(P).tolist() if p % 4 == 1]
-    value = math.exp(math.fsum(logs))
-    tail = 1.0 / (P - 3)
-    return DensityResult(value, value * math.exp(-tail), value, P, 2, 2, (2,))
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p, by Euler's criterion."""
-    if p <= 2 or p % 2 == 0:
-        raise ValueError("odd prime required")
-    a %= p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
-
-
-def quadratic_pair_constant(P: int) -> DensityResult:
-    """Density of n with (n^2+1)(n^2+2) squarefree, as an explicit product.
-
-    For odd p the factors have 1 + (-1/p) and 1 + (-2/p) roots mod p, never
-    shared (their resultant is 1), and every root lifts uniquely since only
-    p = 2 is singular for the quartic; so rho(p^2) = 2 + (-1/p) + (-2/p).
-    At p = 2 neither n^2+1 nor n^2+2 is ever divisible by 4, contributing a
-    factor 1. Tail <= 8/P from rho <= 4 = deg.
-    """
-    if P < 5:
-        raise ValueError("P >= 5 required")
-    logs = []
-    for p in primes_up_to(P).tolist():
-        if p == 2:
-            continue
-        a = legendre(-1, p) + legendre(-2, p) + 2
-        if a:
-            logs.append(math.log1p(-a / p ** 2))
-    value = math.exp(math.fsum(logs))
-    tail = 8.0 / P
-    return DensityResult(value, value * math.exp(-tail), value, P, 2, 4, (2,))

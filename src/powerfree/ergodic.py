@@ -276,8 +276,7 @@ class ReportRow:
 
 def convergence_report(system, observable, x, *, N_values, condition=None,
                        argmap=None, P: int = 10 ** 6, threads: int = 1,
-                       segment_size: int = DEFAULT_SEGMENT,
-                       iterated: bool = False) -> list[ReportRow]:
+                       segment_size: int = DEFAULT_SEGMENT) -> list[ReportRow]:
     """Ergodic averages at several N against the predicted limit.
 
     The limit is (density of the condition) * (space mean of g): the sieve
@@ -299,7 +298,7 @@ def convergence_report(system, observable, x, *, N_values, condition=None,
     counts = np.cumsum(_interval_counts(
         Ns[-1], [argmap], condition, [0] + Ns, jm, threads=threads,
         segment_size=segment_size, tables=None)[0], axis=0)
-    orb = orbit_table(system, observable, x, jm, iterated=iterated)
+    orb = orbit_table(system, observable, x, jm)
     target = dens * orb.mean
     rows = []
     for Ni, c in zip(Ns, counts):

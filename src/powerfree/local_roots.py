@@ -27,21 +27,6 @@ LIFT_ROOT_CAP = 10 ** 6
 _SCAN_HARD_CAP = 1 << 26  # a residue scan beyond this would stall
 
 
-@dataclass(frozen=True)
-class LocalRootData:
-    """Distinct roots of f modulo p^k; roots is None when the count
-    exceeded the requested cap and only rho was kept."""
-
-    p: int
-    k: int
-    rho: int
-    roots: tuple[int, ...] | None
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.k
-
-
 def is_bad_prime(f: IntPolynomial, p: int) -> bool:
     prof = profile(f)  # Res(f, f') = 0 when f has a repeated factor
     return (prof.resultant_with_derivative * prof.leading) % p == 0
@@ -53,23 +38,22 @@ def _certify(f: IntPolynomial, m: int, roots) -> None:
             raise AssertionError(f"uncertified root {r} mod {m} for {f.text()}")
 
 
+def _horner_mod(coeffs, n: np.ndarray, m) -> np.ndarray:
+    """f(n) mod m elementwise, for int64 n in [0, m) and coefficients
+    already reduced mod m (ints, or rows of per-lane residues). Every step
+    reduces, so with m < 2^31 a step's value stays below 2^62 + 2^31."""
+    acc = np.zeros(len(n), dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * n + c) % m
+    return acc
+
+
 def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
-    """All roots mod p by evaluating every residue (vectorized, lazy
-    reduction: two Horner steps keep values below p^3 < 2^63 for p <= 2e6)."""
+    """All roots mod p by evaluating every residue (vectorized)."""
     if p > _SCAN_HARD_CAP:
         raise CapacityError(f"residue scan at p={p} is out of range")
-    n = np.arange(p, dtype=np.int64)
-    cs = [c % p for c in f.coeffs]
-    acc = np.full(p, cs[-1], dtype=np.int64)
-    pending = 0
-    for c in reversed(cs[:-1]):
-        acc = acc * n + c
-        pending += 1
-        if pending == 2:
-            acc %= p
-            pending = 0
-    if pending:
-        acc %= p
+    acc = _horner_mod([c % p for c in f.coeffs],
+                      np.arange(p, dtype=np.int64), p)
     return tuple(int(r) for r in np.nonzero(acc == 0)[0])
 
 
@@ -151,17 +135,13 @@ def _lifted(f: IntPolynomial, p: int, k: int, cap: int) -> tuple[int, ...]:
     return roots
 
 
-def lift_roots(f: IntPolynomial, p: int, k: int, cap: int = LIFT_ROOT_CAP) -> LocalRootData:
-    """Roots of f mod p^k, the last level of lift_levels(f, p, p^k).
-
-    For k >= 2 a root list longer than cap is counted but elided, and a
-    lifted level of more than 8 cap residues raises CapacityError.
-    """
+def lift_roots(f: IntPolynomial, p: int, k: int) -> tuple[int, ...]:
+    """Sorted roots of f mod p^k, the last level of lift_levels(f, p, p^k);
+    a lifted level of more than 8 LIFT_ROOT_CAP residues raises
+    CapacityError."""
     if k < 1:
         raise ValueError("k >= 1 required")
-    roots = _lifted(f, p, k, cap)
-    rho = len(roots)
-    return LocalRootData(p, k, rho, roots if k == 1 or rho <= cap else None)
+    return _lifted(f, p, k, LIFT_ROOT_CAP)
 
 
 def local_root_count(f: IntPolynomial, p: int, k: int) -> int:
@@ -228,17 +208,14 @@ def batch_root_counts(f: IntPolynomial, primes: np.ndarray) -> np.ndarray:
 def _certify_batch(f: IntPolynomial, primes: np.ndarray, counts: np.ndarray,
                    lanes: np.ndarray, roots: np.ndarray) -> None:
     """Per-lane root counts must equal counts, roots within a lane must be
-    distinct, and f(r) = 0 mod p by an exact int64 Horner scheme (r < p <
-    2^31 keeps every product below 2^62)."""
+    distinct, and f(r) = 0 mod p by _horner_mod (r < p < 2^31)."""
     if not np.array_equal(np.bincount(lanes, minlength=len(primes)), counts):
         raise AssertionError(f"batched split lost roots of {f.text()}")
     if ((lanes[1:] == lanes[:-1]) & (roots[1:] <= roots[:-1])).any():
         raise AssertionError(f"batched split repeated a root of {f.text()}")
-    C = modpoly.reduce_coeffs(f.coeffs, primes)[:, lanes]
     P = primes[lanes]
-    acc = np.zeros(len(roots), dtype=np.int64)
-    for c in C[::-1]:
-        acc = (acc * roots + c) % P
+    acc = _horner_mod(modpoly.reduce_coeffs(f.coeffs, primes)[:, lanes],
+                      roots, P)
     bad = np.flatnonzero(acc)
     if len(bad):
         j = int(bad[0])

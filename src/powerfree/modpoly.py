@@ -197,15 +197,19 @@ def roots_prime_gcd(coeffs, p: int) -> list[int]:
     if poly_deg(f) == 0:
         return []
     f = poly_monic(f, p)
-    xp = poly_powmod([0, 1], p, f, p)
-    h = xp[:]
-    while len(h) < 2:
-        h.append(0)
-    h[1] = (h[1] - 1) % p
-    g = poly_gcd(poly_trim(h), f, p)
+    g = _frobenius_gcd(poly_powmod([0, 1], p, f, p), f, p)
     if poly_deg(g) <= 0:
         return []
     return split_linear_roots(g, p)
+
+
+def _frobenius_gcd(t: list[int], f: list[int], p: int) -> list[int]:
+    """Monic gcd(t - x, f) over F_p. With t = x^(p^i) mod f it is the
+    product of the distinct irreducible factors of f whose degree divides
+    i; i = 1 gives the linear part."""
+    h = t + [0] * (2 - len(t))
+    h[1] -= 1
+    return poly_gcd(h, f, p)
 
 
 # ------------------------------------------------------------------- batched

@@ -175,82 +175,42 @@ def has_fixed_kth_power(f: IntPolynomial, k: int) -> int | None:
     return None
 
 
-def _pseudo_rem(A: list[int], B: list[int]) -> list[int]:
-    """prem(A, B) = lc(B)^(deg A - deg B + 1) * A mod B, exact over Z."""
-    a, b = len(A) - 1, len(B) - 1
-    c = B[-1]
-    R = A[:]
-    e = a - b + 1
-    while R and len(R) - 1 >= b:
-        dR = len(R) - 1
-        lead = R[-1]
-        newR = [c * x for x in R[:-1]]
-        for j in range(b):
-            newR[dR - b + j] -= lead * B[j]
-        while newR and newR[-1] == 0:
-            newR.pop()
-        R = newR
-        e -= 1
-    if e > 0:
-        R = [c ** e * x for x in R]
-    return R
-
-
 def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
-    """Res(f, g), exact, by the subresultant pseudo-remainder sequence.
+    """Res(f, g), exact: the determinant of the Sylvester matrix, by
+    fraction-free Gaussian elimination with row swaps (Bareiss, Math. Comp.
+    22, 1968).
 
     Standard sign convention: Res(f, g) = lc(f)^deg(g) * prod g(alpha) over
-    the roots alpha of f (with multiplicity).
+    the roots alpha of f (with multiplicity). Each step keeps only the
+    block below and right of its pivot. By Sylvester's identity every entry
+    of that block is a minor of the row-permuted matrix, so each division
+    by the previous pivot is exact and no fraction is ever formed.
     """
-    A = list(f.coeffs)
-    B = list(g.coeffs)
-    if len(A) - 1 < len(B) - 1:
-        sgn = -1 if ((len(A) - 1) * (len(B) - 1)) % 2 else 1
-        return sgn * resultant(g, f)
-    acc = Fraction(1)
-    gg, hh = 1, 1  # subresultant coefficient controls
-    while True:
-        a, b = len(A) - 1, len(B) - 1
-        c = B[-1]
-        if b == 0:
-            return int(acc * Fraction(c) ** a)
-        R = _pseudo_rem(A, B)
-        if not R:
+    m, n = f.degree, g.degree
+    if m + n == 0:
+        return 1
+    a, b = list(f.coeffs[::-1]), list(g.coeffs[::-1])
+    M = ([[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+         + [[0] * i + b + [0] * (m - 1 - i) for i in range(m)])
+    sign, prev = 1, 1
+    while len(M) > 1:
+        piv = next((i for i, row in enumerate(M) if row[0]), None)
+        if piv is None:
             return 0
-        r = len(R) - 1
-        delta = a - b
-        # Res(A, B) = (-1)^(ab) c^(a - r) Res(B, R_true), and the pseudo
-        # remainder is c^(delta+1) R_true; scaling the second argument of a
-        # resultant by t multiplies it by t^deg(first).
-        if (a * b) % 2:
-            acc = -acc
-        acc *= Fraction(c) ** (a - r)
-        acc /= Fraction(c ** (delta + 1)) ** b
-        # subresultant division keeps coefficients small; compensate the
-        # same way (R / t scales Res(B, .) by t^-b)
-        div = gg * hh ** delta
-        if div != 1:
-            R = [x // div for x in R]
-            acc *= Fraction(div) ** b
-        gg = c
-        hh = hh if delta == 0 else _exact_pow_quotient(c, delta, hh)
-        A, B = B, R
-
-
-def _exact_pow_quotient(g: int, delta: int, h: int) -> int:
-    """h_(i+1) = g^delta / h^(delta-1), an exact integer by subresultant theory."""
-    num = g ** delta
-    den = h ** (delta - 1)
-    assert den != 0 and num % den == 0
-    return num // den
+        if piv:
+            M[0], M[piv] = M[piv], M[0]
+            sign = -sign
+        top = M[0]
+        M = [[(top[0] * x - row[0] * y) // prev
+              for x, y in zip(row[1:], top[1:])] for row in M[1:]]
+        prev = top[0]
+    return sign * M[0][0]
 
 
 def resultant_with_derivative(f: IntPolynomial) -> int:
     """Res(f, f'); zero exactly when f has a repeated factor."""
     if f.degree == 0:
         raise ValueError("degree >= 1 required")
-    if f.degree == 1:
-        return f.leading  # Res(ax+b, a) = a
     return resultant(f, f.derivative())
 
 
@@ -300,8 +260,10 @@ def irreducibility_check(f: IntPolynomial) -> str:
     f mod p irreducible (no factor of degree <= d/2, detected through
     gcd(x^(p^i) - x, f) being trivial for i <= d/2), which proves
     irreducibility of the primitive part; failing all that the answer is
-    "unverified". Reducible polynomials without rational roots, e.g.
-    products of two irreducible quadratics, land in "unverified".
+    "unverified". The rational-root test is only a shortcut: when lc(f) or
+    the lowest nonzero coefficient cannot be factored, a cubic goes to the
+    scan too. Reducible polynomials without rational roots, e.g. products
+    of two irreducible quadratics, land in "unverified".
     """
     if f.degree == 0:
         raise ValueError("degree >= 1 required")
@@ -318,9 +280,13 @@ def irreducibility_check(f: IntPolynomial) -> str:
         c, b, a = pp.coeffs
         disc = b * b - 4 * a * c
         return "refuted" if disc >= 0 and math.isqrt(disc) ** 2 == disc else "proved"
-    if rational_roots(pp):
+    try:
+        roots = rational_roots(pp)
+    except ValueError:  # a factor past factorint's range: the scan decides
+        roots = None
+    if roots:
         return "refuted"
-    if d == 3:
+    if d == 3 and roots is not None:
         return "proved"
     bad = prof.resultant_with_derivative * prof.leading
     from .sieve import primes_up_to  # local import avoids a cycle at load
@@ -339,12 +305,7 @@ def _irreducible_mod_p(f: IntPolynomial, p: int) -> bool:
     t = [0, 1]  # x
     for _ in range(d // 2):
         t = modpoly.poly_powmod(t, p, fm, p)  # x^(p^i)
-        h = t[:]
-        while len(h) < 2:
-            h.append(0)
-        h[1] = (h[1] - 1) % p
-        g = modpoly.poly_gcd(modpoly.poly_trim(h), fm, p)
-        if modpoly.poly_deg(g) > 0:
+        if modpoly.poly_deg(modpoly._frobenius_gcd(t, fm, p)) > 0:
             return False
     return True
 

@@ -1,7 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+
+from powerfree.density import DensityResult
+from powerfree.sieve import primes_up_to
 
 
 def _traced_peak(fn):
@@ -62,3 +66,54 @@ def whole_mask(condition, N):
         sel = select(s, min(s + step, N + 1))
         bits[s - 1:s - 1 + step] = True if sel is None else sel
     return bits
+
+
+def estermann_constant(P: int) -> DensityResult:
+    """prod_{p <= P, p = 1 mod 4} (1 - 2/p^2): density of squarefree n^2+1.
+
+    Only p = 1 mod 4 contribute (n^2 = -1 needs -1 to be a square; at p = 2
+    the value n^2 + 1 is never divisible by 4). Tail: the p > P terms are
+    spaced at least 4 apart among integers = 1 mod 4, so the missing log
+    mass is under sum_{m > P, m = 1 mod 4} 4/m^2 <= 1/(P-3).
+    """
+    if P < 5:
+        raise ValueError("P >= 5 required")
+    logs = [math.log1p(-2.0 / p ** 2)
+            for p in primes_up_to(P).tolist() if p % 4 == 1]
+    value = math.exp(math.fsum(logs))
+    tail = 1.0 / (P - 3)
+    return DensityResult(value, value * math.exp(-tail), value, P, 2, 2, (2,))
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for odd prime p, by Euler's criterion."""
+    if p <= 2 or p % 2 == 0:
+        raise ValueError("odd prime required")
+    a %= p
+    if a == 0:
+        return 0
+    t = pow(a, (p - 1) // 2, p)
+    return 1 if t == 1 else -1
+
+
+def quadratic_pair_constant(P: int) -> DensityResult:
+    """Density of n with (n^2+1)(n^2+2) squarefree, as an explicit product.
+
+    For odd p the factors have 1 + (-1/p) and 1 + (-2/p) roots mod p, never
+    shared (their resultant is 1), and every root lifts uniquely since only
+    p = 2 is singular for the quartic; so rho(p^2) = 2 + (-1/p) + (-2/p).
+    At p = 2 neither n^2+1 nor n^2+2 is ever divisible by 4, contributing a
+    factor 1. Tail <= 8/P from rho <= 4 = deg.
+    """
+    if P < 5:
+        raise ValueError("P >= 5 required")
+    logs = []
+    for p in primes_up_to(P).tolist():
+        if p == 2:
+            continue
+        a = legendre(-1, p) + legendre(-2, p) + 2
+        if a:
+            logs.append(math.log1p(-a / p ** 2))
+    value = math.exp(math.fsum(logs))
+    tail = 8.0 / P
+    return DensityResult(value, value * math.exp(-tail), value, P, 2, 4, (2,))

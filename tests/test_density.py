@@ -4,9 +4,9 @@ import math
 import pytest
 import sympy
 
+from conftest import estermann_constant, legendre, quadratic_pair_constant
 from powerfree import local_roots
-from powerfree.density import (density, estermann_constant, legendre,
-                               quadratic_pair_constant, twin_constant)
+from powerfree.density import density, twin_constant
 from powerfree.errors import HypothesisViolation
 from powerfree.kfree import KfreeSieve
 from powerfree.local_roots import local_root_count, root_table

@@ -179,7 +179,7 @@ def test_correction_levels_match_per_level_lifts(text):
         for g in factors:
             j, pj = 1, p
             while pj <= max_abs_value(g, N):
-                levels.append((pj, lift_roots(g, p, j).roots))
+                levels.append((pj, lift_roots(g, p, j)))
                 j, pj = j + 1, pj * p
         want.append(levels)
     assert sv.corrections == want
@@ -444,7 +444,7 @@ def test_bucketed_pass_designed_hits(monkeypatch, prime_table):
                             BUCKET_CASES[:3])
     # the Hensel lifts of the root n0 mod each prime reach its square
     for r in (_P1, _P2):
-        assert _N0 in lift_roots(cubic, r, 2).roots
+        assert _N0 in lift_roots(cubic, r, 2)
     assert cube(_N1) % _P1 ** 3 == 0
     assert not kfree_mask(cubic, 2, 3000, segment_size=1000).bits[_N0 - 1]
     # p1^2 p2^2 is no cube: each division at the collision counts once

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from powerfree import local_roots, modpoly
 from powerfree.errors import CapacityError
-from powerfree.local_roots import (SCAN_LIMIT, _scan_roots,
+from powerfree.local_roots import (SCAN_LIMIT, _lifted, _scan_roots,
                                    batch_root_counts, batch_roots,
                                    count_roots_mod_p, is_bad_prime,
                                    lift_levels, lift_roots, local_root_count,
@@ -92,8 +92,8 @@ def test_lift_roots_small_prime_powers_exhaustive():
             while pk <= 10 ** 4:
                 data = lift_roots(f, p, k)
                 want = enum_roots(f, pk)
-                assert data.rho == len(want), (coeffs, p, k)
-                assert sorted(data.roots) == want, (coeffs, p, k)
+                assert len(data) == len(want), (coeffs, p, k)
+                assert sorted(data) == want, (coeffs, p, k)
                 k += 1
                 pk *= p
 
@@ -101,10 +101,10 @@ def test_lift_roots_small_prime_powers_exhaustive():
 def test_lift_roots_frozen_quadratic():
     f = IntPolynomial.parse("1,0,1")
     data = lift_roots(f, 5, 2)
-    assert sorted(data.roots) == [7, 18]
-    assert data.rho == 2 and data.modulus == 25
-    assert lift_roots(f, 2, 2).rho == 0
-    assert lift_roots(f, 3, 4).rho == 0
+    assert sorted(data) == [7, 18]
+    assert len(data) == 2
+    assert len(lift_roots(f, 2, 2)) == 0
+    assert len(lift_roots(f, 3, 4)) == 0
 
 
 def test_lift_roots_frozen_cubic_table():
@@ -120,8 +120,8 @@ def test_lift_roots_frozen_cubic_table():
     }
     for (p, k), rho in want.items():
         data = lift_roots(f, p, k)
-        assert data.rho == rho, (p, k)
-        assert sorted(data.roots) == enum_roots(f, p ** k), (p, k)
+        assert len(data) == rho, (p, k)
+        assert sorted(data) == enum_roots(f, p ** k), (p, k)
 
 
 def test_good_prime_lift_preserves_count():
@@ -176,7 +176,7 @@ def test_capacity_error_on_exploding_lift():
     # x^2 mod 2^k has 2^(k - ceil(k/2)) roots; push past the cap
     f = IntPolynomial.parse("0,0,1")
     with pytest.raises(CapacityError):
-        lift_roots(f, 2, 50, cap=100)
+        _lifted(f, 2, 50, 100)
 
 
 def test_lift_levels_match_residue_enumeration():
@@ -242,9 +242,8 @@ def test_lift_levels_stop_at_top(monkeypatch):
 
 def test_lift_roots_k1_keeps_roots_above_cap():
     f = IntPolynomial.parse("3,3")  # 3(x + 1) vanishes identically mod 3
-    assert lift_roots(f, 3, 1, cap=2).roots == (0, 1, 2)
-    assert lift_roots(f, 3, 2, cap=2).roots is None
-    assert lift_roots(f, 3, 2, cap=2).rho == 3
+    assert lift_roots(f, 3, 1) == (0, 1, 2)
+    assert len(lift_roots(f, 3, 2)) == 3
 
 
 def test_batch_root_counts_vs_scalar():
@@ -404,9 +403,8 @@ def test_lift_roots_random_property(coeffs, pk):
     f = IntPolynomial.from_coeffs(coeffs)
     data = lift_roots(f, p, k)
     want = enum_roots(f, p ** k)
-    if data.roots is not None:
-        assert sorted(data.roots) == want
-    assert data.rho == len(want)
+    assert sorted(data) == want
+    assert len(data) == len(want)
 
 
 # squarefree, with lc 1009 (the 169th prime, a slow-routed prime in the

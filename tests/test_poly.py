@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerfree.poly import (_HORNER_CHUNK, _INT64_MAX, IntPolynomial,
@@ -122,6 +122,8 @@ def test_resultant_matches_sylvester_on_fixtures():
                 max_size=6),
        st.lists(st.integers(min_value=-30, max_value=30), min_size=2,
                 max_size=6))
+@example([10 ** 30, -7, 3, -10 ** 30], [-10 ** 30 + 1, 10 ** 29, 10 ** 30])
+@example([5, -2, 0, 7], [-12])
 def test_resultant_random_matches_sylvester(a, b):
     if a[-1] == 0:
         a = a[:-1] + [1]
@@ -283,6 +285,12 @@ def test_irreducibility_without_factoring():
     # discriminant -4q is no square, and nothing needs factoring
     q = sympy.nextprime(10 ** 25)
     assert irreducibility_check(IntPolynomial.parse(f"{q},0,1")) == "proved"
+    # x^3 + q, x^4 + q and x^3 + x + q: q is too large for the rational-root
+    # test, so the good-prime scan decides, and it proves cubics too
+    for coeffs in ([q, 0, 0, 1], [q, 0, 0, 0, 1], [q, 1, 0, 1]):
+        assert sym(coeffs).is_irreducible
+        assert irreducibility_check(IntPolynomial.from_coeffs(coeffs)) == \
+            "proved", coeffs
     # x^4 + a x + 1: rational roots can only be +-1, and the good-prime scan
     # tests Res(f, f') * lc(f) mod p instead of factoring the discriminant
     a = sympy.nextprime(10 ** 13)
