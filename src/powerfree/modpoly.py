@@ -26,8 +26,6 @@ _product_budget).
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _BATCH_PRIME_CAP = 1 << 31

@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import modpoly
-from .errors import CapacityError
 from .factorint import factorize, prime_factors
 
 _INT64_MAX = (1 << 63) - 1
