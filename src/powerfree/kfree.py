@@ -95,11 +95,15 @@ def _divide_out(vals: np.ndarray, seg_bits: np.ndarray, off: int, p: int,
 
     This serves the singular roots. The sl > 0 guard matters: a zero value
     of f sits at a root position of every prime and stays 0, which every p
-    divides, so without the guard it would loop forever.
+    divides, so without the guard it would loop forever. The first test
+    runs in chunks of _COFACTOR_CHUNK, so its remainder copy stays small
+    next to vals even at p = 2.
     """
     sl = vals[off::p]
     sl //= p
-    cur = np.nonzero((sl % p == 0) & (sl > 0))[0]
+    cur = np.concatenate([np.flatnonzero((c % p == 0) & (c > 0)) + s
+                          for s in range(0, len(sl), _COFACTOR_CHUNK)
+                          for c in [sl[s:s + _COFACTOR_CHUNK]]])
     e = 2
     while len(cur):
         sl[cur] //= p

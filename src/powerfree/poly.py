@@ -20,7 +20,7 @@ from . import modpoly
 from .factorint import factorize, prime_factors
 
 _INT64_MAX = (1 << 63) - 1
-_HORNER_CHUNK = 1 << 16
+_HORNER_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ signed byte), and a squarefree flag. Work proceeds in fixed-size segments,
 so transient memory is proportional to the segment, not the window.
 
 The Omega fill (_omega_segment) divides nothing: each prime-power hit
-adds one packed int32 constant that counts it and sums a fixed-point log2,
-which tells whether a prime above sqrt(hi-1) is left over. The squarefree
-flags come from a separate pass over the multiples of every p^2.
+adds one packed uint16 constant, the hit count in the top 6 bits and a
+fixed-point log2 (unit 1/16) in the low 10, and the log sum tells whether
+a prime above sqrt(hi-1) is left over. The squarefree flags come from a
+separate pass over the multiples of every p^2.
 
 Results are independent of segment size and thread count by construction:
 segments are disjoint, each is computed by the same deterministic code, and
@@ -47,7 +48,7 @@ def primes_up_to(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    return np.nonzero(flags)[0].astype(np.int64, copy=False)
 
 
 @dataclass
@@ -76,53 +77,68 @@ class ArithTables:
         return (1 - 2 * (self.omega & np.uint8(1)).astype(np.int8)).astype(np.int8)
 
 
-_LOG_UNIT = 1 << 16  # L_p = floor(_LOG_UNIT * log2 p); hits count from bit 24
-_LOG_MARGIN = 1 << 15
-
-
 def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     """Omega(n) for n in [a, b) as uint8, given (at least) every prime up
     to isqrt(b - 1).
 
-    Each hit p^e | n adds (1 << 24) + L_p to acc[n - a], L_p = floor(2^16
-    log2 p), so acc >> 24 = Omega(s) for the sieved part s of n and the low
-    24 bits hold F with |F - 2^16 log2 s| < Omega(s) < 40. The rest, q =
-    n / s, is 1 or one prime >= R = isqrt(b - 1) + 1 (two would exceed n).
+    Each hit p^e | n adds the uint16 (1 << 10) + L_p to acc[n - a], L_p =
+    floor(16 log2 p), so acc >> 10 = Omega(s) for the sieved part s of n
+    and the low 10 bits hold F with 0 <= 16 log2 s - F <= Omega(s). The
+    rest, q = n / s, is 1 or one prime >= R = isqrt(b - 1) + 1 (two would
+    exceed n). Let D = 16 log2 n - F and T = 8 log2 R.
 
-    If q = 1, 2^16 log2 n - F < 40; if q >= R, it exceeds 2^16 log2 R - 40
-    >= 2^16 - 40. So q > 1 iff F < 2^16 log2 n - 2^15, tested per element
-    below cut = 2(b - 1) // R + 1. From cut on, theta = 2^16 log2((b - 1)
-    / R) + 2^15 decides the whole segment: q > 1 means s <= (b - 1) / R,
-    so F < theta - 2^15 + 40, and q = 1 with n > 2(b - 1) / R gives F >
-    theta + 2^15 - 40. Only a window's first segment reaches below cut.
+    If q = 1, D <= Omega(n) <= log2(b - 1) < 2 log2 R <= T - 6; if q >= R,
+    D >= 16 log2 R >= T + 8. So q > 1 iff F < 16 log2 n - T, tested per
+    element below cut = 32(b - 1) // R + 1. From cut on, the integer theta
+    = floor(16 log2((b - 1) / R)) + 8 decides the whole segment: q > 1
+    means s <= (b - 1) / R, so F <= theta - 7, and q = 1 with n > 32(b - 1)
+    / R gives F >= 16 log2 n - 2 log2 R > theta + 72 - 2 log2 R >= theta
+    while R <= 2^36. The margins also absorb the rounding of the float
+    logs. In a pass of windows 2^11 or longer, only the first reaches
+    below cut.
 
-    Bounds, for b - 1 < MAX_LIMIT = 2^40: Omega(n) < 40 and F < 2^16 * 40
-    + 40 < 2^24, so the fields never overlap, and acc < 40 * 2^24 < 2^31
-    fits int32. (Any b - 1 < 2^63, as the streamed histograms may pass,
-    gives Omega < 63, F < 2^22 and acc < 2^30.)
+    Bounds: primes_up_to stops at 2^30, so b - 1 < 2^61 for every caller.
+    Then Omega(n) < 61 and F < 16 * 61 < 2^10, so the fields never overlap
+    and acc < (61 << 10) < 2^16 fits uint16.
 
-    acc >> 24 is written straight into the uint8 output, with no int32
-    copy of the shift.
+    Powers p^e <= b - a take one strided add each. A larger power hits the
+    window at most once, so all of those are gathered in one np.add.at.
+    The tail runs in place on acc: acc >> 10 goes straight into the uint8
+    output, and the uniform test writes its flags over acc.
     """
     m = b - a
-    acc = np.zeros(m, dtype=np.int32)
-    steps = (1 << 24) + np.floor(_LOG_UNIT * np.log2(primes)).astype(np.int64)
-    for p, step in zip(primes.tolist(), steps.tolist()):
+    ps = primes[:np.searchsorted(primes, b - 1, side="right")]
+    steps = ((1 << 10) + np.floor(16 * np.log2(ps))).astype(np.uint16)
+    acc = np.zeros(m, dtype=np.uint16)
+    small = np.searchsorted(ps, m, side="right")
+    for p, step in zip(ps[:small].tolist(), steps[:small].tolist()):
         pe = p
-        # p^e <= b-1 whenever any multiple of p^e lies in [a, b)
-        while pe <= b - 1:
-            off = (-a) % pe
-            if off < m:
-                acc[off::pe] += step
+        while pe <= m:
+            acc[(-a) % pe::pe] += step
             pe *= p
+    offs, adds, pe = [ps[:0]], [steps[:0]], ps
+    while len(pe):  # p^e for the first len(pe) primes, all <= b - 1
+        off = (-a) % pe
+        hit = (pe > m) & (off < m)
+        offs.append(off[hit])
+        adds.append(steps[:len(pe)][hit])
+        pe = pe[pe <= (b - 1) // ps[:len(pe)]]
+        pe = pe * ps[:len(pe)]
+    np.add.at(acc, np.concatenate(offs), np.concatenate(adds))
     omega = np.empty(m, dtype=np.uint8)
-    np.right_shift(acc, 24, out=omega, casting="unsafe")
-    acc &= (1 << 24) - 1
+    np.right_shift(acc, 10, out=omega, casting="unsafe")
+    acc &= (1 << 10) - 1
     R = math.isqrt(b - 1) + 1
-    cut = min(max(2 * (b - 1) // R + 1 - a, 0), m)
-    omega[:cut] += acc[:cut] < (_LOG_UNIT * np.log2(np.arange(a, a + cut))
-                                - _LOG_MARGIN)
-    omega[cut:] += acc[cut:] < _LOG_UNIT * math.log2((b - 1) / R) + _LOG_MARGIN
+    cut = min(max(32 * (b - 1) // R + 1 - a, 0), m)
+    if cut:
+        x = np.arange(a, a + cut, dtype=np.float64)
+        np.log2(x, out=x)
+        x *= 16
+        x -= 8 * math.log2(R)
+        omega[:cut] += acc[:cut] < x
+    tail = acc[cut:]
+    np.less(tail, math.floor(16 * math.log2((b - 1) / R)) + 8, out=tail)
+    omega[cut:] += tail
     return omega
 
 
@@ -173,7 +189,9 @@ def build_tables(
     """Sieve Omega/Mobius/squarefree over [lo, hi).
 
     lo >= 1, hi > lo, hi <= 2^40. Memory for the result is 3 bytes per
-    integer in the window; transients are bounded by the segment size.
+    integer in the window. Each thread's transients peak at 3 bytes per n
+    of its segment: the uint16 Omega accumulator and the uint8 Omega it is
+    shifted into, before that is copied in.
     """
     lo, hi = int(lo), int(hi)
     if lo < 1 or hi <= lo:

@@ -368,7 +368,7 @@ def test_convergence_report_peak_is_flat_in_N(traced_peak):
 
 
 def test_interval_pass_peak_is_capped_at_a_run(traced_peak):
-    # a window holds its Omega fill (the int32 accumulator and the uint8
+    # a window holds its Omega fill (the uint16 accumulator and the uint8
     # output); the selection, the gather and np.bincount's intp copy of it
     # are one run long; whole-window runs peaked at about 17 MB here
     N = 4 * 2 ** 20

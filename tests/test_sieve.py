@@ -122,8 +122,8 @@ def test_first_segments_match_spf_oracle(seg):
 
 @pytest.mark.parametrize("a", [1, 900, 1413, 1998, 1999, 2000])
 def test_windows_straddling_the_threshold_cut(a):
-    # b - 1 = 10^6, R = 1001: n >= 2(b - 1) // R + 1 = 1999 share one
-    # threshold, which would misread smooth n just above (b - 1) / R
+    # b - 1 = 10^6, R = 1001: windows starting near (b - 1) / R, where one
+    # threshold for the whole window would misread smooth n
     b = 10 ** 6 + 1
     got = _omega_segment(a, b, primes_up_to(math.isqrt(b - 1)))
     assert np.array_equal(got, _spf()[a:b])
@@ -139,6 +139,52 @@ def test_extra_primes_and_short_windows():
         assert t.omega.tolist() == _spf()[1:top + 1].tolist()
         assert t.squarefree.tolist() == [True, True, True, False][:top]
 
+
+def test_random_windows_match_spf_oracle():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        b = int(rng.integers(2, 10 ** 6 + 2))
+        a = max(1, b - int(2 ** rng.uniform(0, 18)))
+        got = _omega_segment(a, b, primes_up_to(math.isqrt(b - 1)))
+        assert np.array_equal(got, _spf()[a:b]), (a, b)
+
+
+def test_tiny_windows_match_spf_oracle():
+    # b - 1 = 1 has no primes, and R = 2 while 16 log2 R is at its least
+    for top in range(1, 41):
+        primes = primes_up_to(math.isqrt(top))
+        for a in range(1, top + 1):
+            got = _omega_segment(a, top + 1, primes)
+            assert np.array_equal(got, _spf()[a:top + 1]), (a, top)
+
+
+@pytest.mark.parametrize("a", [1, 1000, 1414, 31000, 31968, 31969, 31970])
+def test_windows_straddling_the_uniform_cut(a):
+    # b - 1 = 10^6, R = 1001: n >= 32(b - 1) // R + 1 = 31969 share one
+    # threshold, which would misread smooth n just above (b - 1) / R
+    b = 10 ** 6 + 1
+    got = _omega_segment(a, b, primes_up_to(math.isqrt(b - 1)))
+    assert np.array_equal(got, _spf()[a:b])
+
+
+def test_primes_beyond_the_window_root():
+    # the histograms pass every prime to isqrt(top) to each window, so a
+    # prime may exceed isqrt(b - 1), the window length, or b - 1 itself
+    for plim in (1000, 6324):
+        primes = primes_up_to(plim)
+        for a, b in [(1, 2), (1, 50), (7, 1000), (1000, 5000), (1, 70001),
+                     (500_000, 500_300), (999_999, 10 ** 6 + 1)]:
+            got = _omega_segment(a, b, primes)
+            assert np.array_equal(got, _spf()[a:b]), (plim, a, b)
+
+
+@pytest.mark.parametrize("a", [1, 4 * 10 ** 7 - 2 ** 20])
+def test_window_fill_peak(traced_peak, a):
+    # a 2^20 window holds its uint16 accumulator (2 MiB) and the uint8
+    # output (1 MiB); the tail runs in place, so no bool copy of the window
+    primes = primes_up_to(6325)
+    _, peak = traced_peak(lambda: _omega_segment(a, a + 2 ** 20, primes))
+    assert peak <= 3.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 def test_window_just_below_max_limit():
     hi = 1 << 40
