@@ -130,12 +130,11 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     acc &= (1 << 10) - 1
     R = math.isqrt(b - 1) + 1
     cut = min(max(32 * (b - 1) // R + 1 - a, 0), m)
-    if cut:
-        x = np.arange(a, a + cut, dtype=np.float64)
-        np.log2(x, out=x)
-        x *= 16
-        x -= 8 * math.log2(R)
-        omega[:cut] += acc[:cut] < x
+    x = np.arange(a, a + cut, dtype=np.float64)
+    np.log2(x, out=x)
+    x *= 16
+    x -= 8 * math.log2(R)
+    omega[:cut] += acc[:cut] < x
     tail = acc[cut:]
     np.less(tail, math.floor(16 * math.log2((b - 1) / R)) + 8, out=tail)
     omega[cut:] += tail
