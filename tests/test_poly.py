@@ -217,7 +217,8 @@ def test_evaluate_range_object_fallback():
 
 
 @pytest.mark.parametrize("length", [1, _HORNER_CHUNK - 1, _HORNER_CHUNK,
-                                    _HORNER_CHUNK + 1])
+                                    _HORNER_CHUNK + 1, (1 << 16) - 1,
+                                    1 << 16, (1 << 16) + 1])
 def test_evaluate_range_chunks_match_python_ints(length):
     f = IntPolynomial.parse("7,-3,0,2")  # 2x^3 - 3x + 7
     for start in (-(length // 2), 1, _HORNER_CHUNK - 1):
