@@ -101,8 +101,6 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     Then Omega(n) < 61 and F < 16 * 61 < 2^10, so the fields never overlap
     and acc < (61 << 10) < 2^16 fits uint16.
 
-    Powers p^e <= b - a take one strided add each. A larger power hits the
-    window at most once, so all of those are gathered in one np.add.at.
     The tail runs in place on acc: acc >> 10 goes straight into the uint8
     output, and the uniform test writes its flags over acc.
     """
@@ -110,21 +108,14 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     ps = primes[:np.searchsorted(primes, b - 1, side="right")]
     steps = ((1 << 10) + np.floor(16 * np.log2(ps))).astype(np.uint16)
     acc = np.zeros(m, dtype=np.uint16)
-    small = np.searchsorted(ps, m, side="right")
-    for p, step in zip(ps[:small].tolist(), steps[:small].tolist()):
+    for p, step in zip(ps.tolist(), steps.tolist()):
         pe = p
-        while pe <= m:
-            acc[(-a) % pe::pe] += step
+        # p^e <= b-1 whenever any multiple of p^e lies in [a, b)
+        while pe <= b - 1:
+            off = (-a) % pe
+            if off < m:
+                acc[off::pe] += step
             pe *= p
-    offs, adds, pe = [ps[:0]], [steps[:0]], ps
-    while len(pe):  # p^e for the first len(pe) primes, all <= b - 1
-        off = (-a) % pe
-        hit = (pe > m) & (off < m)
-        offs.append(off[hit])
-        adds.append(steps[:len(pe)][hit])
-        pe = pe[pe <= (b - 1) // ps[:len(pe)]]
-        pe = pe * ps[:len(pe)]
-    np.add.at(acc, np.concatenate(offs), np.concatenate(adds))
     omega = np.empty(m, dtype=np.uint8)
     np.right_shift(acc, 10, out=omega, casting="unsafe")
     acc &= (1 << 10) - 1

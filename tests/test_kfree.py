@@ -533,7 +533,6 @@ def test_lifted_strides_match_factorint(text, N, k, prime_table):
         assert prime_table(f, k, N) == factorint_table(f, k, N)
 
 
-
 def test_singular_divide_out_transient_is_chunked(traced_peak):
     # x^2 + 1 has the singular root 1 mod 2, so _divide_out walks half a
     # run; a whole-slice remainder copy of it would be 1 MiB
@@ -543,6 +542,7 @@ def test_singular_divide_out_transient_is_chunked(traced_peak):
     assert np.array_equal(vals, np.where(n % 2, (n * n + 1) // 2, n * n + 1))
     assert bits.all()
     assert peak < 2 ** 19, f"peak {peak / 2 ** 20:.2f} MiB"
+
 
 def test_zero_values_stay_zero():
     # x^3 - 27 vanishes at n = 3. From p = 5 on every root there is simple,

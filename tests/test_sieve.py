@@ -186,6 +186,7 @@ def test_window_fill_peak(traced_peak, a):
     _, peak = traced_peak(lambda: _omega_segment(a, a + 2 ** 20, primes))
     assert peak <= 3.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
+
 def test_window_just_below_max_limit():
     hi = 1 << 40
     t = build_tables(hi - 600, hi)
