@@ -8,6 +8,16 @@ exceeds P0 and c <= max|f| <= P0^(k+1), so Omega(c) <= k, and a prime q with
 q^k | c forces c = q^k. The same sieve gives S(n) = {p : p^k | f(n)} for the
 threshold decomposition, so neither needs factorization.
 
+The division is positional (_walk), reading no value to learn its primes.
+lift_levels gives the roots L_j of f mod p^j for every p^j <= H, an exact
+bound of |f| on [1, N]. n lies in a class of L_j iff p^j | f(n), and p^j
+<= |f(n)| <= H for those j when f(n) != 0, so v_p(f(n)) is the number of
+levels whose classes hold n: one division by p per class hit removes
+p^v_p(f(n)) exactly, and a zero stays 0. On int64 values it multiplies by
+p^-1 mod 2^64, which gives v/p whenever p | v and 0 <= v < 2^63 (v/p is
+then an int64 with (v/p) p = v). Primes above _STRIDE_MAX, and levels a
+plan leaves out, divide once by position and go on by value.
+
 Products of coprime factors get per-factor masks plus an exact correction
 at the finitely many primes dividing a pairwise resultant, the only places
 where exponents from different factors can combine.
@@ -34,11 +44,14 @@ _COFACTOR_CHUNK = 1 << 14
 # moduli of the object path's k-th power residue filter; for k = 2 about
 # 0.8 % of random values are squares modulo all four
 _RESIDUE_MODULI = (64, 63, 65, 11)
-# primes above this hit a default segment at most 256 times per root, so
-# their hits are gathered into one vectorized pass (_divide_out_roots)
-_BUCKET_MIN_PRIME = 4096
+# primes up to this take one strided slice per lifted class (_walk); a
+# larger one hits a run at most _RUN / 257 times per root, so the hits of
+# many (p, root) pairs are gathered into one vectorized pass
+_STRIDE_MAX = 256
+# a plan's levels of one prime stop before a deeper level with more classes
+_LEVEL_CAP = 64
 _HIT_CHUNK = 1 << 13
-# (p, root) pairs above _BUCKET_MIN_PRIME whose hits one step of a run builds
+# (p, root) pairs above _STRIDE_MAX whose hits one step of a run builds
 _PAIR_SLICE = 1 << 14
 
 
@@ -88,163 +101,96 @@ def _check_sieve_hypotheses(f: IntPolynomial, k: int) -> None:
         )
 
 
-def _divide_out(vals: np.ndarray, seg_bits: np.ndarray, off: int, p: int,
-                k: int, record=None) -> None:
-    """Divide the full p-part out of vals[off::p]; clear seg_bits where the
-    exponent reaches k. record(positions, primes) hooks exponent >= k.
-
-    This serves the singular roots. The sl > 0 guard matters: a zero value
-    of f sits at a root position of every prime and stays 0, which every p
-    divides, so without the guard it would loop forever. The first test
-    runs in chunks of _COFACTOR_CHUNK, so its remainder copy stays small
-    next to vals even at p = 2.
-    """
-    sl = vals[off::p]
-    sl //= p
-    cur = np.concatenate([np.flatnonzero((c % p == 0) & (c > 0)) + s
-                          for s in range(0, len(sl), _COFACTOR_CHUNK)
-                          for c in [sl[s:s + _COFACTOR_CHUNK]]])
-    e = 2
-    while len(cur):
-        sl[cur] //= p
-        if e == k:
-            pos = off + cur * p
-            seg_bits[pos] = False
-            if record is not None:
-                record(pos, np.full(len(pos), p, dtype=np.int64))
-        e += 1
-        sub = sl[cur]
-        cur = cur[(sub % p == 0) & (sub > 0)]
+def _inverses(P: np.ndarray) -> np.ndarray:
+    """p^-1 mod 2^64 as int64 for odd int64 p: Newton's step x <- x (2 -
+    p x) doubles the correct low bits, and x = p starts with three."""
+    p = P.astype(np.uint64)
+    x = p.copy()
+    for _ in range(5):
+        x *= 2 - p * x
+    return x.view(np.int64)
 
 
-def _divide_out_hits(vals: np.ndarray, seg_bits: np.ndarray, pos: np.ndarray,
-                     pr: np.ndarray, k: int, record=None) -> None:
-    """_divide_out for scattered hits: pr[j] divides vals[pos[j]], and each
-    (position, prime) pair occurs once, but a position may repeat with
-    different primes.
-
-    np.floor_divide.at is unbuffered, so a repeated position is divided by
-    each of its primes in turn; that stays exact because distinct primes are
-    coprime, so q | v still holds after v is divided by p. Each round keeps
-    only the hits whose prime still divides, as in _divide_out.
-    """
-    if vals.dtype == object:
-        pr = pr.astype(object)  # Python-int division, no int64 overflow
-    np.floor_divide.at(vals, pos, pr)
-    e = 1
-    while True:
-        v = vals[pos]
-        live = (v % pr == 0) & (v > 0)
-        pos, pr = pos[live], pr[live]
-        if not len(pos):
-            return
-        np.floor_divide.at(vals, pos, pr)
-        e += 1
-        if e == k:
-            seg_bits[pos] = False
-            if record is not None:
-                record(pos, pr.astype(np.int64, copy=False))
+def _walk_plan(f: IntPolynomial, roots: RootTable, height: int) -> tuple:
+    """(split, strided) for _walk: roots.p[split:] exceed _STRIDE_MAX, and
+    strided holds (p, p^-1 mod 2^64 (unused at p = 2), levels, whole) per
+    prime below: lift_levels' (p^j, roots of f mod p^j) for every p^j <=
+    height = max|f| on [1, N] up to the first empty level, or whole False
+    before a level j >= 2 of more than _LEVEL_CAP classes, whose rest the
+    walk reads by value."""
+    split = int(np.searchsorted(roots.p, _STRIDE_MAX, side="right"))
+    P, R = roots.p[:split], roots.roots[:split]
+    strided = []
+    for p in np.unique(P).tolist():
+        levels, whole = [], True
+        for pj, level in lift_levels(f, p, height, R[P == p].tolist()):
+            if not level or pj > p and len(level) > _LEVEL_CAP:
+                whole = not level
+                break
+            levels.append((pj, level))
+        strided.append((p, int(_inverses(np.array([p]))[0]), levels, whole))
+    return split, strided
 
 
-def _signed_inverse(p: int) -> int | None:
-    """p^-1 mod 2^64 as a signed int64 for odd p, None for p = 2."""
-    if p == 2:
-        return None
-    inv = pow(p, -1, 1 << 64)
-    return inv - ((inv >> 63) << 64)
-
-
-def _lift_plan(f: IntPolynomial, roots: RootTable, height: int) -> list:
-    """One entry per (p, r) pair of roots with p <= _BUCKET_MIN_PRIME, in
-    table order: None at a singular root (f'(r) = 0 mod p, as at every p
-    dividing the content), else (_signed_inverse(p), the Hensel lifts r_j
-    of r mod p^j for every p^j <= height = max|f| on [1, N]). The lifts are
-    unique, so v_p(f(n)) for n = r (mod p) is the number of levels n
-    matches: a nonzero |f(n)| <= height matches none with p^j > height, and
-    a zero value, matching them all, stops at the same bound."""
-    split = int(np.searchsorted(roots.p, _BUCKET_MIN_PRIME, side="right"))
-    der = f.derivative()
-    return [(_signed_inverse(p),
-             [lv[0] for _, lv in lift_levels(f, p, height, (r,))])
-            if der(r) % p else None
-            for p, r in zip(roots.p[:split].tolist(),
-                            roots.roots[:split].tolist())]
-
-
-def _divide_out_lifted(vals: np.ndarray, seg_bits: np.ndarray, a: int,
-                       p: int, inv: int | None, lifts: list, k: int,
-                       record=None) -> None:
-    """_divide_out for a simple root with the lifts of _lift_plan: level j
-    divides the class of r_j mod p^j by p once, and level k clears
-    seg_bits there. A level that misses the segment ends the walk, since
-    every later class lies inside it. On the int64 path an odd p multiplies
-    by inv = p^-1 mod 2^64 as a signed int64: for 0 <= v < 2^63 with p | v
-    the wrapping product is v / p. p = 2 (inv None) and object dtype
-    floor-divide."""
-    m = len(vals)
-    if vals.dtype == object:
-        inv = None
-    pj = 1
-    for j, rj in enumerate(lifts, 1):
-        pj *= p
-        off = (rj - a) % pj
-        if off >= m:
-            return
-        sl = vals[off::pj]
-        if inv is None:
-            sl //= p
-        else:
-            sl *= inv
-        if j == k:
-            seg_bits[off::pj] = False
-            if record is not None:
-                pos = np.arange(off, m, pj, dtype=np.int64)
-                record(pos, np.full(len(pos), p, dtype=np.int64))
-
-
-def _divide_out_roots(vals: np.ndarray, seg_bits: np.ndarray, a: int,
-                      roots: RootTable, plan: list, k: int,
-                      record=None) -> None:
+def _walk(vals: np.ndarray, seg_bits: np.ndarray, a: int, roots: RootTable,
+          plan: tuple, k: int, record=None) -> None:
     """Divide every prime of roots fully out of vals, which holds |f(n)|
-    for n in [a, a + len(vals)); clear seg_bits where an exponent reaches k.
+    for n in [a, a + len(vals)), and clear seg_bits where an exponent
+    reaches k; record(positions, primes) gets those hits.
 
-    Primes up to _BUCKET_MIN_PRIME take strided slices, one walk per root:
-    _divide_out_lifted on plan's levels at a simple root, _divide_out at a
-    singular one. Above it a root hits a segment only a few times, so all
-    hits of the larger (p, root) pairs are built at once with np.repeat, in
-    groups of about _HIT_CHUNK hits to bound the transient arrays, and
-    divided by _divide_out_hits (the bucket sieve of Oliveira e Silva,
-    Herzog and Pardi, Math. Comp. 83, 2014). Hits reaching exponent k go to
-    record in ascending prime order for each position. The larger pairs
-    are taken _PAIR_SLICE at a time, so a slice's offsets, hit counts and
-    groups are all a run holds beyond vals, however many roots there are.
+    A strided prime divides vals[off::p^j] by p for each class of each
+    level (module docstring): a shift at p = 2, floor division on object
+    values. Once a level has no class in the run, no deeper one has. The
+    larger primes go to _divide_pairs _PAIR_SLICE (p, root) pairs at a time.
     """
     m = len(vals)
-    split = len(plan)
-    for p, r, lift in zip(roots.p[:split].tolist(),
-                          roots.roots[:split].tolist(), plan):
-        if lift is not None:
-            _divide_out_lifted(vals, seg_bits, a, p, *lift, k, record)
-            continue
-        off = (r - a) % p
-        if off < m:
-            _divide_out(vals, seg_bits, off, p, k, record)
+    split, strided = plan
+    obj = vals.dtype == object
+    for p, inv, levels, whole in strided:
+        for j, (pj, level) in enumerate(levels, 1):
+            offs = [o for o in ((r - a) % pj for r in level) if o < m]
+            if not offs:
+                break
+            for off in offs:
+                sl = vals[off::pj]
+                if obj:
+                    sl //= p
+                elif p == 2:
+                    sl >>= 1
+                else:
+                    sl *= inv
+                if j == k:
+                    seg_bits[off::pj] = False
+                    if record is not None:
+                        pos = np.arange(off, m, pj, dtype=np.int64)
+                        record(pos, np.full(len(pos), p, dtype=np.int64))
+        else:
+            if not whole:
+                pj, level = levels[-1]
+                pos = np.concatenate([np.arange((r - a) % pj, m, pj)
+                                      for r in level])
+                _divide_deeper(vals, seg_bits, pos, np.full(len(pos), p),
+                               len(levels), k, record)
     for lo in range(split, len(roots.p), _PAIR_SLICE):
-        _divide_out_pairs(vals, seg_bits, a, roots.p[lo:lo + _PAIR_SLICE],
-                          roots.roots[lo:lo + _PAIR_SLICE], k, record)
+        _divide_pairs(vals, seg_bits, a, roots.p[lo:lo + _PAIR_SLICE],
+                      roots.roots[lo:lo + _PAIR_SLICE], k, record)
 
 
-def _divide_out_pairs(vals: np.ndarray, seg_bits: np.ndarray, a: int,
-                      P: np.ndarray, R: np.ndarray, k: int,
-                      record=None) -> None:
-    """The bucketed part of _divide_out_roots for the (p, root) pairs
-    (P[i], R[i]), all with p > _BUCKET_MIN_PRIME."""
+def _divide_pairs(vals: np.ndarray, seg_bits: np.ndarray, a: int,
+                  P: np.ndarray, R: np.ndarray, k: int, record=None) -> None:
+    """_walk for the (p, root) pairs (P[i], R[i]) with p > _STRIDE_MAX: the
+    hits n = R[i] (mod P[i]) of the run, built in groups of about
+    _HIT_CHUNK, are divided once and go on in _divide_deeper (the bucket
+    sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014)."""
     m = len(vals)
     off = (R - a) % P
     inside = off < m
     P, off = P[inside], off[inside]
     if not len(P):
         return
+    obj = vals.dtype == object
+    if not obj:
+        inv, lim = _inverses(P), np.uint64(2 ** 64 - 1) // P.astype(np.uint64)
     cnt = (m - 1 - off) // P + 1
     ends = np.cumsum(cnt)
     cuts = np.searchsorted(ends, np.arange(_HIT_CHUNK, int(ends[-1]),
@@ -260,7 +206,50 @@ def _divide_out_pairs(vals: np.ndarray, seg_bits: np.ndarray, a: int,
         pos = np.arange(len(pr), dtype=np.int64)
         pos *= pr
         pos += np.repeat(off[s:e] - first * P[s:e], c)
-        _divide_out_hits(vals, seg_bits, pos, pr, k, record)
+        # unbuffered: a position may repeat, with distinct primes
+        if obj:
+            np.floor_divide.at(vals, pos, pr.astype(object))
+            _divide_deeper(vals, seg_bits, pos, pr, 1, k, record)
+        else:
+            pinv = np.repeat(inv[s:e], c)
+            np.multiply.at(vals, pos, pinv)
+            _divide_deeper(vals, seg_bits, pos, pr, 1, k, record,
+                           pinv, np.repeat(lim[s:e], c))
+
+
+def _divide_deeper(vals: np.ndarray, seg_bits: np.ndarray, pos: np.ndarray,
+                   pr: np.ndarray, e: int, k: int, record=None, inv=None,
+                   lim=None) -> None:
+    """Go on from hits whose value the walk has divided e times by their
+    prime, pr[i] at vals[pos[i]]: divide again while p still divides v > 0
+    (a zero of f stays 0), clearing seg_bits where the exponent reaches k.
+    A position may repeat with distinct primes; ufunc.at is unbuffered.
+
+    With inv and lim, the hits' p^-1 mod 2^64 and floor((2^64 - 1) / p) on
+    int64 values, v p^-1 mod 2^64 tests and divides at once: x -> x p^-1 is
+    one-to-one mod 2^64 and takes each multiple p t < 2^64 to t, so for 0 <
+    v < 2^63, p | v iff 1 <= v p^-1 mod 2^64 <= lim, read unsigned.
+    """
+    div = pr.astype(vals.dtype, copy=False) if inv is None else inv
+    while True:
+        v = vals[pos]
+        if inv is None:
+            live = (v % div == 0) & (v > 0)
+        else:
+            v *= div
+            u = v.view(np.uint64)
+            u -= 1  # v = 0 wraps to 2^64 - 1
+            live = u < lim
+            lim = lim[live]
+        pos, pr, div = pos[live], pr[live], div[live]
+        if not len(pos):
+            return
+        (np.floor_divide if inv is None else np.multiply).at(vals, pos, div)
+        e += 1
+        if e == k:
+            seg_bits[pos] = False
+            if record is not None:
+                record(pos, pr)
 
 
 def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
@@ -296,25 +285,23 @@ def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
     root = {2: np.sqrt, 3: np.cbrt}.get(k, lambda x: np.power(x, 1.0 / k))
     found = [np.zeros(0, dtype=np.intp)]
     for s in range(0, len(vals), _COFACTOR_CHUNK):
-        idx = np.flatnonzero(vals[s:s + _COFACTOR_CHUNK] > 1) + s
-        v = vals[idx]
+        v = vals[s:s + _COFACTOR_CHUNK]
         r = np.rint(root(v.astype(np.float64))).astype(np.int64)
         np.minimum(r, rmax, out=r)
-        hit = r ** k == v
-        found.append(idx[hit])
+        found.append(np.flatnonzero((r ** k == v) & (v > 1)) + s)
     return np.concatenate(found)
 
 
 def _cofactors(f: IntPolynomial, k: int, a: int, b: int, roots: RootTable,
-               plan: list, seg_bits: np.ndarray, record=None) -> np.ndarray:
+               plan: tuple, seg_bits: np.ndarray, record=None) -> np.ndarray:
     """|f(n)| for n in [a, b) with every prime of roots divided fully out
-    by _divide_out_roots, which calls record and leaves seg_bits set where
-    no such prime reaches exponent k. A zero of f stays 0 (a 1 would become
-    p^-1 mod 2^64 at a lifted level); every other value stays >= 1."""
+    by _walk, which calls record and leaves seg_bits set where no such
+    prime reaches exponent k. A zero of f stays 0; every other value stays
+    >= 1."""
     vals = evaluate_range(f, a, b)
     vals = np.abs(vals, out=vals)
     seg_bits[:] = True  # after the evaluation's temporaries are freed
-    _divide_out_roots(vals, seg_bits, a, roots, plan, k, record)
+    _walk(vals, seg_bits, a, roots, plan, k, record)
     return vals
 
 
@@ -331,11 +318,11 @@ def collect_sieve_roots(f: IntPolynomial, P0: int,
 
 
 def _sieve_setup(f: IntPolynomial, k: int, N: int,
-                 root_limit: int = ROOT_LIMIT) -> tuple[int, RootTable, list]:
-    """(P0, roots mod every p <= P0, their _lift_plan) for f on [1, N]."""
+                 root_limit: int = ROOT_LIMIT) -> tuple[int, RootTable, tuple]:
+    """(P0, roots mod every p <= P0, their _walk_plan) for f on [1, N]."""
     P0 = sieve_prime_bound(f, k, N)
     roots = collect_sieve_roots(f, P0, root_limit)
-    return P0, roots, _lift_plan(f, roots, max_abs_value(f, N))
+    return P0, roots, _walk_plan(f, roots, max_abs_value(f, N))
 
 
 class KfreeSieve:
@@ -555,10 +542,12 @@ def _kth_power_hits(f: IntPolynomial, k: int, N: int):
         hits.append((idx.astype(np.int64),
                      np.array([integer_nth_root(int(v), k)
                                for v in vals[idx].tolist()], dtype=np.int64)))
-        del vals
         pos, primes = (np.concatenate(a) for a in zip(*hits))
+        del vals, idx, hits  # only the sorted hits live across the yield
         order = np.lexsort((primes, pos))
-        yield s, e, pos[order] + s, primes[order]
+        pos, primes = pos[order] + s, primes[order]
+        del order
+        yield s, e, pos, primes
 
 
 def _subset_products(n: np.ndarray, primes: np.ndarray):

@@ -28,8 +28,10 @@ from .errors import CapacityError
 
 DEFAULT_SEGMENT = 1 << 20
 # n per run: passes sieve windows of a segment, but every per-thread array
-# below a window (values, flags, gathers) is allocated one run at a time
-_RUN = 1 << 18
+# below a window (values, flags, gathers) is allocated one run at a time.
+# 2^17 halves them against 2^18, and the k-free walk's Python calls go by
+# hit groups and small primes, not by root, so shorter runs cost no time
+_RUN = 1 << 17
 MAX_LIMIT = 1 << 40
 _PRIME_TABLE_LIMIT = 1 << 30
 
@@ -133,13 +135,21 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
 
 
 def _pool_map(fn, items, threads: int):
-    """fn over items, in order, on a pool of threads workers when there is
-    more than one item; a generator, so results are consumed as they come."""
+    """fn over items, in order; a generator, so results are consumed as
+    they come. With threads > 1, items 0, threads, 2 threads, ... run on
+    the calling thread and the rest on threads - 1 workers, so a pass
+    holds one item's arrays per thread and one worker malloc arena fewer."""
     if threads <= 1 or len(items) <= 1:
         yield from map(fn, items)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads - 1)
+    futures = [None if i % threads == 0 else pool.submit(fn, x)
+               for i, x in enumerate(items)]
+    try:
+        for x, fut in zip(items, futures):
+            yield fn(x) if fut is None else fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _runs(a: int, b: int, cuts):

@@ -40,6 +40,42 @@ def prime_table():
     return _kth_power_prime_table
 
 
+def _divide_out(vals, seg_bits, off, p, k, record=None):
+    """Divide the full p-part out of vals[off::p], reading the values; clear
+    seg_bits where the exponent reaches k. record(positions, primes) hooks
+    exponent >= k. The c > 0 test keeps a zero of f, which every p divides,
+    from looping forever."""
+    sl = vals[off::p]
+    sl //= p
+    cur = np.flatnonzero((sl % p == 0) & (sl > 0))
+    e = 2
+    while len(cur):
+        sl[cur] //= p
+        if e == k:
+            pos = off + cur * p
+            seg_bits[pos] = False
+            if record is not None:
+                record(pos, np.full(len(pos), p, dtype=np.int64))
+        e += 1
+        sub = sl[cur]
+        cur = cur[(sub % p == 0) & (sub > 0)]
+
+
+def divided_reference(f, k, a, b, roots, record=None):
+    """(vals, seg_bits) as kfree._cofactors leaves them for n in [a, b),
+    by the value-reading divide-out: every (p, root) pair of the RootTable
+    roots divides p out of its class while p still divides."""
+    from powerfree.poly import evaluate_range
+
+    vals = np.abs(evaluate_range(f, a, b))
+    seg_bits = np.ones(b - a, dtype=bool)
+    for p, r in zip(roots.p.tolist(), roots.roots.tolist()):
+        off = (r - a) % p
+        if off < b - a:
+            _divide_out(vals, seg_bits, off, p, k, record)
+    return vals, seg_bits
+
+
 class MaskCondition:
     """A precomputed indicator as an ergodic condition (bits[n - 1] is n's
     flag); its density is the empirical frequency on [1, N]."""

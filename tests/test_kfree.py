@@ -7,14 +7,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import divided_reference
 from powerfree import kfree, sieve
 from powerfree.cli import count_rows
 from powerfree.ergodic import ProductKfree, omega_histogram
 from powerfree.errors import CapacityError, HypothesisViolation
 from powerfree.factorint import is_perfect_kth_power
-from powerfree.kfree import (_BUCKET_MIN_PRIME, _RESIDUE_MODULI, ROOT_LIMIT,
+from powerfree.kfree import (_RESIDUE_MODULI, _STRIDE_MAX, ROOT_LIMIT,
                              KfreeSieve, _cofactors, _kth_power_cofactors,
-                             _lift_plan, _sieve_setup, checkpoint_counts,
+                             _sieve_setup, _walk_plan, checkpoint_counts,
                              count_kfree, decompose_sum, kfree_mask,
                              product_kfree_mask, sieve_prime_bound,
                              tail_pair_count, tail_pair_counts,
@@ -324,6 +325,16 @@ def test_decompose_total_past_old_table_cap():
     assert d.small_part + d.large_part == d.total == kfree_mask(f, 2, N).count
 
 
+def test_decompose_frees_each_runs_transients(traced_peak):
+    # 300201 n are three runs. Only the sorted hits of a run live across
+    # its yield, and the peak is 3.13 MiB; keeping the hit lists, the
+    # unsorted hits and their order as well took it to 3.42 MiB
+    f = IntPolynomial.parse("1,0,1")
+    d, peak = traced_peak(lambda: decompose_sum(f, 2, 1000, 300201))
+    assert d.total == 268629
+    assert peak < 3.3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
 def test_table_path_never_factorizes(monkeypatch):
     def boom(n):
         raise AssertionError(f"factorize({n}) called")
@@ -403,7 +414,7 @@ def _designed_constant(d, hits):
     return c
 
 
-# two primes just above _BUCKET_MIN_PRIME: their squares collide at n0,
+# two bucketed primes (above _STRIDE_MAX): their squares collide at n0,
 # and a cube of the first sits at n1
 _P1, _P2, _N0, _N1 = 4099, 4111, 777, 1234
 _CUBIC_DESIGNED = _designed_constant(3, [((_P1 * _P2) ** 2, _N0)])
@@ -430,7 +441,7 @@ def test_bucketed_pass_matches_factorint(text, k, N, monkeypatch):
     for size in (1, 3):
         monkeypatch.setattr(kfree, "_PAIR_SLICE", size)
         masks.append(kfree_mask(f, k, N, segment_size=1000))
-    assert masks[0].prime_bound > _BUCKET_MIN_PRIME
+    assert masks[0].prime_bound > _STRIDE_MAX
     want = brute_mask(f, k, N)
     for m in masks:
         assert m.bits.tobytes() == want.tobytes(), text
@@ -462,6 +473,28 @@ def test_bucketed_pass_designed_hits(monkeypatch, prime_table):
         assert prime_table(cube, 3, 1500)[_N1 - 1] == [_P1]
 
 
+# 251 and 257, the primes on either side of _STRIDE_MAX: squares at n0
+_AT_BOUND = _designed_constant(3, [((251 * 257) ** 2, _N0)])
+
+
+@pytest.mark.parametrize("bound,last", [(251, 251), (_STRIDE_MAX, 251),
+                                        (257, 257)])
+def test_prime_at_the_stride_bound_matches_factorint(bound, last, monkeypatch,
+                                                     prime_table):
+    # with the bound at 251 or 257 that prime is exactly on it, the last
+    # one strided, and the other is on the bucketed side
+    monkeypatch.setattr(kfree, "_STRIDE_MAX", bound)
+    f, N = IntPolynomial.parse(f"{_AT_BOUND},0,0,1"), 3000
+    _, _, (_, strided) = _sieve_setup(f, 2, N)
+    assert strided[-1][0] == last
+    for threads in (1, 2):
+        mask = kfree_mask(f, 2, N, segment_size=1000, threads=threads)
+        assert mask.bits.tobytes() == brute_mask(f, 2, N).tobytes()
+    table = prime_table(f, 2, N)
+    assert table == factorint_table(f, 2, N)
+    assert {251, 257} <= set(table[_N0 - 1])
+
+
 # ------------------------------------------------ lifted strides
 
 # x^2 + c with c near 2^62, 3^20 | f(100) and 5^12 | f(201): int64 values
@@ -470,6 +503,9 @@ _M62 = 3 ** 20 * 5 ** 12
 _C62 = _designed_constant(2, [(3 ** 20, 100), (5 ** 12, 201)])
 _C62 += _M62 * ((1 << 62) // _M62)
 _NEAR62 = f"{_C62},0,1"
+# x^2 + 3^20: the singular root 0 mod 3 branches (c0 = 0 mod 3) until its
+# level mod 3^8 holds 81 classes, more than _LEVEL_CAP
+_DEEP3 = f"{3 ** 20},0,1"
 
 LIFT_CASES = [
     ("5,0,0,1", 3000),      # 1 is a simple root mod 2
@@ -481,6 +517,8 @@ LIFT_CASES = [
     ("-1,1", 1025),         # f(1025) = 2^10 = max|f|: lifts to the height
     (_BIG, 100),            # object dtype
     (_NEAR62, 300),         # int64 values near 2^62
+    ("81,0,1", 3000),       # singular root 0 mod 3: 0, 3, 6 mod 9
+    (_DEEP3, 3000),         # levels past the plan are read by value
 ]
 
 
@@ -491,15 +529,26 @@ def _factored(text, N):
                  for n in range(1, N + 1))
 
 
-def _sieve_run(f, k, N, roots, plan):
-    bits, rows = np.empty(N, dtype=bool), {}
+def _sieve_run(f, k, N, roots, plan=None):
+    """(values, flags, recorded primes per position) of _cofactors on
+    plan over [1, N], or of the value-reading reference without one."""
+    rows = {}
 
     def record(pos, primes):
         for i, p in zip(pos.tolist(), primes.tolist()):
             rows.setdefault(i, []).append(p)
 
-    vals = _cofactors(f, k, 1, N + 1, roots, plan, bits, record)
+    if plan is None:
+        vals, bits = divided_reference(f, k, 1, N + 1, roots, record)
+    else:
+        bits = np.empty(N, dtype=bool)
+        vals = _cofactors(f, k, 1, N + 1, roots, plan, bits, record)
     return vals.tolist(), bits, rows
+
+
+def _strided_levels(plan, p):
+    """(levels, whole) of the prime p in the strided part of a plan."""
+    return next((lv, whole) for q, _, lv, whole in plan[1] if q == p)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -512,11 +561,18 @@ def test_lifted_strides_match_factorint(text, N, k, prime_table):
         v = evaluate_range(f, 1, N + 1)
         assert v.dtype == np.int64 and v.min() > (1 << 62) - _M62
     P0, roots, plan = _sieve_setup(f, k, N, root_limit=3 * 10 ** 6)
-    assert any(lift is not None for lift in plan)
+    assert any(len(levels) > 1 for _, _, levels, _ in plan[1])
+    if text == "81,0,1":
+        assert _strided_levels(plan, 3) == ([(3, (0,)), (9, (0, 3, 6)),
+                                             (27, (0, 9, 18)),
+                                             (81, tuple(range(0, 81, 9)))],
+                                            True)
+    if text == _DEEP3:
+        levels, whole = _strided_levels(plan, 3)
+        assert len(levels) == 7 and not whole
     vals, bits, rows = _sieve_run(f, k, N, roots, plan)
-    # the reference: every small (p, root) pair through _divide_out
-    ref_vals, ref_bits, ref_rows = _sieve_run(f, k, N, roots,
-                                              [None] * len(plan))
+    # the reference: the value-reading divide-out of every (p, root) pair
+    ref_vals, ref_bits, ref_rows = _sieve_run(f, k, N, roots)
     assert vals == ref_vals
     for i, fac in enumerate(_factored(text, N)):
         if fac is None:
@@ -533,12 +589,15 @@ def test_lifted_strides_match_factorint(text, N, k, prime_table):
         assert prime_table(f, k, N) == factorint_table(f, k, N)
 
 
-def test_singular_divide_out_transient_is_chunked(traced_peak):
-    # x^2 + 1 has the singular root 1 mod 2, so _divide_out walks half a
-    # run; a whole-slice remainder copy of it would be 1 MiB
+def test_singular_walk_transient_is_small(traced_peak):
+    # x^2 + 1 has the singular root 1 mod 2, so the walk divides half a run
+    # by 2; it does so in place, where a remainder copy would be 1 MiB
+    f = IntPolynomial.parse("1,0,1")
+    roots = root_table(f, primes_up_to(2))
+    plan = _walk_plan(f, roots, max_abs_value(f, _RUN))
     n = np.arange(1, _RUN + 1, dtype=np.int64)
     vals, bits = n * n + 1, np.ones(_RUN, dtype=bool)
-    _, peak = traced_peak(lambda: kfree._divide_out(vals, bits, 0, 2, 2))
+    _, peak = traced_peak(lambda: kfree._walk(vals, bits, 1, roots, plan, 2))
     assert np.array_equal(vals, np.where(n % 2, (n * n + 1) // 2, n * n + 1))
     assert bits.all()
     assert peak < 2 ** 19, f"peak {peak / 2 ** 20:.2f} MiB"
@@ -553,8 +612,9 @@ def test_zero_values_stay_zero():
     P0 = sieve_prime_bound(f, k, N)
     primes = primes_up_to(P0)
     roots = root_table(f, primes[primes >= 5])
-    plan = _lift_plan(f, roots, max_abs_value(f, N))
-    assert plan[0] is not None and roots.roots[0] == 3
+    plan = _walk_plan(f, roots, max_abs_value(f, N))
+    levels, _ = _strided_levels(plan, 5)
+    assert len(levels) > 1 and roots.roots[0] == 3
     vals = _cofactors(f, k, 1, N + 1, roots, plan, np.ones(N, dtype=bool))
     for n in range(1, N + 1):
         v = abs(f(n))

@@ -1,5 +1,6 @@
 import functools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerfree.sieve import (DEFAULT_SEGMENT, _omega_segment, build_tables,
-                             primes_up_to)
+from powerfree.sieve import (DEFAULT_SEGMENT, _omega_segment, _pool_map,
+                             build_tables, primes_up_to)
 
 
 def brute_omega(n: int) -> int:
@@ -194,3 +195,42 @@ def test_window_just_below_max_limit():
         fac = sympy.factorint(n)
         assert t.omega_of(n) == sum(fac.values()), n
         assert t.is_squarefree(n) == (max(fac.values()) == 1), n
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_pool_map_keeps_input_order(threads, count):
+    items = range(count)
+    assert list(_pool_map(lambda x: x * x, items, threads)) == \
+        [x * x for x in items]
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_pool_map_caller_runs_every_threads_th_item(threads):
+    ran = {}
+
+    def fn(x):
+        ran[x] = threading.get_ident()
+        return x
+
+    assert list(_pool_map(fn, range(7), threads)) == list(range(7))
+    me = threading.get_ident()
+    assert sorted(x for x, t in ran.items() if t == me) == \
+        list(range(0, 7, threads))
+    assert 1 <= len(set(ran.values()) - {me}) <= threads - 1
+
+
+@pytest.mark.parametrize("bad,on_caller", [(0, True), (1, False)])
+def test_pool_map_raises_from_caller_and_worker(bad, on_caller):
+    # with two threads item 0 runs on the calling thread, item 1 on the worker
+    where = []
+
+    def fn(x):
+        if x == bad:
+            where.append(threading.current_thread() is threading.main_thread())
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match=f"item {bad}"):
+        list(_pool_map(fn, range(4), 2))
+    assert where == [on_caller]
