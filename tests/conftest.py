@@ -43,7 +43,7 @@ def prime_table():
 def _divide_out(vals, seg_bits, off, p, k, record=None):
     """Divide the full p-part out of vals[off::p], reading the values; clear
     seg_bits where the exponent reaches k. record(positions, primes) hooks
-    exponent >= k. The c > 0 test keeps a zero of f, which every p divides,
+    exponent >= k. The > 0 tests keep a zero of f, which every p divides,
     from looping forever."""
     sl = vals[off::p]
     sl //= p

@@ -223,11 +223,11 @@ def test_pool_map_caller_runs_every_threads_th_item(threads):
 @pytest.mark.parametrize("bad,on_caller", [(0, True), (1, False)])
 def test_pool_map_raises_from_caller_and_worker(bad, on_caller):
     # with two threads item 0 runs on the calling thread, item 1 on the worker
-    where = []
+    caller, where = threading.current_thread(), []
 
     def fn(x):
         if x == bad:
-            where.append(threading.current_thread() is threading.main_thread())
+            where.append(threading.current_thread() is caller)
             raise ValueError(f"item {x}")
         return x
 
