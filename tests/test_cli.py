@@ -330,6 +330,16 @@ PINNED_DIGESTS = {
     "thm41.json": "fb572988a9e0e35206917d08dc3a32769cc2c28b56cd297ad6b63494038f8f03",
     "thm31.csv": "b74aaec124258c41407c97c34f3993d9a9d7055590290aa6e5ed275daf7c563d",
     "thm31.json": "cef9c0d6bfb31629d71020d353e940a5e382b007b2c84a393b8d21f1a9f62958",
+    "browning18.csv": "99f45d18ebcc744771caf88484dff4a05016340a717cf1fa867f0ee61702ef17",
+    "browning18.json": "06f4c8da29afc15510a85087764886d6752d5e2af5a8f77e7c2312485def8d6c",
+    "cor42.csv": "a99a4a5185de229011c6215654c9e6deeb5347581c3c988de5c5175c2b7bd334",
+    "cor42.json": "cc0cbe31bef8113a9756de48dd505b6370c67a0e52a6b4cecb0722a181a457c0",
+    "estermann.csv": "9ac8e4b359c5e63ac617f6e8d24cd6731ac12d60f0217c3d4ab1227565cf2cb7",
+    "estermann.json": "c08900de815aa25c89cae4a55496515c578c4866e8accf322f9c715827867bde",
+    "thm11.csv": "5163d16c21aceda2509d70dd1b1e040d665863bec4393408248e75819587fa92",
+    "thm11.json": "ee0264fb656931b4efb4ee9d74f07924eac697ea26633a68d5381e524488c916",
+    "thm51.csv": "b382eaabbeab9aacf1c42480ee68f22e40555d1227bdcf786a795506b200d5b7",
+    "thm51.json": "9c6174c6a6c98871d5ae28b276c776c6a2a6dda8e0d6e0de75c4465e44ba0825",
 }
 
 
