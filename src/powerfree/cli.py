@@ -226,12 +226,12 @@ REPORT_HEADER = ["N", "selected", "average", "target", "residual"]
 
 
 def count_rows(condition: str, k: int, N: int, checkpoints, P: int, *,
-               threads: int, segment: int):
+               segment: int):
     """Count the n <= each checkpoint with f(n) k-free, f a polynomial or a
     '*'-product, or with n and n + 1 squarefree ("twinsqfree"), against the
     density to P. The flags stream through checkpoint_counts, one run of
-    kfree_range or twin_squarefree_range at a time, so memory is
-    O(segment * threads) for any N; density reuses the KfreeSieve's roots.
+    kfree_range or twin_squarefree_range at a time, so memory is O(run)
+    for any N; density reuses the KfreeSieve's roots.
     -> (factors, zero_hits, doc, rows): doc holds "density" and
     "exponent_fit" (None below two rows)."""
     if condition == "twinsqfree":
@@ -252,7 +252,7 @@ def count_rows(condition: str, k: int, N: int, checkpoints, P: int, *,
             out = np.empty(e - s, dtype=bool)
             return out, kfree_range(sv, s, e, out)
     counts, zeros = checkpoint_counts(flags, N, checkpoints,
-                                      segment_size=segment, threads=threads)
+                                      segment_size=segment)
     rows = [astuple(r) for r in count_kfree(checkpoints, counts, dens)]
     fit = (exponent_fit([(r[0], abs(r[3])) for r in rows])
            if len(rows) >= 2 else None)
@@ -261,13 +261,13 @@ def count_rows(condition: str, k: int, N: int, checkpoints, P: int, *,
 
 
 def report_rows(system: str, condition: str, argmap: str, checkpoints,
-                P: int, *, threads: int, segment: int) -> list[tuple]:
+                P: int, *, segment: int) -> list[tuple]:
     """The REPORT_HEADER rows of convergence_report for the descriptors."""
     system_, observable, x = parse_system(system)
     rows = convergence_report(system_, observable, x, N_values=checkpoints,
                               condition=parse_condition(condition),
                               argmap=parse_argmap(argmap), P=P,
-                              threads=threads, segment_size=segment)
+                              segment_size=segment)
     return [astuple(r) for r in rows]
 
 
@@ -282,8 +282,7 @@ def _checkpoints(args) -> list[int]:
 
 
 def cmd_sieve(args) -> int:
-    tables = build_tables(args.lo, args.N + 1, segment_size=args.segment,
-                          threads=args.threads)
+    tables = build_tables(args.lo, args.N + 1, segment_size=args.segment)
     rows = []
     for n in range(args.lo, args.N + 1):
         i = tables.index(n)
@@ -332,8 +331,7 @@ def cmd_density(args) -> int:
 def cmd_count(args) -> int:
     checkpoints = _checkpoints(args)
     factors, zeros, doc, rows = count_rows(
-        args.poly, args.k, args.N, checkpoints, args.P,
-        threads=args.threads, segment=args.segment)
+        args.poly, args.k, args.N, checkpoints, args.P, segment=args.segment)
     doc["config"] = _config(
         name="count", k=args.k, N=args.N, checkpoints=checkpoints,
         coeffs=list(factors[0].coeffs) if len(factors) == 1 else [],
@@ -359,7 +357,7 @@ def cmd_eftail(args) -> int:
 def cmd_ergodic(args) -> int:
     checkpoints = _checkpoints(args)
     rows = report_rows(args.system, args.condition, args.argmap, checkpoints,
-                       args.P, threads=args.threads, segment=args.segment)
+                       args.P, segment=args.segment)
     emit(args.out, args.format, REPORT_HEADER, rows,
          {"config": _config(name="ergodic", N=checkpoints[-1],
                             checkpoints=checkpoints, system=args.system,
@@ -400,21 +398,19 @@ def _artifacts(name: str, outdir: str, header, rows, doc: dict) -> int:
     return 0
 
 
-def run_experiment(name: str, exp: Experiment, outdir: str, threads: int,
+def run_experiment(name: str, exp: Experiment, outdir: str,
                    segment: int) -> int:
     N, P = exp.checkpoints[-1], 10 ** 6
     if exp.system:
         _log(f"[{name}] averaging {exp.system} over {exp.condition}")
         rows = report_rows(exp.system, exp.condition, "identity",
-                           exp.checkpoints, P, threads=threads,
-                           segment=segment)
+                           exp.checkpoints, P, segment=segment)
         doc = {"hypothesis_checks": exp.checks() if exp.checks else {},
                "results": {}}
     else:
         _log(f"[{name}] counting {exp.condition} k={exp.k} to N={N}")
         factors, _, doc, rows = count_rows(exp.condition, exp.k, N,
-                                           exp.checkpoints, P,
-                                           threads=threads, segment=segment)
+                                           exp.checkpoints, P, segment=segment)
         doc["hypothesis_checks"] = {g.text(): _hypothesis_report(g, exp.k)
                                     for g in factors}
         doc["results"] = {"within_tolerance": _within_tolerance(
@@ -429,15 +425,14 @@ def run_experiment(name: str, exp: Experiment, outdir: str, threads: int,
     return _artifacts(name, outdir, header, rows, doc)
 
 
-def repro_thm31(outdir: str, threads: int, segment: int) -> int:
+def repro_thm31(outdir: str, segment: int) -> int:
     """Indicator averages of the m-cycle rotation along every progression
     mn + r, m = 2, 3, 4, at N = 10^7, from one sieve pass."""
     name, N = "thm31", 10 ** 7
     _log(f"[{name}] progression grid at N={N}")
     grid = [(m, r) for m in (2, 3, 4) for r in range(m)]
     hists = dict(zip(grid, omega_histograms(
-        N, [ProgressionMap(m, r) for m, r in grid], threads=threads,
-        segment_size=segment)))
+        N, [ProgressionMap(m, r) for m, r in grid], segment_size=segment)))
     rows, checks = [], {}
     for m in (2, 3, 4):
         observable = VectorObservable((1.0,) + (0.0,) * (m - 1))
@@ -504,9 +499,8 @@ def cmd_repro(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     exp = REPRO[args.experiment]
     if callable(exp):
-        return exp(outdir, args.threads, args.segment)
-    return run_experiment(args.experiment, exp, outdir, args.threads,
-                          args.segment)
+        return exp(outdir, args.segment)
+    return run_experiment(args.experiment, exp, outdir, args.segment)
 
 
 # --------------------------------------------------------------- main
@@ -533,9 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "along Omega")
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--threads", type=int,
-                        default=max(1, os.cpu_count() or 1),
-                        help="worker threads (outputs are identical for "
-                             "any value)")
+                        help="accepted and ignored: every pass runs on "
+                             "one thread")
     shared.add_argument("--segment", type=_int_arg, default=DEFAULT_SEGMENT,
                         help="sieve segment size")
     sub = ap.add_subparsers(dest="command", required=True,

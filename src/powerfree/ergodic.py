@@ -17,8 +17,7 @@ The histograms stream: the argument axis is sieved one window at a time,
 and every map is non-decreasing, so the n whose arguments fall in a window
 form one contiguous range. The condition gives its bits for that range
 on demand, and windows hand back integer histograms only, so memory is
-O(segment_size * threads) and the sums are the same for any thread count
-and segment size.
+O(segment_size) and the sums are the same for any segment size.
 """
 from __future__ import annotations
 
@@ -31,8 +30,7 @@ import numpy as np
 from . import kfree
 from .density import density, twin_constant
 from .dynamics import OrbitTable
-from .sieve import (DEFAULT_SEGMENT, _omega_segment, _pool_map, _runs,
-                    primes_up_to)
+from .sieve import DEFAULT_SEGMENT, _omega_segment, _runs, primes_up_to
 
 
 # ---------------------------------------------------------------- maps
@@ -172,17 +170,16 @@ def default_j_max(max_arg: int) -> int:
 
 
 def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
-                     threads: int, segment_size: int, tables) -> np.ndarray:
+                     segment_size: int, tables) -> np.ndarray:
     """counts[i, c, j] = #{selected n in (cuts[c], cuts[c + 1]] :
     Omega(argmaps[i](n)) = j}, for ascending cuts from 0 to N.
 
     One pass over the argument axis [1, max argument] in windows of
-    segment_size on the thread pool. A window takes Omega from the segment
-    sieve (or from tables.omega when given), and each map selects and
-    gathers it over the n with a(n) in the window in runs of at most _RUN
-    n, so the condition's flags, the gathered Omega and np.bincount's intp
-    copy of it stay one run long per thread, whatever the segment size or
-    the map's slope.
+    segment_size. A window takes Omega from the segment sieve (or from
+    tables.omega when given), and each map selects and gathers it over the
+    n with a(n) in the window in runs of at most _RUN n, so the condition's
+    flags, the gathered Omega and np.bincount's intp copy of it stay one
+    run long, whatever the segment size or the map's slope.
     """
     if segment_size < 8:
         raise ValueError("segment_size too small")
@@ -193,14 +190,13 @@ def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
         raise ValueError("tables do not cover the argument range")
     select = condition.selector(N)
     width = j_max + 1
-
-    def window(A: int) -> np.ndarray:
+    out = np.zeros((len(argmaps), len(cuts) - 1, width), dtype=np.int64)
+    for A in range(1, top + 1, segment_size):
         B = min(A + segment_size, top + 1)
         if tables is None:
             omega = _omega_segment(A, B, primes)
         else:
             omega = tables.omega[A - tables.lo:B - tables.lo]
-        out = np.zeros((len(argmaps), len(cuts) - 1, width), dtype=np.int64)
         for i, am in enumerate(argmaps):
             hi = min(am.first_index(B), N + 1)
             for s, e, parts in _runs(am.first_index(A), hi, cuts):
@@ -213,12 +209,10 @@ def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
                         raise ValueError(f"j_max={j_max} too small: "
                                          f"saw Omega={len(h) - 1}")
                     out[i, c] += h
-        return out
-
-    return sum(_pool_map(window, range(1, top + 1, segment_size), threads))
+    return out
 
 
-def omega_histograms(N: int, argmaps, condition=None, *, threads: int = 1,
+def omega_histograms(N: int, argmaps, condition=None, *,
                      segment_size: int = DEFAULT_SEGMENT,
                      j_max: int | None = None,
                      tables=None) -> list[OmegaHistogram]:
@@ -240,19 +234,17 @@ def omega_histograms(N: int, argmaps, condition=None, *, threads: int = 1,
     if j_max is None:
         j_max = default_j_max(max(am.max_argument(N) for am in argmaps))
     counts = _interval_counts(N, argmaps, condition, [0, N], j_max,
-                              threads=threads, segment_size=segment_size,
-                              tables=tables)
+                              segment_size=segment_size, tables=tables)
     return [OmegaHistogram(c[0], N, int(c[0].sum())) for c in counts]
 
 
 def omega_histogram(N: int, condition=None, argmap=None, *,
-                    threads: int = 1, segment_size: int = DEFAULT_SEGMENT,
+                    segment_size: int = DEFAULT_SEGMENT,
                     j_max: int | None = None, tables=None) -> OmegaHistogram:
     """Histogram of Omega over mapped arguments of the selected n <= N."""
     argmap = argmap if argmap is not None else ProgressionMap(1, 0)
-    return omega_histograms(N, [argmap], condition, threads=threads,
-                            segment_size=segment_size, j_max=j_max,
-                            tables=tables)[0]
+    return omega_histograms(N, [argmap], condition, segment_size=segment_size,
+                            j_max=j_max, tables=tables)[0]
 
 
 def ergodic_average(hist: OmegaHistogram, orbit: OrbitTable) -> float:
@@ -275,7 +267,7 @@ class ReportRow:
 
 
 def convergence_report(system, observable, x, *, N_values, condition=None,
-                       argmap=None, P: int = 10 ** 6, threads: int = 1,
+                       argmap=None, P: int = 10 ** 6,
                        segment_size: int = DEFAULT_SEGMENT) -> list[ReportRow]:
     """Ergodic averages at several N against the predicted limit.
 
@@ -291,13 +283,12 @@ def convergence_report(system, observable, x, *, N_values, condition=None,
     Ns = sorted(int(v) for v in N_values)
     if not Ns or Ns[0] < 1:
         raise ValueError("need positive checkpoints")
-    # before the threaded pass, so an error fails fast and the density's
-    # allocations do not land on the pool's arenas
+    # before the pass, so an error fails fast
     dens = condition.density(P, Ns[-1])
     jm = default_j_max(argmap.max_argument(Ns[-1]))
     counts = np.cumsum(_interval_counts(
-        Ns[-1], [argmap], condition, [0] + Ns, jm, threads=threads,
-        segment_size=segment_size, tables=None)[0], axis=0)
+        Ns[-1], [argmap], condition, [0] + Ns, jm, segment_size=segment_size,
+        tables=None)[0], axis=0)
     orb = orbit_table(system, observable, x, jm)
     target = dens * orb.mean
     rows = []

@@ -11,15 +11,14 @@ fixed-point log2 (unit 1/16) in the low 10, and the log sum tells whether
 a prime above sqrt(hi-1) is left over. The squarefree flags come from a
 separate pass over the multiples of every p^2.
 
-Results are independent of segment size and thread count by construction:
-segments are disjoint, each is computed by the same deterministic code, and
-each writes to its own fixed offset.
+Results are independent of segment size by construction: segments are
+disjoint, each is computed by the same deterministic code, and each writes
+to its own fixed offset.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,8 @@ import numpy as np
 from .errors import CapacityError
 
 DEFAULT_SEGMENT = 1 << 20
-# n per run: passes sieve windows of a segment, but every per-thread array
-# below a window (values, flags, gathers) is allocated one run at a time.
+# n per run: passes sieve windows of a segment, but every array below a
+# window (values, flags, gathers) is allocated one run at a time.
 # 2^17 halves them against 2^18, and the k-free walk's Python calls go by
 # hit groups and small primes, not by root, so shorter runs cost no time
 _RUN = 1 << 17
@@ -134,24 +133,6 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     return omega
 
 
-def _pool_map(fn, items, threads: int):
-    """fn over items, in order; a generator, so results are consumed as
-    they come. With threads > 1, items 0, threads, 2 threads, ... run on
-    the calling thread and the rest on threads - 1 workers, so a pass
-    holds one item's arrays per thread and one worker malloc arena fewer."""
-    if threads <= 1 or len(items) <= 1:
-        yield from map(fn, items)
-        return
-    pool = ThreadPoolExecutor(max_workers=threads - 1)
-    futures = [None if i % threads == 0 else pool.submit(fn, x)
-               for i, x in enumerate(items)]
-    try:
-        for x, fut in zip(items, futures):
-            yield fn(x) if fut is None else fut.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _runs(a: int, b: int, cuts):
     """Tile [a, b) by runs [s, e) of at most _RUN n, yielding (s, e, parts):
     parts lists (c, i, j) for every checkpoint interval (cuts[c], cuts[c +
@@ -180,18 +161,14 @@ def _squarefree_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     return sq
 
 
-def build_tables(
-    lo: int,
-    hi: int,
-    segment_size: int = DEFAULT_SEGMENT,
-    threads: int = 1,
-) -> ArithTables:
+def build_tables(lo: int, hi: int,
+                 segment_size: int = DEFAULT_SEGMENT) -> ArithTables:
     """Sieve Omega/Mobius/squarefree over [lo, hi).
 
     lo >= 1, hi > lo, hi <= 2^40. Memory for the result is 3 bytes per
-    integer in the window. Each thread's transients peak at 3 bytes per n
-    of its segment: the uint16 Omega accumulator and the uint8 Omega it is
-    shifted into, before that is copied in.
+    integer in the window. Transients peak at 3 bytes per n of a segment:
+    the uint16 Omega accumulator and the uint8 Omega it is shifted into,
+    before that is copied in.
     """
     lo, hi = int(lo), int(hi)
     if lo < 1 or hi <= lo:
@@ -200,18 +177,14 @@ def build_tables(
         raise CapacityError(f"hi={hi} exceeds the configured limit {MAX_LIMIT}")
     if segment_size < 8:
         raise ValueError("segment_size too small")
-    threads = max(1, int(threads))
 
     primes = primes_up_to(math.isqrt(hi - 1))
     omega = np.empty(hi - lo, dtype=np.uint8)
     sqfree = np.empty(hi - lo, dtype=bool)
-
-    def run(a: int) -> None:
+    for a in range(lo, hi, segment_size):
         b = min(a + segment_size, hi)
         omega[a - lo:b - lo] = _omega_segment(a, b, primes)
         sqfree[a - lo:b - lo] = _squarefree_segment(a, b, primes)
-
-    list(_pool_map(run, range(lo, hi, segment_size), threads))
     # mu(n) = (-1)^Omega(n) on squarefree n, else 0; in place, no temporaries
     mobius = np.bitwise_and(omega, 1).view(np.int8)
     mobius *= -2

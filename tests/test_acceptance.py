@@ -8,8 +8,8 @@ code trips the pin.  Two tests are marked strict-xfail: they encode
 averages whose measured convergence is logarithmic and provably not yet
 inside tolerance at N = 10^7; the reasons carry the measured gaps.
 
-Large artifacts are built twice, at 1 and at 8 threads, and the pairs
-are compared byte for byte in the thread-invariance test at the end.
+Large artifacts are built once per module, each fixture a pair of the
+artifact and the seconds its build took.
 """
 
 import math
@@ -62,58 +62,56 @@ PINNED_COUNTS = {
 
 
 def _timed_pair(builder):
+    """(builder(), the seconds it took)."""
     t0 = time.perf_counter()
-    one = builder(1)
-    dt = time.perf_counter() - t0
-    return one, builder(8), dt
+    built = builder()
+    return built, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def small_masks_pair():
-    def build(threads):
-        masks = [kfree_mask(f, k, N4, threads=threads) for f, k in SMALL_CASES]
-        masks.append(product_kfree_mask([QUAD, PAIR2], 2, N4, threads=threads))
+    def build():
+        masks = [kfree_mask(f, k, N4) for f, k in SMALL_CASES]
+        masks.append(product_kfree_mask([QUAD, PAIR2], 2, N4))
         return masks
     return _timed_pair(build)
 
 
 @pytest.fixture(scope="module")
 def twin_pair():
-    # twin_squarefree_range takes no thread count, so both calls are serial
-    return _timed_pair(lambda t: twin_squarefree_range(
+    return _timed_pair(lambda: twin_squarefree_range(
         1, N7 + 1, primes_up_to(math.isqrt(N7 + 1))))
 
 
 @pytest.fixture(scope="module")
 def quad_sqfree_pair():
-    return _timed_pair(lambda t: kfree_mask(QUAD, 2, N7, threads=t))
+    return _timed_pair(lambda: kfree_mask(QUAD, 2, N7))
 
 
 @pytest.fixture(scope="module")
 def product_pair():
-    return _timed_pair(
-        lambda t: product_kfree_mask([QUAD, PAIR2], 2, N7, threads=t))
+    return _timed_pair(lambda: product_kfree_mask([QUAD, PAIR2], 2, N7))
 
 
 @pytest.fixture(scope="module")
 def cubic5_pair():
-    return _timed_pair(lambda t: kfree_mask(CUBIC5, 2, N6, threads=t))
+    return _timed_pair(lambda: kfree_mask(CUBIC5, 2, N6))
 
 
 @pytest.fixture(scope="module")
 def cubic2_pair():
-    return _timed_pair(lambda t: kfree_mask(CUBIC2, 3, N6, threads=t))
+    return _timed_pair(lambda: kfree_mask(CUBIC2, 3, N6))
 
 
 @pytest.fixture(scope="module")
 def tables7_pair():
-    return _timed_pair(lambda t: build_tables(1, N7 + 1, threads=t))
+    return _timed_pair(lambda: build_tables(1, N7 + 1))
 
 
 @pytest.fixture(scope="module")
 def tables_wide_pair():
     # covers every progression argument m*n + r for m <= 4, n <= 10^7
-    return _timed_pair(lambda t: build_tables(1, 4 * N7 + 5, threads=t))
+    return _timed_pair(lambda: build_tables(1, 4 * N7 + 5))
 
 
 # ------------------------------------------------- sieve vs factorization
@@ -126,7 +124,7 @@ def _brute_bit(value, k):
 
 
 def test_kfree_masks_match_brute_factorization(small_masks_pair):
-    masks, _, build_seconds = small_masks_pair
+    masks, build_seconds = small_masks_pair
     polys = [f for f, _ in SMALL_CASES] + [QUAD * PAIR2]
     t0 = time.perf_counter()
     for mask, f in zip(masks, polys):
@@ -209,7 +207,7 @@ def test_threshold_decomposition_is_exact(quad_sqfree_pair):
 
 
 def test_twin_squarefree_count_tracks_density(twin_pair):
-    bits, _, build_seconds = twin_pair
+    bits, build_seconds = twin_pair
     assert build_seconds < 60.0, f"twin sieve took {build_seconds:.1f}s"
     c = twin_constant(N6).value
     checkpoints = (N5, N6, N7)
@@ -222,7 +220,7 @@ def test_twin_squarefree_count_tracks_density(twin_pair):
 
 
 def test_quadratic_squarefree_count_tracks_density(quad_sqfree_pair):
-    mask, _, build_seconds = quad_sqfree_pair
+    mask, build_seconds = quad_sqfree_pair
     assert build_seconds < 120.0, f"sieve took {build_seconds:.1f}s"
     assert mask.count == PINNED_COUNTS["quad_sqfree_1e7"]
     c = estermann_constant(N6).value
@@ -367,31 +365,7 @@ def test_density_refinement_stays_inside_coarse_intervals(label, op):
 # ----------------------------------------------------- thread invariance
 
 
-def _assert_same_mask(a, b):
-    assert a.bits.tobytes() == b.bits.tobytes()
-    assert a.zero_hits == b.zero_hits
-    assert a.prime_bound == b.prime_bound
-
-
-def test_thread_count_never_changes_results(
-        small_masks_pair, twin_pair, quad_sqfree_pair, product_pair,
-        cubic5_pair, cubic2_pair, tables7_pair, tables_wide_pair,
-        tmp_path, monkeypatch):
-    for one, eight in zip(small_masks_pair[0], small_masks_pair[1]):
-        _assert_same_mask(one, eight)
-    assert twin_pair[0].tobytes() == twin_pair[1].tobytes()
-    for pair in (quad_sqfree_pair, product_pair, cubic5_pair, cubic2_pair):
-        _assert_same_mask(pair[0], pair[1])
-    for pair in (tables7_pair, tables_wide_pair):
-        one, eight = pair[0], pair[1]
-        assert one.omega.tobytes() == eight.omega.tobytes()
-        assert one.mobius.tobytes() == eight.mobius.tobytes()
-        assert one.squarefree.tobytes() == eight.squarefree.tobytes()
-    jm = default_j_max(N7)
-    h1 = omega_histogram(N7, tables=tables7_pair[0], j_max=jm, threads=1)
-    h8 = omega_histogram(N7, tables=tables7_pair[1], j_max=jm, threads=8)
-    assert h1.counts.tobytes() == h8.counts.tobytes()
-    assert h1.selected == h8.selected
+def test_thread_count_never_changes_results(tmp_path, monkeypatch):
     # the CLI end to end: identical artifacts from both thread counts
     artifacts = {}
     for threads in (1, 8):

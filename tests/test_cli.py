@@ -1,15 +1,14 @@
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import asdict
 
 import pytest
 
-from powerfree.cli import (ExperimentConfig, REPRO, build_parser, count_rows,
-                           main, parse_argmap, parse_condition, parse_system,
+from powerfree.cli import (ExperimentConfig, REPRO, count_rows, main,
+                           parse_argmap, parse_condition, parse_system,
                            parse_trig)
 from powerfree.dynamics import (CyclicRotation, IrrationalRotation,
                                 PairObservable, TrigObservable, TwoPointSwap,
@@ -181,7 +180,7 @@ def test_count_peak_is_flat_in_N(traced_peak):
     # the count streams its flags; a whole-N mask cost 1 byte per n, so
     # the peak at N = 4*10^6 stays within 1 MB of the peak at 10^6
     peaks = [traced_peak(lambda: count_rows("1,0,1", 2, N, [N], 10 ** 4,
-                                            threads=1, segment=2 ** 18))[1]
+                                            segment=2 ** 18))[1]
              for N in (10 ** 6, 4 * 10 ** 6)]
     assert peaks[1] < peaks[0] + 2 ** 20, peaks
 
@@ -359,9 +358,3 @@ def test_console_script_stdout():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,omega,mobius,squarefree,liouville"
     assert proc.stdout.splitlines()[2] == "2,1,-1,1,-1"
-
-
-def test_parser_threads_default():
-    ap = build_parser()
-    ns = ap.parse_args(["sieve", "--N", "10"])
-    assert ns.threads == max(1, os.cpu_count() or 1)

@@ -236,7 +236,7 @@ def stream_case():
 def test_streamed_counts_match_brute_omega(stream_case, segment_size):
     cond, jm, want = stream_case
     got = _interval_counts(STREAM_N, STREAM_MAPS, cond, STREAM_CUTS, jm,
-                           threads=1, segment_size=segment_size, tables=None)
+                           segment_size=segment_size, tables=None)
     assert got.tolist() == want.tolist()
     hists = omega_histograms(STREAM_N, STREAM_MAPS, cond, j_max=jm,
                              segment_size=segment_size)
@@ -250,8 +250,8 @@ def test_streamed_counts_thread_and_table_invariant(stream_case):
     top = max(am.max_argument(STREAM_N) for am in STREAM_MAPS)
     tables = build_tables(1, top + 1)
     runs = [_interval_counts(STREAM_N, STREAM_MAPS, cond, STREAM_CUTS, jm,
-                             threads=t, segment_size=1024, tables=tb)
-            for t in (1, 2) for tb in (None, tables)]
+                             segment_size=1024, tables=tb)
+            for tb in (None, tables)]
     assert all(r.tobytes() == runs[0].tobytes() for r in runs)
     assert runs[0].tolist() == want.tolist()
 
@@ -327,10 +327,8 @@ def test_selector_ranges_match_mask():
             assert got.tolist() == whole[s - 1:e - 1].tolist(), (cond, s, e)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("segment_size", [1024, 7777])
-def test_sieved_conditions_match_brute_omega(sieved_conditions,
-                                             segment_size, threads):
+def test_sieved_conditions_match_brute_omega(sieved_conditions, segment_size):
     maps = [ProgressionMap(1, 0), ProgressionMap(3, 1),
             BeattyMap(Fraction(13, 8), Fraction(1, 2))]
     om = _omega_upto(max(am.max_argument(COND_N) for am in maps))
@@ -338,7 +336,7 @@ def test_sieved_conditions_match_brute_omega(sieved_conditions,
     args = [am.map_values(n) for am in maps]
     swap, liouville = TwoPointSwap(), PairObservable(1.0, -1.0)
     for i, (cond, sel) in enumerate(sieved_conditions):
-        hists = omega_histograms(COND_N, maps, cond, threads=threads,
+        hists = omega_histograms(COND_N, maps, cond,
                                  segment_size=segment_size)
         for h, a in zip(hists, args):
             want = np.bincount(om[a][sel], minlength=len(h.counts))
@@ -347,7 +345,6 @@ def test_sieved_conditions_match_brute_omega(sieved_conditions,
         for am, a in zip(maps[:2], args):
             rows = convergence_report(swap, liouville, 0, N_values=COND_CUTS,
                                       condition=cond, argmap=am, P=10 ** 3,
-                                      threads=threads,
                                       segment_size=segment_size)
             for r in rows:
                 lam = 1 - 2 * (om[a[:r.N]][sel[:r.N]] & 1)
@@ -374,7 +371,7 @@ def test_interval_pass_peak_is_capped_at_a_run(traced_peak):
     N = 4 * 2 ** 20
     cond = ProductKfree(parse_poly_or_product("1,0,1*2,0,1"), 2)
     _, peak = traced_peak(lambda: _interval_counts(
-        N, [ProgressionMap(1, 0)], cond, [0, N], default_j_max(N), threads=1,
+        N, [ProgressionMap(1, 0)], cond, [0, N], default_j_max(N),
         segment_size=DEFAULT_SEGMENT, tables=None))
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
 

@@ -86,10 +86,9 @@ def test_twin_squarefree_matches_brute():
 
 def test_segment_and_thread_invariance():
     f = IntPolynomial.parse("1,0,1")
-    a = kfree_mask(f, 2, 20000, segment_size=1 << 14, threads=1)
-    b = kfree_mask(f, 2, 20000, segment_size=999, threads=1)
-    c = kfree_mask(f, 2, 20000, segment_size=1 << 14, threads=8)
-    assert bytes(a.bits) == bytes(b.bits) == bytes(c.bits)
+    a = kfree_mask(f, 2, 20000, segment_size=1 << 14)
+    b = kfree_mask(f, 2, 20000, segment_size=999)
+    assert bytes(a.bits) == bytes(b.bits)
 
 
 def test_sieve_prime_bound_minimal():
@@ -153,14 +152,12 @@ def test_correction_products_match_factorint(text, k):
         got = np.concatenate([select(s, min(s + seg, N + 1))
                               for s in range(1, N + 1, seg)])
         assert np.array_equal(got, want), seg
-        for threads in (1, 2):
-            pm = product_kfree_mask(factors, k, N, segment_size=seg,
-                                    threads=threads)
-            assert np.array_equal(pm.bits, want), (seg, threads)
-            hist = omega_histogram(N, cond, threads=threads, segment_size=seg)
-            assert hist.selected == int(want.sum())
-            assert hist.counts.tolist() == np.bincount(
-                omega[want], minlength=len(hist.counts)).tolist()
+        pm = product_kfree_mask(factors, k, N, segment_size=seg)
+        assert np.array_equal(pm.bits, want), seg
+        hist = omega_histogram(N, cond, segment_size=seg)
+        assert hist.selected == int(want.sum())
+        assert hist.counts.tolist() == np.bincount(
+            omega[want], minlength=len(hist.counts)).tolist()
 
 
 @pytest.mark.parametrize("text", CORRECTION_PRODUCTS)
@@ -311,11 +308,10 @@ def test_streamed_counts_match_mask(text, k):
             assert evaluate_range(IntPolynomial.parse(text), 1, 2).dtype \
                 == object
         for seg in segs:
-            for threads in (1, 2):
-                _, got_zeros, _, rows = count_rows(
-                    text, k, N, cps, 100, threads=threads, segment=seg)
-                assert [r[1] for r in rows] == want, (N, seg, threads)
-                assert got_zeros == zeros
+            _, got_zeros, _, rows = count_rows(text, k, N, cps, 100,
+                                               segment=seg)
+            assert [r[1] for r in rows] == want, (N, seg)
+            assert got_zeros == zeros
 
 
 def test_decompose_total_past_old_table_cap():
@@ -435,9 +431,7 @@ BUCKET_CASES = [
 def test_bucketed_pass_matches_factorint(text, k, N, monkeypatch):
     # the last two masks take the bucketed pairs in slices of 1 and 3
     f = IntPolynomial.parse(text)
-    masks = [kfree_mask(f, k, N, segment_size=1000, threads=t)
-             for t in (1, 2)]
-    masks.append(kfree_mask(f, k, N))
+    masks = [kfree_mask(f, k, N, segment_size=1000), kfree_mask(f, k, N)]
     for size in (1, 3):
         monkeypatch.setattr(kfree, "_PAIR_SLICE", size)
         masks.append(kfree_mask(f, k, N, segment_size=1000))
@@ -487,9 +481,8 @@ def test_prime_at_the_stride_bound_matches_factorint(bound, last, monkeypatch,
     f, N = IntPolynomial.parse(f"{_AT_BOUND},0,0,1"), 3000
     _, _, (_, strided) = _sieve_setup(f, 2, N)
     assert strided[-1][0] == last
-    for threads in (1, 2):
-        mask = kfree_mask(f, 2, N, segment_size=1000, threads=threads)
-        assert mask.bits.tobytes() == brute_mask(f, 2, N).tobytes()
+    mask = kfree_mask(f, 2, N, segment_size=1000)
+    assert mask.bits.tobytes() == brute_mask(f, 2, N).tobytes()
     table = prime_table(f, 2, N)
     assert table == factorint_table(f, 2, N)
     assert {251, 257} <= set(table[_N0 - 1])

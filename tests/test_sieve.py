@@ -1,6 +1,5 @@
 import functools
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -8,8 +7,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerfree.sieve import (DEFAULT_SEGMENT, _omega_segment, _pool_map,
-                             build_tables, primes_up_to)
+from powerfree.sieve import (DEFAULT_SEGMENT, _omega_segment, build_tables,
+                             primes_up_to)
 
 
 def brute_omega(n: int) -> int:
@@ -62,14 +61,6 @@ def test_segment_size_invariance():
         assert bytes(a.omega) == bytes(x.omega)
         assert bytes(a.mobius) == bytes(x.mobius)
         assert bytes(a.squarefree) == bytes(x.squarefree)
-
-
-def test_thread_count_invariance():
-    a = build_tables(1, 300001, threads=1)
-    b = build_tables(1, 300001, threads=8)
-    assert bytes(a.omega) == bytes(b.omega)
-    assert bytes(a.mobius) == bytes(b.mobius)
-    assert bytes(a.squarefree) == bytes(b.squarefree)
 
 
 def test_index_bounds_checked():
@@ -197,40 +188,3 @@ def test_window_just_below_max_limit():
         assert t.is_squarefree(n) == (max(fac.values()) == 1), n
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-@pytest.mark.parametrize("count", [0, 1, 5])
-def test_pool_map_keeps_input_order(threads, count):
-    items = range(count)
-    assert list(_pool_map(lambda x: x * x, items, threads)) == \
-        [x * x for x in items]
-
-
-@pytest.mark.parametrize("threads", [2, 3])
-def test_pool_map_caller_runs_every_threads_th_item(threads):
-    ran = {}
-
-    def fn(x):
-        ran[x] = threading.get_ident()
-        return x
-
-    assert list(_pool_map(fn, range(7), threads)) == list(range(7))
-    me = threading.get_ident()
-    assert sorted(x for x, t in ran.items() if t == me) == \
-        list(range(0, 7, threads))
-    assert 1 <= len(set(ran.values()) - {me}) <= threads - 1
-
-
-@pytest.mark.parametrize("bad,on_caller", [(0, True), (1, False)])
-def test_pool_map_raises_from_caller_and_worker(bad, on_caller):
-    # with two threads item 0 runs on the calling thread, item 1 on the worker
-    caller, where = threading.current_thread(), []
-
-    def fn(x):
-        if x == bad:
-            where.append(threading.current_thread() is caller)
-            raise ValueError(f"item {x}")
-        return x
-
-    with pytest.raises(ValueError, match=f"item {bad}"):
-        list(_pool_map(fn, range(4), 2))
-    assert where == [on_caller]
