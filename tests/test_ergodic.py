@@ -336,8 +336,7 @@ def test_sieved_conditions_match_brute_omega(sieved_conditions, segment_size):
     args = [am.map_values(n) for am in maps]
     swap, liouville = TwoPointSwap(), PairObservable(1.0, -1.0)
     for i, (cond, sel) in enumerate(sieved_conditions):
-        hists = omega_histograms(COND_N, maps, cond,
-                                 segment_size=segment_size)
+        hists = omega_histograms(COND_N, maps, cond, segment_size=segment_size)
         for h, a in zip(hists, args):
             want = np.bincount(om[a][sel], minlength=len(h.counts))
             assert h.counts.tolist() == want.tolist(), i

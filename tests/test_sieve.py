@@ -186,5 +186,3 @@ def test_window_just_below_max_limit():
         fac = sympy.factorint(n)
         assert t.omega_of(n) == sum(fac.values()), n
         assert t.is_squarefree(n) == (max(fac.values()) == 1), n
-
-
