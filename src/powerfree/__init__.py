@@ -7,7 +7,7 @@ lifting, and Euler-product densities with rigorous truncation enclosures;
 on top sits an engine for averages of observables along uniquely ergodic
 systems sampled at Omega of sieved arguments.
 """
-from .density import DensityResult, density, twin_constant
+from .density import DensityResult, density
 from .dynamics import (GOLDEN_ROTATION, CyclicRotation, IrrationalRotation,
                        OrbitTable, PairObservable, TrigObservable,
                        TwoPointSwap, VectorObservable, orbit_table)
@@ -54,6 +54,5 @@ __all__ = [
     "orbit_table", "primes_up_to", "product_kfree_mask", "profile",
     "rational_roots", "resultant", "resultant_with_derivative",
     "root_table", "roots_mod_p",
-    "sieve_prime_bound", "tail_pair_count", "twin_constant",
-    "twin_squarefree_range",
+    "sieve_prime_bound", "tail_pair_count", "twin_squarefree_range",
 ]

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import DensityResult, density, twin_constant
+from .density import DensityResult, density
 from .dynamics import (GOLDEN_ROTATION, CyclicRotation, IrrationalRotation,
                        PairObservable, TrigObservable, TwoPointSwap,
                        VectorObservable, orbit_table)
@@ -238,7 +238,7 @@ def count_rows(condition: str, k: int, N: int, checkpoints, P: int, *,
         # n and n + 1 are both squarefree exactly when n(n + 1) is
         factors = ()
         primes = primes_up_to(math.isqrt(N + 1))
-        dens = twin_constant(P)
+        dens = density(IntPolynomial((0, 1, 1)), 2, P)
 
         def flags(s: int, e: int):
             return twin_squarefree_range(s, e, primes), []

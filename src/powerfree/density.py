@@ -38,10 +38,6 @@ class DensityResult:
     degree: int
     bad_primes: tuple[int, ...]
 
-    @property
-    def tail_width(self) -> float:
-        return self.upper - self.lower
-
 
 def density(f: IntPolynomial, k: int, P: int,
             roots: RootTable | None = None) -> DensityResult:
@@ -124,13 +120,3 @@ def density(f: IntPolynomial, k: int, P: int,
     tail = 2.0 * d / ((k - 1) * P ** (k - 1))
     return DensityResult(value, value * math.exp(-tail), value, P, k, d, bad)
 
-
-def twin_constant(P: int) -> DensityResult:
-    """prod_{p <= P} (1 - 2/p^2), the density of n with n and n+1 both
-    squarefree, with tail enclosure (local count of n(n+1) mod p^2 is 2)."""
-    if P < 3:
-        raise ValueError("P >= 3 required")
-    logs = [math.log1p(-2.0 / p ** 2) for p in primes_up_to(P).tolist()]
-    value = math.exp(math.fsum(logs))
-    tail = 4.0 / P  # 2 * 2 / ((2-1) * P)
-    return DensityResult(value, value * math.exp(-tail), value, P, 2, 2, ())

@@ -6,8 +6,8 @@ set. Since Omega stays below log2 of the largest argument, only a short
 orbit prefix is ever needed; orbit_table materializes it once.
 
 Systems: the two-point swap, rotation on m points, and the irrational
-circle rotation (closed-form angles by default so the J-th iterate carries
-no accumulated rounding, with an iterated mode kept for comparison).
+circle rotation (closed-form angles, so the J-th iterate carries no
+accumulated rounding).
 """
 from __future__ import annotations
 
@@ -115,14 +115,11 @@ class OrbitTable:
             raise ValueError("values length must be j_max + 1")
 
 
-def orbit_table(system, observable, x, j_max: int,
-                iterated: bool = False) -> OrbitTable:
+def orbit_table(system, observable, x, j_max: int) -> OrbitTable:
     """Tabulate g(T^j x) for j <= j_max.
 
-    For the circle rotation the default evaluates the angle x + j*alpha in
-    closed form per j (one rounding each, no drift); iterated=True instead
-    steps y -> y + alpha mod 1 cumulatively, which is what a literal
-    implementation would do and is kept for error comparisons.
+    For the circle rotation the angle x + j*alpha is evaluated in closed
+    form per j (one rounding each, no drift).
     """
     if not 0 <= j_max <= J_MAX_CAP:
         raise ValueError(f"j_max in [0, {J_MAX_CAP}] required")
@@ -149,14 +146,8 @@ def orbit_table(system, observable, x, j_max: int,
         if not 0.0 <= x < 1.0:
             raise ValueError("x in [0, 1) required")
         vals = np.empty(j_max + 1, dtype=np.float64)
-        if iterated:
-            y = float(x)
-            for j in range(j_max + 1):
-                vals[j] = observable.value_at(y)
-                y = (y + system.alpha) % 1.0
-        else:
-            for j in range(j_max + 1):
-                ang = math.fmod(x + j * system.alpha, 1.0)
-                vals[j] = observable.value_at(ang)
+        for j in range(j_max + 1):
+            ang = math.fmod(x + j * system.alpha, 1.0)
+            vals[j] = observable.value_at(ang)
         return OrbitTable(vals, observable.mean, j_max)
     raise TypeError(f"unknown system {system!r}")

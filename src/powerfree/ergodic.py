@@ -28,8 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import kfree
-from .density import density, twin_constant
+from .density import density
 from .dynamics import OrbitTable
+from .poly import IntPolynomial
 from .sieve import DEFAULT_SEGMENT, _omega_segment, _runs, primes_up_to
 
 
@@ -146,7 +147,8 @@ class TwinSquarefree:
         return lambda s, e: kfree.twin_squarefree_range(s, e, primes)
 
     def density(self, P: int, N: int) -> float:
-        return twin_constant(P).value
+        # n and n + 1 are both squarefree exactly when n(n + 1) is
+        return density(IntPolynomial((0, 1, 1)), 2, P).value
 
 
 # ---------------------------------------------------------- histograms

@@ -60,11 +60,10 @@ def _scan_roots(f: IntPolynomial, p: int) -> tuple[int, ...]:
 def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """Sorted distinct roots of f mod p.
 
-    Small p (up to SCAN_LIMIT) uses a full residue scan. Above it, degree
-    1 and 2 with p not dividing lc(f) take the closed forms of
-    modpoly.split_linear_roots; any other f splits the linear part of f mod
-    p: gcd(x^p - x, f) collects the roots as a product of linear factors,
-    and deterministic equal-degree splitting extracts them. Every way, each
+    Small p (up to SCAN_LIMIT) uses a full residue scan; above it,
+    modpoly.roots_prime_gcd takes the closed forms up to degree 2 mod p,
+    and from degree 3 on splits gcd(x^p - x, f), the product of the linear
+    factors, by deterministic equal-degree splitting. Either way, each
     root is re-checked by exact evaluation.
     """
     if not is_prime(p):
@@ -76,10 +75,8 @@ def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
         return tuple(range(p))
     if p <= SCAN_LIMIT:
         roots = _scan_roots(f, p)
-    elif f.degree <= 2 and f.leading % p:
-        roots = tuple(modpoly.split_linear_roots(list(f.coeffs), p))
     else:
-        roots = tuple(sorted(modpoly.roots_prime_gcd(list(f.coeffs), p)))
+        roots = tuple(modpoly.roots_prime_gcd(f.coeffs, p))
     _certify(f, p, roots)
     return roots
 

@@ -1,8 +1,12 @@
 """Polynomial arithmetic over prime fields, per-prime and batched.
 
-Coefficient lists are ascending. The per-prime routines work on plain
-Python ints (degrees here are tiny, 1 through 5); roots_mod_p uses them for
-a single prime, such as the first level of a Hensel walk.
+Coefficient lists are ascending. Per prime, on plain Python ints, a
+polynomial mod p is a list of residues with a nonzero top coefficient ([]
+for 0), and four private kernels do all the arithmetic: _reduce (mod p and
+monic), _divmod, a monic _gcd and _xpow, (x + a)^e mod (f, p).
+roots_prime_gcd (the one-prime route of local_roots.roots_mod_p),
+split_linear_roots and irreducible_mod_p are built on them, and no other
+module builds or reads the lists.
 
 The batched routines find roots mod p for a whole numpy vector of primes
 at once, singular ones included, each prime a lane of fixed-shape int64
@@ -34,68 +38,74 @@ _INT64_MAX = (1 << 63) - 1
 
 # ---------------------------------------------------------------- per-prime
 
-def poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
+def _reduce(coeffs, p: int) -> list[int]:
+    """coeffs mod p made monic, [] when every coefficient vanishes."""
+    a = [c % p for c in coeffs]
+    while a and not a[-1]:
         a.pop()
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
     return a
 
 
-def poly_mod_p(coeffs, p: int) -> list[int]:
-    return poly_trim([c % p for c in coeffs])
-
-
-def poly_deg(a) -> int:
-    return len(a) - 1
-
-
-def poly_monic(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b over F_p; b nonzero."""
-    a = a[:]
-    db = poly_deg(b)
+def _divmod(a: list[int], b: list[int], p: int):
+    """(quotient, remainder) of a by b over F_p, b with a nonzero top
+    coefficient; the remainder is not trimmed: it keeps up to deg b
+    coefficients, zero ones included."""
+    r, db = a[:], len(b) - 1
     inv = pow(b[-1], -1, p)
-    while poly_deg(a) >= db:
-        da = poly_deg(a)
-        c = a[-1] * inv % p
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db] * inv % p
         if c:
-            for j in range(db + 1):
-                a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-        a.pop()
-        poly_trim(a)
+            q[i] = c
+            for j in range(db):
+                r[i + j] = (r[i + j] - c * b[j]) % p
+    return q, r[:db]
+
+
+def _gcd(a, b, p: int) -> list[int]:
+    """Monic gcd of a and b over F_p, [] when both vanish mod p."""
+    a, b = _reduce(a, p), _reduce(b, p)
+    while b:
+        a, b = b, _reduce(_divmod(a, b, p)[1], p)
     return a
 
 
-def poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p (either argument may be [])."""
-    a, b = poly_mod_p(a, p), poly_mod_p(b, p)
-    while b:
-        a, b = b, poly_rem(a, b, p)
-    return poly_monic(a, p) if a else []
+def _xpow(a: int, e: int, f: list[int], p: int) -> list[int]:
+    """(x + a)^e mod (f, p) as deg f coefficients; f monic of degree d >= 1.
 
-
-def poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a*b mod (f, p); f monic."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return poly_rem(poly_trim(out), f, p)
-
-
-def poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = poly_rem(poly_mod_p(base, p), f, p)
-    while e:
-        if e & 1:
-            result = poly_mulmod(result, base, f, p)
-        base = poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
+    The scalar twin of _powmod_ladder, one step per bit of e from the top:
+    square into 2d - 1 slots, multiply by x + a where the bit is set, fold
+    the top slots down through x^d = -(f_0 + ... + f_(d-1) x^(d-1)) and
+    reduce each of the d slots left once. Python ints need no product
+    budget; zero coefficients of f and of the running power are skipped,
+    so a sparse f folds in a few products.
+    """
+    d = len(f) - 1
+    fold = [(j, p - c) for j, c in enumerate(f[:d]) if c]
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        t = [0] * (2 * d - 1)
+        for i, ri in enumerate(r):
+            if ri:
+                t[2 * i] += ri * ri
+                twice = ri + ri
+                for j in range(i + 1, d):
+                    t[i + j] += twice * r[j]
+        if bit == "1":
+            t.insert(0, 0)  # x t, then + a t
+            if a:
+                for j in range(2 * d - 1):
+                    t[j] += a * t[j + 1]
+        for s in range(len(t) - 1, d - 1, -1):
+            c = t[s] % p
+            if c:
+                for j, g in fold:
+                    t[s - d + j] += c * g
+        r = [c % p for c in t[:d]]
+    return r
 
 
 def sqrt_mod_p(a: int, p: int) -> int | None:
@@ -130,15 +140,15 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
     return r
 
 
-def split_linear_roots(g: list[int], p: int) -> list[int]:
+def split_linear_roots(g, p: int) -> list[int]:
     """Sorted roots of g over F_p, g nonzero mod p. Degrees 1 and 2 take the
     closed forms (-g0, or (-b +- s)/2 with s a square root of the
     discriminant: one root when it is 0, none when it is no square), so any
     such g may come in; from degree 3 on, g must be a product of distinct
     linear factors (as any divisor of x^p - x is), split along a
     deterministic shift sequence. At p = 2 both residues are tested."""
-    g = poly_monic(poly_mod_p(g, p), p)
-    d = poly_deg(g)
+    g = _reduce(g, p)
+    d = len(g) - 1
     if d <= 0:
         return []
     if p == 2:  # 2 has no inverse there, so no closed form
@@ -153,61 +163,45 @@ def split_linear_roots(g: list[int], p: int) -> list[int]:
         inv2 = (p + 1) // 2
         return sorted({(-b + s) * inv2 % p, (-b - s) * inv2 % p})
     # degree >= 3: equal-degree splitting by quadratic-residue classes of
-    # shifted roots; the shift a walks 1, 2, 3, ... (a = 0 never splits
+    # shifted roots, w = gcd((x + a)^((p-1)/2) - 1, g); the root -a, if any,
+    # stays with g / w. The shift a walks 1, 2, 3, ... (a = 0 never splits
     # x^3 + c; see batch_linear_roots) so runs are reproducible
     half = (p - 1) // 2
     for a in range(1, p):
-        w = poly_gcd([a, 1], g, p)
-        if poly_deg(w) == 1:
-            root = (-w[0]) % p
-            rest = _poly_quotient_exact(g, w, p)
-            return sorted([root] + split_linear_roots(rest, p))
-        h = poly_powmod([a, 1], half, g, p)
-        h = poly_trim([(h[0] - 1) % p] + h[1:] if h else [(-1) % p])
-        w = poly_gcd(h, g, p)
-        if 0 < poly_deg(w) < d:
-            rest = _poly_quotient_exact(g, w, p)
+        h = _xpow(a, half, g, p)
+        h[0] -= 1
+        w = _gcd(g, h, p)
+        if 0 < len(w) - 1 < d:
+            rest = _divmod(g, w, p)[0]
             return sorted(split_linear_roots(w, p) + split_linear_roots(rest, p))
     raise ArithmeticError(f"splitting stalled mod {p}")  # unreachable for split g
 
 
-def _poly_quotient_exact(a: list[int], b: list[int], p: int) -> list[int]:
-    """a / b over F_p when b | a exactly."""
-    a = a[:]
-    db = poly_deg(b)
-    inv = pow(b[-1], -1, p)
-    q = [0] * (poly_deg(a) - db + 1)
-    while poly_deg(a) >= db:
-        da = poly_deg(a)
-        c = a[-1] * inv % p
-        q[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-        poly_trim(a)
-    return q
-
-
 def roots_prime_gcd(coeffs, p: int) -> list[int]:
-    """Distinct roots of f over F_p by gcd with x^p - x, then splitting."""
-    f = poly_mod_p(coeffs, p)
+    """Sorted distinct roots of f over F_p, every residue when f is 0 mod p.
+    Up to degree 2 mod p, split_linear_roots' closed forms take f itself;
+    a higher degree first keeps its linear part gcd(x^p - x, f)."""
+    f = _reduce(coeffs, p)
     if not f:
         return list(range(p))
-    if poly_deg(f) == 0:
-        return []
-    f = poly_monic(f, p)
-    g = _frobenius_gcd(poly_powmod([0, 1], p, f, p), f, p)
-    if poly_deg(g) <= 0:
-        return []
-    return split_linear_roots(g, p)
+    if len(f) > 3:
+        t = _xpow(0, p, f, p)
+        t[1] -= 1
+        f = _gcd(f, t, p)
+    return split_linear_roots(f, p)
 
 
-def _frobenius_gcd(t: list[int], f: list[int], p: int) -> list[int]:
-    """Monic gcd(t - x, f) over F_p. With t = x^(p^i) mod f it is the
-    product of the distinct irreducible factors of f whose degree divides
-    i; i = 1 gives the linear part."""
-    h = t + [0] * (2 - len(t))
-    h[1] -= 1
-    return poly_gcd(h, f, p)
+def irreducible_mod_p(coeffs, p: int) -> bool:
+    """f mod p irreducible, for p nonsingular (so f mod p is squarefree of
+    full degree d): gcd(x^(p^i) - x, f), the product of the irreducible
+    factors whose degree divides i, must be 1 for every i <= d/2."""
+    f = _reduce(coeffs, p)
+    for i in range(1, (len(f) - 1) // 2 + 1):
+        t = _xpow(0, p ** i, f, p)
+        t[1] -= 1
+        if len(_gcd(f, t, p)) > 1:
+            return False
+    return True
 
 
 # ------------------------------------------------------------------- batched

@@ -291,22 +291,9 @@ def irreducibility_check(f: IntPolynomial) -> str:
     from .sieve import primes_up_to  # local import avoids a cycle at load
 
     for p in primes_up_to(_IRRED_PRIME_SCAN).tolist():
-        if bad % p and _irreducible_mod_p(pp, p):
+        if bad % p and modpoly.irreducible_mod_p(pp.coeffs, p):
             return "proved"
     return "unverified"
-
-
-def _irreducible_mod_p(f: IntPolynomial, p: int) -> bool:
-    """f mod p irreducible, for p nonsingular (so f mod p is squarefree of
-    full degree): no irreducible factor of degree <= d/2 may exist."""
-    d = f.degree
-    fm = modpoly.poly_monic(modpoly.poly_mod_p(f.coeffs, p), p)
-    t = [0, 1]  # x
-    for _ in range(d // 2):
-        t = modpoly.poly_powmod(t, p, fm, p)  # x^(p^i)
-        if modpoly.poly_deg(modpoly._frobenius_gcd(t, fm, p)) > 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -67,16 +67,6 @@ class ArithTables:
             raise ValueError(f"n={n} outside table window [{self.lo}, {self.hi})")
         return n - self.lo
 
-    def omega_of(self, n: int) -> int:
-        return int(self.omega[self.index(n)])
-
-    def is_squarefree(self, n: int) -> bool:
-        return bool(self.squarefree[self.index(n)])
-
-    def liouville_values(self) -> np.ndarray:
-        """Vector of (-1)^Omega over the whole window, dtype int8."""
-        return (1 - 2 * (self.omega & np.uint8(1)).astype(np.int8)).astype(np.int8)
-
 
 def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     """Omega(n) for n in [a, b) as uint8, given (at least) every prime up

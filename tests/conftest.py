@@ -104,6 +104,11 @@ def whole_mask(condition, N):
     return bits
 
 
+def liouville(tables) -> np.ndarray:
+    """(-1)^Omega(n) over the window of an ArithTables, dtype int8."""
+    return (1 - 2 * (tables.omega & np.uint8(1)).astype(np.int8)).astype(np.int8)
+
+
 def estermann_constant(P: int) -> DensityResult:
     """prod_{p <= P, p = 1 mod 4} (1 - 2/p^2): density of squarefree n^2+1.
 

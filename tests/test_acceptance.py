@@ -20,12 +20,12 @@ import pytest
 import sympy
 
 from powerfree.cli import main as cli_main
-from powerfree.density import density, twin_constant
+from powerfree.density import density
 from powerfree.dynamics import (GOLDEN_ROTATION, CyclicRotation,
                                 IrrationalRotation, PairObservable,
                                 TrigObservable, TwoPointSwap,
                                 VectorObservable, orbit_table)
-from conftest import (MaskCondition, estermann_constant,
+from conftest import (MaskCondition, estermann_constant, liouville,
                       quadratic_pair_constant)
 from powerfree.ergodic import (AllIntegers, ProgressionMap, default_j_max,
                                ergodic_average, exponent_fit, omega_histogram)
@@ -190,7 +190,7 @@ def test_quadratic_root_counts_mod_squares_follow_residue_class():
 def test_threshold_decomposition_is_exact(quad_sqfree_pair):
     mask = quad_sqfree_pair[0]
     tables = build_tables(1, N5 + 1)
-    weight_rows = [None, tables.liouville_values()]
+    weight_rows = [None, liouville(tables)]
     sqfree_count = int(mask.bits[:N5].sum())
     assert sqfree_count == PINNED_COUNTS["quad_sqfree_1e5"]
     for weights in weight_rows:
@@ -209,7 +209,7 @@ def test_threshold_decomposition_is_exact(quad_sqfree_pair):
 def test_twin_squarefree_count_tracks_density(twin_pair):
     bits, build_seconds = twin_pair
     assert build_seconds < 60.0, f"twin sieve took {build_seconds:.1f}s"
-    c = twin_constant(N6).value
+    c = density(QUAD_X, 2, N6).value  # n(n + 1)
     checkpoints = (N5, N6, N7)
     counts = [int(bits[:n].sum()) for n in checkpoints]
     assert counts[-1] == PINNED_COUNTS["twin_1e7"]
@@ -345,7 +345,7 @@ def test_large_divisor_pair_count_grows_sublinearly():
 
 
 DENSITY_OPS = [
-    ("twin", lambda P: twin_constant(P)),
+    ("twin", lambda P: density(QUAD_X, 2, P)),
     ("quad", lambda P: estermann_constant(P)),
     ("pair", lambda P: quadratic_pair_constant(P)),
     ("cubic5_k2", lambda P: density(CUBIC5, 2, P)),

@@ -6,7 +6,7 @@ import sympy
 
 from conftest import estermann_constant, legendre, quadratic_pair_constant
 from powerfree import local_roots
-from powerfree.density import density, twin_constant
+from powerfree.density import density
 from powerfree.errors import HypothesisViolation
 from powerfree.kfree import KfreeSieve
 from powerfree.local_roots import local_root_count, root_table
@@ -24,6 +24,8 @@ FROZEN = {
     "hb_x3p5_k2_P3000": 0.72250455728340547088,
     "br_x3p2_k3_P3000": 0.99074130624647996190,
 }
+# n(n + 1): n and n + 1 are both squarefree exactly when it is
+TWIN = IntPolynomial((0, 1, 1))
 # the module; the package's name density is the function
 density_module = importlib.import_module("powerfree.density")
 
@@ -33,7 +35,7 @@ def close(a, b, tol=5e-16):
 
 
 def test_twin_constant_frozen():
-    close(twin_constant(10 ** 6).value, FROZEN["twin_1e6"])
+    close(density(TWIN, 2, 10 ** 6).value, FROZEN["twin_1e6"])
 
 
 def test_estermann_constant_frozen():
@@ -73,7 +75,7 @@ def test_dual_route_quadratic_pair():
 
 def test_enclosures_nested_and_ordered():
     ops = [
-        lambda P: twin_constant(P),
+        lambda P: density(TWIN, 2, P),
         lambda P: estermann_constant(P),
         lambda P: quadratic_pair_constant(P),
         lambda P: density(IntPolynomial.parse("5,0,0,1"), 2, P),
@@ -86,8 +88,8 @@ def test_enclosures_nested_and_ordered():
             assert d.lower <= d.value <= d.upper
             assert d.lower <= ref <= d.upper, (P, ref, d)
         # tighter cutoff gives a tighter interval
-        w3 = op(10 ** 3).tail_width
-        w4 = op(10 ** 4).tail_width
+        w3 = op(10 ** 3).upper - op(10 ** 3).lower
+        w4 = op(10 ** 4).upper - op(10 ** 4).lower
         assert w4 < w3
 
 

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from powerfree.dynamics import (GOLDEN_ROTATION, J_MAX_CAP, CyclicRotation,
@@ -43,14 +42,6 @@ def test_circle_orbit_closed_form():
         want = 1.0 + math.cos(2.0 * math.pi * ang)
         assert orb.values[j] == want, j
     assert orb.mean == 1.0
-
-
-def test_circle_iterated_vs_closed_form_drift_small():
-    sysr = IrrationalRotation(GOLDEN_ROTATION)
-    obs = TrigObservable(0.0, ((1, 1.0),), ((2, 0.5),))
-    a = orbit_table(sysr, obs, 0.1, 60)
-    b = orbit_table(sysr, obs, 0.1, 60, iterated=True)
-    assert np.max(np.abs(a.values - b.values)) < 1e-10
 
 
 def test_trig_observable_mean_and_values():

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import divided_reference
+from conftest import divided_reference, liouville
 from powerfree import kfree, sieve
 from powerfree.cli import count_rows
 from powerfree.ergodic import ProductKfree, omega_histogram
@@ -223,7 +223,7 @@ def test_decomposition_identity_exact():
     f = IntPolynomial.parse("1,0,1")
     N = 2000
     tables = build_tables(1, N + 1)
-    lam = tables.liouville_values()
+    lam = liouville(tables)
     mask = kfree_mask(f, 2, N)
     for Y in (1, 5, 50, 316):
         for w in (None, lam):
@@ -694,7 +694,7 @@ DECOMPOSE_CASES = [("1,0,1", 2, 2000, (1, 5, 50, 316, 10 ** 6)),
 @pytest.mark.parametrize("text,k,N,Ys", DECOMPOSE_CASES)
 def test_decomposition_parts_match_factorint(text, k, N, Ys):
     f = IntPolynomial.parse(text)
-    lam = build_tables(1, N + 1).liouville_values()
+    lam = liouville(build_tables(1, N + 1))
     for Y in Ys:
         for w in (None, lam):
             want = brute_decomposition(text, k, Y, N, w)
@@ -710,7 +710,7 @@ def test_decomposition_across_run_edges(run, monkeypatch):
     # groups of hits; runs of 1 hold one n each
     f = IntPolynomial.parse("1,0,1")
     N = 2000 if run > 1 else 400
-    lam = build_tables(1, N + 1).liouville_values()
+    lam = liouville(build_tables(1, N + 1))
     rows = [(N, 1), (N // 2 + 3, 10), (1, 1), (N - 1, 200)]
     want = [_parts(decompose_sum(f, 2, Y, N, weights=w))
             for Y in (5, 316) for w in (None, lam)]

@@ -37,10 +37,27 @@ def test_roots_mod_p_vs_enumeration():
 
 def test_roots_mod_p_gcd_route_vs_scan_route():
     # above SCAN_LIMIT roots_mod_p takes the gcd route; compare to the scan
-    f = IntPolynomial.parse("1,2,3,4,5")
-    for p in [10007, 104729]:
+    # at two fixed and 12 seeded primes, for sparse and dense f of degree
+    # 3-6, full splits of degree 3 and 6, content 3, and lc divisible by p
+    rng = random.Random(22)
+    primes = primes_up_to(10 ** 5)
+    primes = sorted(rng.sample(primes[primes > SCAN_LIMIT].tolist(), 12))
+    counts = set()
+    for p in [10007, 104729] + primes:
         assert p > SCAN_LIMIT
-        assert roots_mod_p(f, p) == _scan_roots(f, p), p
+        for coeffs in ([1, 2, 3, 4, 5], [2, 0, 0, 1], [5, 0, 0, 1],
+                       [4, 1, 0, 1], [1, 0, 0, 0, 1], [2, 0, 3, 0, 1],
+                       [7, 0, 0, 0, 0, 1], [3, 1, 4, 1, 5, 9, 2],
+                       [-6, 11, -6, 1],
+                       [720, -1764, 1624, -735, 175, -21, 1],
+                       [21, 0, 0, 0, 0, 3],       # 3 (x^5 + 7)
+                       [5, 1, 0, 0, 2 * p],       # degree 1 mod p
+                       [1, 2, 3, 4, 5, 7 * p]):   # degree 4 mod p
+            f = IntPolynomial.from_coeffs(coeffs)
+            got = roots_mod_p(f, p)
+            assert got == _scan_roots(f, p), (coeffs, p)
+            counts.add(len(got))
+    assert {0, 1, 2, 3, 6} <= counts
 
 
 # primes above SCAN_LIMIT on both sides of p = 1/3 (mod 4), and p - 1 of
@@ -57,10 +74,10 @@ def _closed_form_polys(p):
 
 def test_roots_mod_p_closed_form_vs_scan(monkeypatch):
     # degree <= 2 with p not dividing lc never reaches the gcd split
-    def boom(cs, p):
-        raise AssertionError(f"gcd split called for {cs} mod {p}")
+    def boom(a, e, f, p):
+        raise AssertionError(f"ladder run for {f} mod {p}")
 
-    monkeypatch.setattr(modpoly, "roots_prime_gcd", boom)
+    monkeypatch.setattr(modpoly, "_xpow", boom)
     counts = set()
     for p in CLOSED_FORM_PRIMES:
         assert p > SCAN_LIMIT and sympy.isprime(p)
@@ -379,7 +396,7 @@ def test_batch_roots_stays_off_the_scalar_split(monkeypatch):
         raise AssertionError("scalar routine called on the batch path")
 
     monkeypatch.setattr(modpoly, "split_linear_roots", boom)
-    monkeypatch.setattr(modpoly, "poly_gcd", boom)
+    monkeypatch.setattr(modpoly, "_gcd", boom)
     # primes up to 50 are scanned; everything above is batched
     got = root_table(f, primes)
     assert np.array_equal(got.p, want.p)

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerfree import modpoly
-from powerfree.modpoly import (batch_linear_roots, batch_split_part,
-                               poly_gcd, poly_powmod, poly_rem,
-                               roots_prime_gcd, split_linear_roots,
-                               sqrt_mod_p)
+from powerfree.modpoly import (_divmod, _gcd, _xpow, batch_linear_roots,
+                               batch_split_part, roots_prime_gcd,
+                               split_linear_roots, sqrt_mod_p)
 from powerfree.sieve import primes_up_to
 
 
@@ -190,7 +189,7 @@ def test_product_budget_edges():
 
 
 def _check_ladder(rng, p, m, lanes=4):
-    """_powmod_ladder against poly_powmod on monic moduli of degree m mod
+    """_powmod_ladder against _xpow on monic moduli of degree m mod
     p, for x^E and (x + a)^E with E = p and random E. One modulus has
     every lower coefficient 1, so the fold multiplies by p - 1 throughout;
     the others are random."""
@@ -204,11 +203,10 @@ def _check_ladder(rng, p, m, lanes=4):
         R = modpoly._powmod_ladder(shift, E, np.array(F, dtype=np.int64).T,
                                    P)
         for i in range(lanes):
-            base = [0 if shift is None else int(a[i]), 1]
-            want = poly_powmod(base, int(E[i]), F[i] + [1], p)
+            want = _xpow(0 if shift is None else int(a[i]), int(E[i]),
+                         F[i] + [1], p)
             got = [int(row[i]) for row in R]
-            assert got == want + [0] * (m - len(want)), \
-                (p, m, i, shift is not None)
+            assert got == want, (p, m, i, shift is not None)
 
 
 def _ladder_bands():
@@ -259,7 +257,7 @@ def test_poly_powmod_matches_sympy():
     f = [3, 1, 0, 1]
     fd = [ZZ(c) for c in reversed(f)]  # descending for sympy's gf layer
     for e in [1, 2, 5, p, p * p, 12345, 10 ** 9 + 7]:
-        got = poly_powmod([0, 1], e, f, p)
+        got = _xpow(0, e, f, p)
         want = gf_pow_mod([ZZ(1), ZZ(0)], e, fd, p, ZZ)
         wc = [int(c) % p for c in reversed(want)]
         gc = list(got)
@@ -279,25 +277,31 @@ def test_poly_gcd_agrees_with_sympy():
             b = [rng.randrange(p) for _ in range(rng.randrange(2, 7))]
             if not any(a) or not any(b):
                 continue
-            got = poly_gcd(a, b, p)
+            got = _gcd(a, b, p)
             pa = sympy.Poly(list(reversed(a)), x, modulus=p)
             pb = sympy.Poly(list(reversed(b)), x, modulus=p)
             want = pa.gcd(pb)
             wc = [c % p for c in reversed(want.all_coeffs())]
-            # poly_gcd returns monic; sympy's gcd over GF(p) is monic too
+            # _gcd returns monic; sympy's gcd over GF(p) is monic too
             assert got == wc, (a, b, p)
 
 
 def test_poly_rem_degree_contract():
     p = 13
-    r = poly_rem([1, 2, 3, 4, 5], [1, 0, 1], p)
+    a, b = [1, 2, 3, 4, 5], [1, 0, 1]
+    q, r = _divmod(a, b, p)
     assert len(r) <= 2
+
+    def ev(cs, x):
+        return sum(c * x ** i for i, c in enumerate(cs)) % p
+
     # remainder agrees with direct evaluation at roots of divisor mod p
     # x^2 + 1 has roots 5, 8 mod 13
     for root in (5, 8):
-        va = sum(c * root ** i for i, c in enumerate([1, 2, 3, 4, 5])) % p
-        vr = sum(c * root ** i for i, c in enumerate(r)) % p
-        assert va == vr
+        assert ev(a, root) == ev(r, root)
+    # and a = q b + r at all 13 residues, so as polynomials (deg a < 13)
+    for x in range(p):
+        assert ev(a, x) == (ev(q, x) * ev(b, x) + ev(r, x)) % p, x
 
 
 def test_split_linear_roots_starts_at_shift_one(monkeypatch):
@@ -305,13 +309,13 @@ def test_split_linear_roots_starts_at_shift_one(monkeypatch):
     # it splits; x^((p-1)/2) takes one value on all three, so the shift
     # a = 0 never splits it and must not run
     ladders = []
-    real = modpoly.poly_powmod
+    real = modpoly._xpow
 
-    def spy(base, e, f, p):
-        ladders.append((list(base), e, p))
-        return real(base, e, f, p)
+    def spy(a, e, f, p):
+        ladders.append((a, e, p))
+        return real(a, e, f, p)
 
-    monkeypatch.setattr(modpoly, "poly_powmod", spy)
+    monkeypatch.setattr(modpoly, "_xpow", spy)
     split = 0
     for p in primes_up_to(3000).tolist():
         if p % 3 == 1:
@@ -320,8 +324,7 @@ def test_split_linear_roots_starts_at_shift_one(monkeypatch):
             split += len(got) == 3
     assert split == 64
     assert any(e == (p - 1) // 2 for _, e, p in ladders)
-    assert not [p for base, e, p in ladders
-                if base == [0, 1] and e == (p - 1) // 2]
+    assert not [p for a, e, p in ladders if a == 0 and e == (p - 1) // 2]
 
 
 def test_batch_split_part_skips_inverse_for_monic(monkeypatch):

@@ -184,5 +184,5 @@ def test_window_just_below_max_limit():
     t = build_tables(hi - 600, hi)
     for n in range(hi - 600, hi):
         fac = sympy.factorint(n)
-        assert t.omega_of(n) == sum(fac.values()), n
-        assert t.is_squarefree(n) == (max(fac.values()) == 1), n
+        assert t.omega[t.index(n)] == sum(fac.values()), n
+        assert t.squarefree[t.index(n)] == (max(fac.values()) == 1), n
