@@ -50,7 +50,7 @@ from .kfree import (ROOT_LIMIT, KfreeSieve, checkpoint_counts, count_kfree,
 from .local_roots import batch_root_counts, local_root_count
 from .poly import (IntPolynomial, has_fixed_kth_power,
                    parse_poly_or_product, profile)
-from .sieve import DEFAULT_SEGMENT, build_tables, primes_up_to
+from .sieve import build_tables, primes_up_to
 
 
 def _log(msg: str) -> None:
@@ -96,16 +96,18 @@ def parse_trig(text: str) -> TrigObservable:
 
 def parse_system(text: str):
     """-> (system, observable, starting point x)."""
-    kind, _, rest = text.partition(":")
+    kind = text.partition(":")[0]
     if kind == "twopoint":
-        g0, g1, x = rest.split(",")
+        g0, g1, x = _fields("system", text, ",", "twopoint:<g0>,<g1>,<x>")
         return TwoPointSwap(), PairObservable(float(g0), float(g1)), int(x)
     if kind == "cyclic":
-        m, x, vals = rest.split(",", 2)
+        m, x, vals = _fields("system", text, ",",
+                             "cyclic:<m>,<x>,<v0>;<v1>;...")
         vv = tuple(float(v) for v in vals.split(";"))
         return CyclicRotation(int(m)), VectorObservable(vv), int(x)
     if kind == "circle":
-        alpha, x, trig = rest.split(",", 2)
+        alpha, x, trig = _fields("system", text, ",",
+                                 "circle:<alpha>,<x>,<trig>")
         return (IrrationalRotation(parse_number(alpha)), parse_trig(trig),
                 float(x))
     raise ValueError(f"unknown system descriptor {text!r}")
@@ -225,8 +227,7 @@ COUNT_HEADER = ["N", "count", "target", "abs_error", "rel_error"]
 REPORT_HEADER = ["N", "selected", "average", "target", "residual"]
 
 
-def count_rows(condition: str, k: int, N: int, checkpoints, P: int, *,
-               segment: int):
+def count_rows(condition: str, k: int, N: int, checkpoints, P: int):
     """Count the n <= each checkpoint with f(n) k-free, f a polynomial or a
     '*'-product, or with n and n + 1 squarefree ("twinsqfree"), against the
     density to P. The flags stream through checkpoint_counts, one run of
@@ -251,8 +252,7 @@ def count_rows(condition: str, k: int, N: int, checkpoints, P: int, *,
         def flags(s: int, e: int):
             out = np.empty(e - s, dtype=bool)
             return out, kfree_range(sv, s, e, out)
-    counts, zeros = checkpoint_counts(flags, N, checkpoints,
-                                      segment_size=segment)
+    counts, zeros = checkpoint_counts(flags, N, checkpoints)
     rows = [astuple(r) for r in count_kfree(checkpoints, counts, dens)]
     fit = (exponent_fit([(r[0], abs(r[3])) for r in rows])
            if len(rows) >= 2 else None)
@@ -261,13 +261,12 @@ def count_rows(condition: str, k: int, N: int, checkpoints, P: int, *,
 
 
 def report_rows(system: str, condition: str, argmap: str, checkpoints,
-                P: int, *, segment: int) -> list[tuple]:
+                P: int) -> list[tuple]:
     """The REPORT_HEADER rows of convergence_report for the descriptors."""
     system_, observable, x = parse_system(system)
     rows = convergence_report(system_, observable, x, N_values=checkpoints,
                               condition=parse_condition(condition),
-                              argmap=parse_argmap(argmap), P=P,
-                              segment_size=segment)
+                              argmap=parse_argmap(argmap), P=P)
     return [astuple(r) for r in rows]
 
 
@@ -282,7 +281,7 @@ def _checkpoints(args) -> list[int]:
 
 
 def cmd_sieve(args) -> int:
-    tables = build_tables(args.lo, args.N + 1, segment_size=args.segment)
+    tables = build_tables(args.lo, args.N + 1)
     rows = []
     for n in range(args.lo, args.N + 1):
         i = tables.index(n)
@@ -297,6 +296,8 @@ def cmd_sieve(args) -> int:
 
 def cmd_rho(args) -> int:
     f = IntPolynomial.parse(args.poly)
+    if args.k < 1:  # the good primes below never reach local_root_count
+        raise ValueError("k >= 1 required")
     if args.primes > ROOT_LIMIT:
         raise CapacityError(f"--primes {args.primes} is above the root "
                             f"limit {ROOT_LIMIT}")
@@ -330,8 +331,8 @@ def cmd_density(args) -> int:
 
 def cmd_count(args) -> int:
     checkpoints = _checkpoints(args)
-    factors, zeros, doc, rows = count_rows(
-        args.poly, args.k, args.N, checkpoints, args.P, segment=args.segment)
+    factors, zeros, doc, rows = count_rows(args.poly, args.k, args.N,
+                                           checkpoints, args.P)
     doc["config"] = _config(
         name="count", k=args.k, N=args.N, checkpoints=checkpoints,
         coeffs=list(factors[0].coeffs) if len(factors) == 1 else [],
@@ -357,7 +358,7 @@ def cmd_eftail(args) -> int:
 def cmd_ergodic(args) -> int:
     checkpoints = _checkpoints(args)
     rows = report_rows(args.system, args.condition, args.argmap, checkpoints,
-                       args.P, segment=args.segment)
+                       args.P)
     emit(args.out, args.format, REPORT_HEADER, rows,
          {"config": _config(name="ergodic", N=checkpoints[-1],
                             checkpoints=checkpoints, system=args.system,
@@ -398,19 +399,18 @@ def _artifacts(name: str, outdir: str, header, rows, doc: dict) -> int:
     return 0
 
 
-def run_experiment(name: str, exp: Experiment, outdir: str,
-                   segment: int) -> int:
+def run_experiment(name: str, exp: Experiment, outdir: str) -> int:
     N, P = exp.checkpoints[-1], 10 ** 6
     if exp.system:
         _log(f"[{name}] averaging {exp.system} over {exp.condition}")
         rows = report_rows(exp.system, exp.condition, "identity",
-                           exp.checkpoints, P, segment=segment)
+                           exp.checkpoints, P)
         doc = {"hypothesis_checks": exp.checks() if exp.checks else {},
                "results": {}}
     else:
         _log(f"[{name}] counting {exp.condition} k={exp.k} to N={N}")
         factors, _, doc, rows = count_rows(exp.condition, exp.k, N,
-                                           exp.checkpoints, P, segment=segment)
+                                           exp.checkpoints, P)
         doc["hypothesis_checks"] = {g.text(): _hypothesis_report(g, exp.k)
                                     for g in factors}
         doc["results"] = {"within_tolerance": _within_tolerance(
@@ -425,14 +425,14 @@ def run_experiment(name: str, exp: Experiment, outdir: str,
     return _artifacts(name, outdir, header, rows, doc)
 
 
-def repro_thm31(outdir: str, segment: int) -> int:
+def repro_thm31(outdir: str) -> int:
     """Indicator averages of the m-cycle rotation along every progression
     mn + r, m = 2, 3, 4, at N = 10^7, from one sieve pass."""
     name, N = "thm31", 10 ** 7
     _log(f"[{name}] progression grid at N={N}")
     grid = [(m, r) for m in (2, 3, 4) for r in range(m)]
     hists = dict(zip(grid, omega_histograms(
-        N, [ProgressionMap(m, r) for m, r in grid], segment_size=segment)))
+        N, [ProgressionMap(m, r) for m, r in grid])))
     rows, checks = [], {}
     for m in (2, 3, 4):
         observable = VectorObservable((1.0,) + (0.0,) * (m - 1))
@@ -499,8 +499,8 @@ def cmd_repro(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     exp = REPRO[args.experiment]
     if callable(exp):
-        return exp(outdir, args.segment)
-    return run_experiment(args.experiment, exp, outdir, args.segment)
+        return exp(outdir)
+    return run_experiment(args.experiment, exp, outdir)
 
 
 # --------------------------------------------------------------- main
@@ -529,8 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--threads", type=int,
                         help="accepted and ignored: every pass runs on "
                              "one thread")
-    shared.add_argument("--segment", type=_int_arg, default=DEFAULT_SEGMENT,
-                        help="sieve segment size")
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=lambda **kw: argparse.ArgumentParser(
                                 parents=[shared], **kw))

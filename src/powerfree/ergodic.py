@@ -13,11 +13,11 @@ errors come before any pass, and returns select(s, e): the flags of the n
 in [s, e) as a bool array, or None when every n counts. density(P, N) is
 the predicted share of selected n.
 
-The histograms stream: the argument axis is sieved one window at a time,
-and every map is non-decreasing, so the n whose arguments fall in a window
-form one contiguous range. The condition gives its bits for that range
-on demand, and windows hand back integer histograms only, so memory is
-O(segment_size) and the sums are the same for any segment size.
+The histograms stream: the argument axis is sieved one window of
+sieve._WINDOW n at a time, and every map is non-decreasing, so the n whose
+arguments fall in a window form one contiguous range. The condition gives
+its bits for that range on demand, and windows hand back integer
+histograms only, so memory is O(window).
 """
 from __future__ import annotations
 
@@ -27,11 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kfree
+from . import kfree, sieve
 from .density import density
 from .dynamics import OrbitTable
 from .poly import IntPolynomial
-from .sieve import DEFAULT_SEGMENT, _omega_segment, _runs, primes_up_to
+from .sieve import _omega_segment, _runs, primes_up_to
 
 
 # ---------------------------------------------------------------- maps
@@ -171,34 +171,27 @@ def default_j_max(max_arg: int) -> int:
     return 1 + int(math.log2(max(2, max_arg)))
 
 
-def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
-                     segment_size: int, tables) -> np.ndarray:
+def _interval_counts(N: int, argmaps, condition, cuts,
+                     j_max: int) -> np.ndarray:
     """counts[i, c, j] = #{selected n in (cuts[c], cuts[c + 1]] :
     Omega(argmaps[i](n)) = j}, for ascending cuts from 0 to N.
 
     One pass over the argument axis [1, max argument] in windows of
-    segment_size. A window takes Omega from the segment sieve (or from
-    tables.omega when given), and each map selects and gathers it over the
-    n with a(n) in the window in runs of at most _RUN n, so the condition's
-    flags, the gathered Omega and np.bincount's intp copy of it stay one
-    run long, whatever the segment size or the map's slope.
+    sieve._WINDOW n. A window takes Omega from the window sieve, and each
+    map selects and gathers it over the n with a(n) in the window in runs
+    of at most _RUN n, so the condition's flags, the gathered Omega and
+    np.bincount's intp copy of it stay one run long, whatever the map's
+    slope.
     """
-    if segment_size < 8:
-        raise ValueError("segment_size too small")
     top = max(am.max_argument(N) for am in argmaps)
-    if tables is None:
-        primes = primes_up_to(math.isqrt(top))
-    elif tables.lo > 1 or tables.hi <= top:
-        raise ValueError("tables do not cover the argument range")
+    primes = primes_up_to(math.isqrt(top))
     select = condition.selector(N)
     width = j_max + 1
     out = np.zeros((len(argmaps), len(cuts) - 1, width), dtype=np.int64)
-    for A in range(1, top + 1, segment_size):
-        B = min(A + segment_size, top + 1)
-        if tables is None:
-            omega = _omega_segment(A, B, primes)
-        else:
-            omega = tables.omega[A - tables.lo:B - tables.lo]
+    window = sieve._WINDOW
+    for A in range(1, top + 1, window):
+        B = min(A + window, top + 1)
+        omega = _omega_segment(A, B, primes)
         for i, am in enumerate(argmaps):
             hi = min(am.first_index(B), N + 1)
             for s, e, parts in _runs(am.first_index(A), hi, cuts):
@@ -215,17 +208,15 @@ def _interval_counts(N: int, argmaps, condition, cuts, j_max: int, *,
 
 
 def omega_histograms(N: int, argmaps, condition=None, *,
-                     segment_size: int = DEFAULT_SEGMENT,
-                     j_max: int | None = None,
-                     tables=None) -> list[OmegaHistogram]:
+                     j_max: int | None = None) -> list[OmegaHistogram]:
     """Histograms of Omega(a(n)) over the selected n <= N, one per map a in
     argmaps, from a single sieve pass over the largest argument window.
 
-    All share j_max, by default enough for the largest argument; tables,
-    when given, must cover [1, that argument]. The condition's bits come
-    per map run, so a sieved condition (k-free values, a product, twin
-    squarefree) is sieved once per map: len(argmaps) passes over [1, N].
-    No repro experiment combines several maps with a sieved condition.
+    All share j_max, by default enough for the largest argument. The
+    condition's bits come per map run, so a sieved condition (k-free
+    values, a product, twin squarefree) is sieved once per map:
+    len(argmaps) passes over [1, N]. No repro experiment combines several
+    maps with a sieved condition.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
@@ -235,18 +226,15 @@ def omega_histograms(N: int, argmaps, condition=None, *,
     condition = condition if condition is not None else AllIntegers()
     if j_max is None:
         j_max = default_j_max(max(am.max_argument(N) for am in argmaps))
-    counts = _interval_counts(N, argmaps, condition, [0, N], j_max,
-                              segment_size=segment_size, tables=tables)
+    counts = _interval_counts(N, argmaps, condition, [0, N], j_max)
     return [OmegaHistogram(c[0], N, int(c[0].sum())) for c in counts]
 
 
 def omega_histogram(N: int, condition=None, argmap=None, *,
-                    segment_size: int = DEFAULT_SEGMENT,
-                    j_max: int | None = None, tables=None) -> OmegaHistogram:
+                    j_max: int | None = None) -> OmegaHistogram:
     """Histogram of Omega over mapped arguments of the selected n <= N."""
     argmap = argmap if argmap is not None else ProgressionMap(1, 0)
-    return omega_histograms(N, [argmap], condition, segment_size=segment_size,
-                            j_max=j_max, tables=tables)[0]
+    return omega_histograms(N, [argmap], condition, j_max=j_max)[0]
 
 
 def ergodic_average(hist: OmegaHistogram, orbit: OrbitTable) -> float:
@@ -269,8 +257,7 @@ class ReportRow:
 
 
 def convergence_report(system, observable, x, *, N_values, condition=None,
-                       argmap=None, P: int = 10 ** 6,
-                       segment_size: int = DEFAULT_SEGMENT) -> list[ReportRow]:
+                       argmap=None, P: int = 10 ** 6) -> list[ReportRow]:
     """Ergodic averages at several N against the predicted limit.
 
     The limit is (density of the condition) * (space mean of g): the sieve
@@ -289,8 +276,7 @@ def convergence_report(system, observable, x, *, N_values, condition=None,
     dens = condition.density(P, Ns[-1])
     jm = default_j_max(argmap.max_argument(Ns[-1]))
     counts = np.cumsum(_interval_counts(
-        Ns[-1], [argmap], condition, [0] + Ns, jm, segment_size=segment_size,
-        tables=None)[0], axis=0)
+        Ns[-1], [argmap], condition, [0] + Ns, jm)[0], axis=0)
     orb = orbit_table(system, observable, x, jm)
     target = dens * orb.mean
     rows = []

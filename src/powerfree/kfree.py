@@ -35,7 +35,7 @@ from .factorint import factorize, integer_nth_root, is_perfect_kth_power
 from .local_roots import LIFT_ROOT_CAP, RootTable, lift_levels, root_table
 from .poly import (IntPolynomial, evaluate_range, has_fixed_kth_power,
                    max_abs_value, profile, resultant)
-from .sieve import DEFAULT_SEGMENT, _runs, _squarefree_segment, primes_up_to
+from .sieve import _runs, _squarefree_segment, primes_up_to
 
 ROOT_LIMIT = 2 * 10 ** 6
 _INT64_MAX = (1 << 63) - 1
@@ -257,7 +257,7 @@ def _kth_power_cofactors(vals: np.ndarray, k: int) -> np.ndarray:
     Once every p <= P0 is divided out, these are exactly the cofactors
     divisible by a k-th prime power, and r is that prime (module docstring).
     The int64 test runs in chunks of _COFACTOR_CHUNK positions, so its
-    float copies stay small next to the segment. Its root estimate r is
+    float copies stay small next to the run. Its root estimate r is
     rint(sqrt(v)) for k = 2, rint(cbrt(v)) for k = 3 and rint(v ** (1/k))
     above, capped at the largest r with r^k < 2^63, and v is a k-th power
     iff r^k = v. That r is exact: for v = q^k < 2^63 the float of v is v (1
@@ -398,20 +398,17 @@ def kfree_range(sv: KfreeSieve, a: int, b: int, out: np.ndarray) -> list[int]:
 
 
 def kfree_mask(f: IntPolynomial, k: int, N: int, *,
-               segment_size: int = DEFAULT_SEGMENT,
                root_limit: int = ROOT_LIMIT) -> KfreeMask:
     """Exact k-free indicator for f on [1, N]: product_kfree_mask of one
     factor, raising as KfreeSieve."""
-    return product_kfree_mask((f,), k, N, segment_size=segment_size,
-                              root_limit=root_limit)
+    return product_kfree_mask((f,), k, N, root_limit=root_limit)
 
 
 def product_kfree_mask(factors, k: int, N: int, *,
-                       segment_size: int = DEFAULT_SEGMENT,
                        root_limit: int = ROOT_LIMIT) -> KfreeMask:
     """k-free indicator for the product of pairwise coprime factors on
-    [1, N], by kfree_range in the runs of checkpoint_counts. The same for
-    any segment size: each run writes its own slice."""
+    [1, N], by kfree_range in the runs of checkpoint_counts, each run
+    writing its own slice."""
     sv = KfreeSieve(factors, k, N, root_limit)
     bits = np.zeros(N, dtype=bool)
 
@@ -419,22 +416,20 @@ def product_kfree_mask(factors, k: int, N: int, *,
         out = bits[s - 1:e - 1]
         return out, kfree_range(sv, s, e, out)
 
-    _, zeros = checkpoint_counts(flags, N, [N], segment_size=segment_size)
+    _, zeros = checkpoint_counts(flags, N, [N])
     return KfreeMask(sv.poly, k, N, bits, tuple(zeros),
                      max(P0 for P0, _, _ in sv.setups))
 
 
-def checkpoint_counts(flags, N: int, checkpoints, *,
-                      segment_size: int = DEFAULT_SEGMENT
-                      ) -> tuple[list[int], list[int]]:
+def checkpoint_counts(flags, N: int,
+                      checkpoints) -> tuple[list[int], list[int]]:
     """(counts, marks): counts[i] is the number of flagged n <= checkpoints
     [i], and marks the ascending n that flags reported, over all of [1, N].
 
     flags(s, e) returns the bool flags of the n in [s, e) and a list of n
     to report (the zeros of f, for kfree_range). One pass over [1, N] in
-    segments of segment_size, each taken in runs of at most _RUN n, so
-    nothing longer than a run is held; counts are summed per checkpoint
-    interval, the same for any segment size. Checkpoints must ascend inside
+    runs of at most _RUN n, so nothing longer than a run is held; counts
+    are summed per checkpoint interval. Checkpoints must ascend inside
     [1, N].
     """
     cps = [int(n) for n in checkpoints]
@@ -443,12 +438,11 @@ def checkpoint_counts(flags, N: int, checkpoints, *,
     cuts = [0, *cps] + ([N] if cps[-1] < N else [])
 
     counts, marks = np.zeros(len(cuts) - 1, dtype=np.int64), []
-    for a in range(1, N + 1, segment_size):
-        for s, e, parts in _runs(a, min(a + segment_size, N + 1), cuts):
-            bits, found = flags(s, e)
-            marks += found
-            for c, i, j in parts:
-                counts[c] += np.count_nonzero(bits[i:j])
+    for s, e, parts in _runs(1, N + 1, cuts):
+        bits, found = flags(s, e)
+        marks += found
+        for c, i, j in parts:
+            counts[c] += np.count_nonzero(bits[i:j])
     return np.cumsum(counts)[:len(cps)].tolist(), marks
 
 

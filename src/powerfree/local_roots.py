@@ -122,23 +122,17 @@ def lift_levels(f: IntPolynomial, p: int, top: int, base=None):
         _certify(f, pj, level)
 
 
-def _lifted(f: IntPolynomial, p: int, k: int, cap: int) -> tuple[int, ...]:
-    """Roots of f mod p^k, the last level of lift_levels(f, p, p^k); a
-    lifted level of more than 8 cap residues raises CapacityError."""
-    for pj, roots in lift_levels(f, p, p ** k):
-        if pj > p and len(roots) > 8 * cap:
-            raise CapacityError(f"lift of {f.text()} at p={p} exceeded "
-                                f"{8 * cap} residues")
-    return roots
-
-
 def lift_roots(f: IntPolynomial, p: int, k: int) -> tuple[int, ...]:
     """Sorted roots of f mod p^k, the last level of lift_levels(f, p, p^k);
     a lifted level of more than 8 LIFT_ROOT_CAP residues raises
     CapacityError."""
     if k < 1:
         raise ValueError("k >= 1 required")
-    return _lifted(f, p, k, LIFT_ROOT_CAP)
+    for pj, roots in lift_levels(f, p, p ** k):
+        if pj > p and len(roots) > 8 * LIFT_ROOT_CAP:
+            raise CapacityError(f"lift of {f.text()} at p={p} exceeded "
+                                f"{8 * LIFT_ROOT_CAP} residues")
+    return roots
 
 
 def local_root_count(f: IntPolynomial, p: int, k: int) -> int:
@@ -148,11 +142,13 @@ def local_root_count(f: IntPolynomial, p: int, k: int) -> int:
     f(r + t p^(k-1)) = f(r) + t p^(k-1) f'(r) mod p^k, so a root r mod
     p^(k-1) has one child if p does not divide f'(r), else p children if
     p^k | f(r) and none otherwise."""
+    if k < 1:
+        raise ValueError("k >= 1 required")
     if k == 1 or not is_bad_prime(f, p):
         return count_roots_mod_p(f, p)
     der, pk = f.derivative(), p ** k
     return sum(1 if der(r) % p else p if f(r) % pk == 0 else 0
-               for r in _lifted(f, p, k - 1, LIFT_ROOT_CAP))
+               for r in lift_roots(f, p, k - 1))
 
 
 _BATCH_MIN_PRIME = 50

@@ -2,8 +2,9 @@
 
 build_tables fills three aligned arrays over [lo, hi): Omega(n) (number of
 prime factors with multiplicity, one byte each), the Mobius function (one
-signed byte), and a squarefree flag. Work proceeds in fixed-size segments,
-so transient memory is proportional to the segment, not the window.
+signed byte), and a squarefree flag. The fill goes one window of _WINDOW
+n at a time, so transient memory is proportional to that window, not to
+[lo, hi).
 
 The Omega fill (_omega_segment) divides nothing: each prime-power hit
 adds one packed uint16 constant, the hit count in the top 6 bits and a
@@ -11,9 +12,9 @@ fixed-point log2 (unit 1/16) in the low 10, and the log sum tells whether
 a prime above sqrt(hi-1) is left over. The squarefree flags come from a
 separate pass over the multiples of every p^2.
 
-Results are independent of segment size by construction: segments are
-disjoint, each is computed by the same deterministic code, and each writes
-to its own fixed offset.
+The streamed passes of kfree and ergodic go over [1, N] in runs of at
+most _RUN n (_runs); the Omega histograms read their argument axis one
+window of _WINDOW n at a time.
 """
 from __future__ import annotations
 
@@ -25,9 +26,10 @@ import numpy as np
 
 from .errors import CapacityError
 
-DEFAULT_SEGMENT = 1 << 20
-# n per run: passes sieve windows of a segment, but every array below a
-# window (values, flags, gathers) is allocated one run at a time.
+# n per Omega window (build_tables, the histogram pass)
+_WINDOW = 1 << 20
+# n per run: every array below a window (values, flags, gathers) is
+# allocated one run at a time.
 # 2^17 halves them against 2^18, and the k-free walk's Python calls go by
 # hit groups and small primes, not by root, so shorter runs cost no time
 _RUN = 1 << 17
@@ -81,7 +83,7 @@ def _omega_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     If q = 1, D <= Omega(n) <= log2(b - 1) < 2 log2 R <= T - 6; if q >= R,
     D >= 16 log2 R >= T + 8. So q > 1 iff F < 16 log2 n - T, tested per
     element below cut = 32(b - 1) // R + 1. From cut on, the integer theta
-    = floor(16 log2((b - 1) / R)) + 8 decides the whole segment: q > 1
+    = floor(16 log2((b - 1) / R)) + 8 decides the whole window: q > 1
     means s <= (b - 1) / R, so F <= theta - 7, and q = 1 with n > 32(b - 1)
     / R gives F >= 16 log2 n - 2 log2 R > theta + 72 - 2 log2 R >= theta
     while R <= 2^36. The margins also absorb the rounding of the float
@@ -151,12 +153,11 @@ def _squarefree_segment(a: int, b: int, primes: np.ndarray) -> np.ndarray:
     return sq
 
 
-def build_tables(lo: int, hi: int,
-                 segment_size: int = DEFAULT_SEGMENT) -> ArithTables:
+def build_tables(lo: int, hi: int) -> ArithTables:
     """Sieve Omega/Mobius/squarefree over [lo, hi).
 
     lo >= 1, hi > lo, hi <= 2^40. Memory for the result is 3 bytes per
-    integer in the window. Transients peak at 3 bytes per n of a segment:
+    integer in [lo, hi). Transients peak at 3 bytes per n of a _WINDOW:
     the uint16 Omega accumulator and the uint8 Omega it is shifted into,
     before that is copied in.
     """
@@ -165,14 +166,12 @@ def build_tables(lo: int, hi: int,
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi > MAX_LIMIT:
         raise CapacityError(f"hi={hi} exceeds the configured limit {MAX_LIMIT}")
-    if segment_size < 8:
-        raise ValueError("segment_size too small")
 
     primes = primes_up_to(math.isqrt(hi - 1))
     omega = np.empty(hi - lo, dtype=np.uint8)
     sqfree = np.empty(hi - lo, dtype=bool)
-    for a in range(lo, hi, segment_size):
-        b = min(a + segment_size, hi)
+    for a in range(lo, hi, _WINDOW):
+        b = min(a + _WINDOW, hi)
         omega[a - lo:b - lo] = _omega_segment(a, b, primes)
         sqfree[a - lo:b - lo] = _squarefree_segment(a, b, primes)
     # mu(n) = (-1)^Omega(n) on squarefree n, else 0; in place, no temporaries

@@ -1,9 +1,11 @@
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from powerfree import sieve
 from powerfree.density import DensityResult
 from powerfree.sieve import primes_up_to
 
@@ -21,6 +23,16 @@ def _traced_peak(fn):
 @pytest.fixture
 def traced_peak():
     return _traced_peak
+
+
+@contextlib.contextmanager
+def sieve_consts(**values):
+    """Set powerfree.sieve's _RUN (n per run) and _WINDOW (n per Omega
+    window), as named, inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in values.items():
+            mp.setattr(sieve, name, value)
+        yield
 
 
 def _kth_power_prime_table(f, k, N):
@@ -94,9 +106,8 @@ class MaskCondition:
 
 def whole_mask(condition, N):
     """A condition's whole indicator on [1, N], assembled from the flags
-    its selector gives per range of DEFAULT_SEGMENT n."""
-    from powerfree.sieve import DEFAULT_SEGMENT as step
-
+    its selector gives per range of sieve._WINDOW n."""
+    step = sieve._WINDOW
     select, bits = condition.selector(N), np.empty(N, dtype=bool)
     for s in range(1, N + 1, step):
         sel = select(s, min(s + step, N + 1))

@@ -103,17 +103,6 @@ def cubic2_pair():
     return _timed_pair(lambda: kfree_mask(CUBIC2, 3, N6))
 
 
-@pytest.fixture(scope="module")
-def tables7_pair():
-    return _timed_pair(lambda: build_tables(1, N7 + 1))
-
-
-@pytest.fixture(scope="module")
-def tables_wide_pair():
-    # covers every progression argument m*n + r for m <= 4, n <= 10^7
-    return _timed_pair(lambda: build_tables(1, 4 * N7 + 5))
-
-
 # ------------------------------------------------- sieve vs factorization
 
 
@@ -259,16 +248,15 @@ def _swap_orbit(j_max):
     return orbit_table(TwoPointSwap(), PairObservable(1.0, -1.0), 0, j_max)
 
 
-def test_signed_parity_average_vanishes(tables7_pair):
-    tables = tables7_pair[0]
+def test_signed_parity_average_vanishes():
     jm = default_j_max(N7)
     orbit = _swap_orbit(jm)
     # N = 10: the ten parities cancel exactly, by hand: four odd-Omega
     # values below 8 plus 8, against 1, 4, 6, 9, 10
-    tiny = omega_histogram(10, tables=tables, j_max=jm)
+    tiny = omega_histogram(10, j_max=jm)
     assert ergodic_average(tiny, orbit) == 0.0
     for n, bound in ((N6, 5e-3), (N7, 2e-3)):
-        hist = omega_histogram(n, tables=tables, j_max=jm)
+        hist = omega_histogram(n, j_max=jm)
         avg = ergodic_average(hist, orbit)
         assert abs(avg) < bound, f"|average| = {abs(avg):.2e} at N={n}"
 
@@ -280,9 +268,8 @@ def test_signed_parity_average_vanishes(tables7_pair):
     "a hair past the 1e-2 tolerance at this N; the trend puts the "
     "crossing somewhere past 2*10^7")
 def test_rotation_average_over_squarefree_quadratic_reaches_density(
-        quad_sqfree_pair, tables7_pair):
+        quad_sqfree_pair):
     mask = quad_sqfree_pair[0]
-    tables = tables7_pair[0]
     jm = default_j_max(N7)
     orbit = orbit_table(IrrationalRotation(GOLDEN_ROTATION),
                         TrigObservable(1.0, ((1, 1.0),)), 0.3, jm)
@@ -290,7 +277,7 @@ def test_rotation_average_over_squarefree_quadratic_reaches_density(
     residuals = {}
     for n in (N5, N7):
         cond = MaskCondition(mask.bits[:n])
-        hist = omega_histogram(n, cond, tables=tables, j_max=jm)
+        hist = omega_histogram(n, cond, j_max=jm)
         residuals[n] = ergodic_average(hist, orbit) - c
     assert abs(residuals[N7]) <= abs(residuals[N5]) \
         or max(abs(r) for r in residuals.values()) < 5e-3
@@ -309,25 +296,23 @@ def test_rotation_average_over_squarefree_quadratic_reaches_density(
         reason="measured residuals up to 7.4e-2 at N=10^7; the mixing "
         "rate degrades to 1/log N, hopeless at reachable N")),
 ])
-def test_progression_indicator_averages_equidistribute(m, tables_wide_pair):
-    tables = tables_wide_pair[0]
+def test_progression_indicator_averages_equidistribute(m):
     jm = default_j_max(m * N7 + m - 1)
     indicator = VectorObservable(tuple([1.0] + [0.0] * (m - 1)))
     orbit = orbit_table(CyclicRotation(m), indicator, 0, jm)
     for r in range(m):
         hist = omega_histogram(N7, AllIntegers(), ProgressionMap(m, r),
-                               j_max=jm, tables=tables)
+                               j_max=jm)
         resid = ergodic_average(hist, orbit) - 1.0 / m
         assert abs(resid) <= 1e-2, f"m={m} r={r} residual {resid:+.4e}"
 
 
 def test_signed_average_over_product_squarefree_vanishes(
-        product_pair, tables7_pair):
+        product_pair):
     mask = product_pair[0]
-    tables = tables7_pair[0]
     jm = default_j_max(N7)
     cond = MaskCondition(mask.bits)
-    hist = omega_histogram(N7, cond, tables=tables, j_max=jm)
+    hist = omega_histogram(N7, cond, j_max=jm)
     avg = ergodic_average(hist, _swap_orbit(jm))
     assert abs(avg) < 1e-2, f"|average| = {abs(avg):.2e}"
 

@@ -1,14 +1,16 @@
 import hashlib
 import json
 import math
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from powerfree.cli import (ExperimentConfig, REPRO, count_rows, main,
-                           parse_argmap, parse_condition, parse_system,
+from powerfree.cli import (ExperimentConfig, REPRO, build_parser, count_rows,
+                           main, parse_argmap, parse_condition, parse_system,
                            parse_trig)
 from powerfree.dynamics import (CyclicRotation, IrrationalRotation,
                                 PairObservable, TrigObservable, TwoPointSwap,
@@ -40,6 +42,15 @@ def test_parse_system_descriptors():
         assert obs == want_obs and x == want_x and type(x) is type(want_x)
     assert parse_system("cyclic:4,2,0.25;1.5;-1.0;0.0")[0].m == 4
     assert parse_system("circle:0.123,0.0,2.0")[0].alpha == 0.123
+    for text, grammar in [("twopoint:1.0,-1.0", "twopoint:<g0>,<g1>,<x>"),
+                          ("twopoint:1.0,-1.0,0,1", "twopoint:<g0>,<g1>,<x>"),
+                          ("cyclic:3,0", "cyclic:<m>,<x>,<v0>;<v1>;..."),
+                          ("circle:golden,0.3", "circle:<alpha>,<x>,<trig>"),
+                          ("circle:golden,,1.0", "circle:<alpha>,<x>,<trig>")]:
+        with pytest.raises(ValueError) as e:
+            parse_system(text)
+        assert str(e.value) == (f"system descriptor {text!r}: "
+                                f"expected {grammar}")
 
 
 def test_parse_system_golden_alpha():
@@ -179,8 +190,7 @@ def test_count_csv_and_checkpoint_validation(tmp_path):
 def test_count_peak_is_flat_in_N(traced_peak):
     # the count streams its flags; a whole-N mask cost 1 byte per n, so
     # the peak at N = 4*10^6 stays within 1 MB of the peak at 10^6
-    peaks = [traced_peak(lambda: count_rows("1,0,1", 2, N, [N], 10 ** 4,
-                                            segment=2 ** 18))[1]
+    peaks = [traced_peak(lambda: count_rows("1,0,1", 2, N, [N], 10 ** 4))[1]
              for N in (10 ** 6, 4 * 10 ** 6)]
     assert peaks[1] < peaks[0] + 2 ** 20, peaks
 
@@ -244,6 +254,19 @@ def test_exit_codes(tmp_path):
                  "--k", "3", "--P", "1000"]) == 2
 
 
+def test_rho_rejects_k_below_one(capsys):
+    # 2 is singular for x^2 + 1, so its rho(2^k) would walk to 2^(k - 1);
+    # x + 1 has no singular prime, so rho never calls local_root_count
+    f = IntPolynomial.parse("1,0,1")
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1 required"):
+            local_root_count(f, 2, k)
+        for poly in ("1,0,1", "1,1"):
+            assert main(["rho", "--poly", poly, "--k", str(k),
+                         "--primes", "10"]) == 2
+            assert "usage: k >= 1 required" in capsys.readouterr().err
+
+
 def test_out_of_memory_exits_3(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 9.31 GiB for an array with "
@@ -297,21 +320,6 @@ def test_repro_writes_artifacts(tmp_path):
     assert len(lines) == 4
 
 
-def test_repro_segment_keeps_artifacts(tmp_path, monkeypatch):
-    # config.out echoes --out, so both runs write with "--out ." from
-    # their own directory
-    got = {}
-    for seg in (None, "65536"):
-        d = tmp_path / str(seg)
-        d.mkdir()
-        monkeypatch.chdir(d)
-        extra = [] if seg is None else ["--segment", seg]
-        assert main(["repro", "browning18", "--out", ".", *extra]) == 0
-        got[seg] = [(d / f"browning18.{ext}").read_bytes()
-                    for ext in ("csv", "json")]
-    assert got[None] == got["65536"]
-
-
 # sha256 of the artifacts of `repro <id> --out .`, recorded before the
 # experiments became Experiment specs; between them they cover counts of a
 # polynomial, a product and twinsqfree, averages with and without
@@ -358,3 +366,19 @@ def test_console_script_stdout():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,omega,mobius,squarefree,liouville"
     assert proc.stdout.splitlines()[2] == "2,1,-1,1,-1"
+
+
+def test_readme_command_lines_parse():
+    # every `powerfree ...` line of README's shell blocks, so a flag the
+    # parser drops cannot stay in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```sh\n")[1:]
+    lines = [line for block in blocks for line in
+             block.partition("```")[0].splitlines()
+             if line.startswith("powerfree ")]
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        commands.add(build_parser().parse_args(argv).command)
+    assert commands == {"sieve", "rho", "density", "count", "eftail",
+                        "ergodic", "repro"}

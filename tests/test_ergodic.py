@@ -15,8 +15,8 @@ from powerfree.ergodic import (AllIntegers, BeattyMap, ProductKfree,
                                _interval_counts, convergence_report,
                                default_j_max, ergodic_average, exponent_fit,
                                omega_histogram, omega_histograms)
+from powerfree import sieve
 from powerfree.poly import IntPolynomial, parse_poly_or_product
-from powerfree.sieve import DEFAULT_SEGMENT, build_tables
 
 
 def big_omega(n):
@@ -193,7 +193,7 @@ STREAM_MAPS = [ProgressionMap(m, r) for m in (1, 2, 3, 4)
     # alpha n + beta sits 10^-6 (n - 1) below the integer n
     BeattyMap(Fraction(999999, 1000000), Fraction(1, 1000000)),
 ]
-# checkpoints on both sides of the window edges for both segment sizes
+# checkpoints on both sides of the edges of both window lengths
 STREAM_CUTS = [0, 1, 1023, 1024, 1025, 7776, 7777, 7778, 12345, 15554,
                15555, STREAM_N]
 
@@ -232,38 +232,35 @@ def stream_case():
     return MaskCondition(bits), jm, want
 
 
-@pytest.mark.parametrize("segment_size", [1024, 7777])
-def test_streamed_counts_match_brute_omega(stream_case, segment_size):
+@pytest.mark.parametrize("window", [1024, 7777])
+def test_streamed_counts_match_brute_omega(stream_case, window, monkeypatch):
     cond, jm, want = stream_case
-    got = _interval_counts(STREAM_N, STREAM_MAPS, cond, STREAM_CUTS, jm,
-                           segment_size=segment_size, tables=None)
+    monkeypatch.setattr(sieve, "_WINDOW", window)
+    got = _interval_counts(STREAM_N, STREAM_MAPS, cond, STREAM_CUTS, jm)
     assert got.tolist() == want.tolist()
-    hists = omega_histograms(STREAM_N, STREAM_MAPS, cond, j_max=jm,
-                             segment_size=segment_size)
+    hists = omega_histograms(STREAM_N, STREAM_MAPS, cond, j_max=jm)
     for h, w in zip(hists, want.sum(axis=1)):
         assert h.counts.tolist() == w.tolist()
         assert h.selected == int(w.sum())
 
 
-def test_streamed_counts_thread_and_table_invariant(stream_case):
+def test_streamed_counts_thread_and_table_invariant(stream_case, monkeypatch):
     cond, jm, want = stream_case
-    top = max(am.max_argument(STREAM_N) for am in STREAM_MAPS)
-    tables = build_tables(1, top + 1)
-    runs = [_interval_counts(STREAM_N, STREAM_MAPS, cond, STREAM_CUTS, jm,
-                             segment_size=1024, tables=tb)
-            for tb in (None, tables)]
-    assert all(r.tobytes() == runs[0].tobytes() for r in runs)
-    assert runs[0].tolist() == want.tolist()
+    monkeypatch.setattr(sieve, "_WINDOW", 1024)
+    got = _interval_counts(STREAM_N, STREAM_MAPS, cond, STREAM_CUTS, jm)
+    assert got.tolist() == want.tolist()
 
 
-def test_convergence_report_streams_in_bounded_memory(traced_peak):
-    # today's cost is the condition mask (1 byte per n) plus O(segment);
+def test_convergence_report_streams_in_bounded_memory(traced_peak,
+                                                      monkeypatch):
+    # today's cost is the condition mask (1 byte per n) plus O(window);
     # whole-window int64 arguments and Omega tables took about 30 bytes per n
     N = 2 * 10 ** 6
     cond = ProductKfree((IntPolynomial.parse("1,0,1"),), 2)
+    monkeypatch.setattr(sieve, "_WINDOW", 2 ** 16)
     rows, peak = traced_peak(lambda: convergence_report(
         TwoPointSwap(), PairObservable(1.0, -1.0), 0, N_values=[10 ** 5, N],
-        condition=cond, P=10 ** 4, segment_size=2 ** 16))
+        condition=cond, P=10 ** 4))
     assert rows[-1].selected == int(whole_mask(cond, N).sum())
     assert peak < 4 * N, f"peak {peak / N:.2f} bytes per n"
 
@@ -327,8 +324,10 @@ def test_selector_ranges_match_mask():
             assert got.tolist() == whole[s - 1:e - 1].tolist(), (cond, s, e)
 
 
-@pytest.mark.parametrize("segment_size", [1024, 7777])
-def test_sieved_conditions_match_brute_omega(sieved_conditions, segment_size):
+@pytest.mark.parametrize("window", [1024, 7777])
+def test_sieved_conditions_match_brute_omega(sieved_conditions, window,
+                                             monkeypatch):
+    monkeypatch.setattr(sieve, "_WINDOW", window)
     maps = [ProgressionMap(1, 0), ProgressionMap(3, 1),
             BeattyMap(Fraction(13, 8), Fraction(1, 2))]
     om = _omega_upto(max(am.max_argument(COND_N) for am in maps))
@@ -336,30 +335,30 @@ def test_sieved_conditions_match_brute_omega(sieved_conditions, segment_size):
     args = [am.map_values(n) for am in maps]
     swap, liouville = TwoPointSwap(), PairObservable(1.0, -1.0)
     for i, (cond, sel) in enumerate(sieved_conditions):
-        hists = omega_histograms(COND_N, maps, cond, segment_size=segment_size)
+        hists = omega_histograms(COND_N, maps, cond)
         for h, a in zip(hists, args):
             want = np.bincount(om[a][sel], minlength=len(h.counts))
             assert h.counts.tolist() == want.tolist(), i
             assert h.selected == int(sel.sum())
         for am, a in zip(maps[:2], args):
             rows = convergence_report(swap, liouville, 0, N_values=COND_CUTS,
-                                      condition=cond, argmap=am, P=10 ** 3,
-                                      segment_size=segment_size)
+                                      condition=cond, argmap=am, P=10 ** 3)
             for r in rows:
                 lam = 1 - 2 * (om[a[:r.N]][sel[:r.N]] & 1)
                 assert r.selected == int(sel[:r.N].sum())
                 assert r.average == int(lam.sum()) / r.N, (i, r)
 
 
-def test_convergence_report_peak_is_flat_in_N(traced_peak):
+def test_convergence_report_peak_is_flat_in_N(traced_peak, monkeypatch):
     # the whole-N condition masks cost 1 byte per n; streamed, the peak
     # at N = 4*10^6 stays within 1 MB of the peak at 10^6
+    monkeypatch.setattr(sieve, "_WINDOW", 2 ** 18)
     peaks = []
     for N in (10 ** 6, 4 * 10 ** 6):
         cond = ProductKfree((IntPolynomial.parse("1,0,1"),), 2)
         peaks.append(traced_peak(lambda: convergence_report(
             TwoPointSwap(), PairObservable(1.0, -1.0), 0, N_values=[N],
-            condition=cond, P=10 ** 4, segment_size=2 ** 18))[1])
+            condition=cond, P=10 ** 4))[1])
     assert peaks[1] < peaks[0] + 2 ** 20, peaks
 
 
@@ -370,8 +369,7 @@ def test_interval_pass_peak_is_capped_at_a_run(traced_peak):
     N = 4 * 2 ** 20
     cond = ProductKfree(parse_poly_or_product("1,0,1*2,0,1"), 2)
     _, peak = traced_peak(lambda: _interval_counts(
-        N, [ProgressionMap(1, 0)], cond, [0, N], default_j_max(N),
-        segment_size=DEFAULT_SEGMENT, tables=None))
+        N, [ProgressionMap(1, 0)], cond, [0, N], default_j_max(N)))
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
 
 

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import divided_reference, liouville
+from conftest import divided_reference, liouville, sieve_consts
 from powerfree import kfree, sieve
 from powerfree.cli import count_rows
 from powerfree.ergodic import ProductKfree, omega_histogram
@@ -23,8 +23,7 @@ from powerfree.kfree import (_RESIDUE_MODULI, _STRIDE_MAX, ROOT_LIMIT,
 from powerfree.local_roots import lift_roots, root_table
 from powerfree.poly import (IntPolynomial, evaluate_range, max_abs_value,
                             parse_poly_or_product, profile, resultant)
-from powerfree.sieve import (_RUN, DEFAULT_SEGMENT, build_tables,
-                             primes_up_to)
+from powerfree.sieve import _RUN, _WINDOW, build_tables, primes_up_to
 
 
 def brute_mask(f, k, N):
@@ -86,8 +85,10 @@ def test_twin_squarefree_matches_brute():
 
 def test_segment_and_thread_invariance():
     f = IntPolynomial.parse("1,0,1")
-    a = kfree_mask(f, 2, 20000, segment_size=1 << 14)
-    b = kfree_mask(f, 2, 20000, segment_size=999)
+    with sieve_consts(_RUN=1 << 14):
+        a = kfree_mask(f, 2, 20000)
+    with sieve_consts(_RUN=999):
+        b = kfree_mask(f, 2, 20000)
     assert bytes(a.bits) == bytes(b.bits)
 
 
@@ -147,14 +148,15 @@ def test_correction_products_match_factorint(text, k):
     omega = np.array([sum(sympy.factorint(n).values())
                       for n in range(1, N + 1)])
     cond = ProductKfree(factors, k)
-    for seg in (1000, DEFAULT_SEGMENT):
+    for seg in (1000, _WINDOW):
         select = cond.selector(N)
         got = np.concatenate([select(s, min(s + seg, N + 1))
                               for s in range(1, N + 1, seg)])
         assert np.array_equal(got, want), seg
-        pm = product_kfree_mask(factors, k, N, segment_size=seg)
+        with sieve_consts(_RUN=min(seg, _RUN), _WINDOW=seg):
+            pm = product_kfree_mask(factors, k, N)
+            hist = omega_histogram(N, cond)
         assert np.array_equal(pm.bits, want), seg
-        hist = omega_histogram(N, cond, segment_size=seg)
         assert hist.selected == int(want.sum())
         assert hist.counts.tolist() == np.bincount(
             omega[want], minlength=len(hist.counts)).tolist()
@@ -271,8 +273,8 @@ def test_kth_power_prime_table_matches_factorint(text, k, N, prime_table):
         assert table[0] == [_Q] and _Q > P0
 
 
-# checkpoints on both sides of the segment edges of 1000 and 7777 and of
-# the first run edge, _RUN, inside a default segment
+# checkpoints on both sides of the run edges of 1000 and 7777 and of the
+# first edge of a default run, _RUN
 COUNT_CHECKPOINTS = [1, 999, 1000, 1001, 7776, 7777, 7778, 15554, 15555,
                      19999, _RUN - 1, _RUN, _RUN + 1, _RUN + 2000]
 # x^2 + 2^63 takes the object dtype from n = 1
@@ -282,24 +284,23 @@ COUNT_CASES = [("1,0,1", 2), *((t, 2) for t in CORRECTION_PRODUCTS),
 
 
 def _mask_counts(text, k, N, cps):
-    """(counts at cps, zero hits) from the whole-N masks, built in segments
-    of 1000 so that no run edge falls inside one."""
+    """(counts at cps, zero hits) from the whole-N masks, built in runs of
+    1000 n."""
     if text == "twinsqfree":
         bits = twin_squarefree_range(1, N + 1,
                                      primes_up_to(math.isqrt(N + 1)))
         return np.cumsum(bits)[np.array(cps) - 1].tolist(), []
-    mask = product_kfree_mask(parse_poly_or_product(text), k, N,
-                              segment_size=1000)
+    with sieve_consts(_RUN=1000):
+        mask = product_kfree_mask(parse_poly_or_product(text), k, N)
     return (np.cumsum(mask.bits)[np.array(cps) - 1].tolist(),
             list(mask.zero_hits))
 
 
 @pytest.mark.parametrize("text,k", COUNT_CASES)
 def test_streamed_counts_match_mask(text, k):
-    # only a default segment holds a run edge; object values are slow, so
-    # they stop short of it
+    # object values are slow, so they stop short of a default run edge
     top = 20000 if text == _OBJECT else _RUN + 2000
-    for segs, N in (((1000, 7777), 20000), ((DEFAULT_SEGMENT,), top)):
+    for runs, N in (((1000, 7777), 20000), ((_RUN,), top)):
         cps = [n for n in COUNT_CHECKPOINTS if n <= N]
         want, zeros = _mask_counts(text, k, N, cps)
         if text == "-27,0,0,1":
@@ -307,10 +308,10 @@ def test_streamed_counts_match_mask(text, k):
         if text == _OBJECT:
             assert evaluate_range(IntPolynomial.parse(text), 1, 2).dtype \
                 == object
-        for seg in segs:
-            _, got_zeros, _, rows = count_rows(text, k, N, cps, 100,
-                                               segment=seg)
-            assert [r[1] for r in rows] == want, (N, seg)
+        for run in runs:
+            with sieve_consts(_RUN=run):
+                _, got_zeros, _, rows = count_rows(text, k, N, cps, 100)
+            assert [r[1] for r in rows] == want, (N, run)
             assert got_zeros == zeros
 
 
@@ -431,10 +432,13 @@ BUCKET_CASES = [
 def test_bucketed_pass_matches_factorint(text, k, N, monkeypatch):
     # the last two masks take the bucketed pairs in slices of 1 and 3
     f = IntPolynomial.parse(text)
-    masks = [kfree_mask(f, k, N, segment_size=1000), kfree_mask(f, k, N)]
+    with sieve_consts(_RUN=1000):
+        masks = [kfree_mask(f, k, N)]
+    masks.append(kfree_mask(f, k, N))
     for size in (1, 3):
         monkeypatch.setattr(kfree, "_PAIR_SLICE", size)
-        masks.append(kfree_mask(f, k, N, segment_size=1000))
+        with sieve_consts(_RUN=1000):
+            masks.append(kfree_mask(f, k, N))
     assert masks[0].prime_bound > _STRIDE_MAX
     want = brute_mask(f, k, N)
     for m in masks:
@@ -451,11 +455,12 @@ def test_bucketed_pass_designed_hits(monkeypatch, prime_table):
     for r in (_P1, _P2):
         assert _N0 in lift_roots(cubic, r, 2)
     assert cube(_N1) % _P1 ** 3 == 0
-    assert not kfree_mask(cubic, 2, 3000, segment_size=1000).bits[_N0 - 1]
-    # p1^2 p2^2 is no cube: each division at the collision counts once
-    assert squares(_N0) % _P1 ** 3 and squares(_N0) % _P2 ** 3
-    assert kfree_mask(squares, 3, 1500, segment_size=1000).bits[_N0 - 1]
-    assert not kfree_mask(cube, 3, 1500, segment_size=1000).bits[_N1 - 1]
+    with sieve_consts(_RUN=1000):
+        assert not kfree_mask(cubic, 2, 3000).bits[_N0 - 1]
+        # p1^2 p2^2 is no cube: each division at the collision counts once
+        assert squares(_N0) % _P1 ** 3 and squares(_N0) % _P2 ** 3
+        assert kfree_mask(squares, 3, 1500).bits[_N0 - 1]
+        assert not kfree_mask(cube, 3, 1500).bits[_N1 - 1]
     table = prime_table(cubic, 2, 3000)
     assert table[_N0 - 1] == [_P1, _P2]
     assert table == factorint_table(cubic, 2, 3000)
@@ -481,7 +486,8 @@ def test_prime_at_the_stride_bound_matches_factorint(bound, last, monkeypatch,
     f, N = IntPolynomial.parse(f"{_AT_BOUND},0,0,1"), 3000
     _, _, (_, strided) = _sieve_setup(f, 2, N)
     assert strided[-1][0] == last
-    mask = kfree_mask(f, 2, N, segment_size=1000)
+    with sieve_consts(_RUN=1000):
+        mask = kfree_mask(f, 2, N)
     assert mask.bits.tobytes() == brute_mask(f, 2, N).tobytes()
     table = prime_table(f, 2, N)
     assert table == factorint_table(f, 2, N)

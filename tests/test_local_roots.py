@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from powerfree import local_roots, modpoly
 from powerfree.errors import CapacityError
-from powerfree.local_roots import (SCAN_LIMIT, _lifted, _scan_roots,
+from powerfree.local_roots import (SCAN_LIMIT, _scan_roots,
                                    batch_root_counts, batch_roots,
                                    count_roots_mod_p, is_bad_prime,
                                    lift_levels, lift_roots, local_root_count,
@@ -189,11 +189,12 @@ def test_content_prime_all_residues():
     assert list(roots_mod_p(f, 2)) == [0, 1]
 
 
-def test_capacity_error_on_exploding_lift():
+def test_capacity_error_on_exploding_lift(monkeypatch):
     # x^2 mod 2^k has 2^(k - ceil(k/2)) roots; push past the cap
     f = IntPolynomial.parse("0,0,1")
+    monkeypatch.setattr(local_roots, "LIFT_ROOT_CAP", 100)
     with pytest.raises(CapacityError):
-        _lifted(f, 2, 50, 100)
+        lift_roots(f, 2, 50)
 
 
 def test_lift_levels_match_residue_enumeration():

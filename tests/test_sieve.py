@@ -7,7 +7,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerfree.sieve import (DEFAULT_SEGMENT, _omega_segment, build_tables,
+from powerfree import sieve
+from powerfree.sieve import (_WINDOW, _omega_segment, build_tables,
                              primes_up_to)
 
 
@@ -53,10 +54,12 @@ def test_mobius_omega_consistency_bulk():
     assert np.all(t.mobius[sf] == 1 - 2 * (t.omega[sf].astype(np.int64) & 1))
 
 
-def test_segment_size_invariance():
-    a = build_tables(1, 30000, segment_size=DEFAULT_SEGMENT)
-    b = build_tables(1, 30000, segment_size=1024)
-    c = build_tables(1, 30000, segment_size=7777)
+def test_segment_size_invariance(monkeypatch):
+    def tables(window):
+        monkeypatch.setattr(sieve, "_WINDOW", window)
+        return build_tables(1, 30000)
+
+    a, b, c = tables(_WINDOW), tables(1024), tables(7777)
     for x in (b, c):
         assert bytes(a.omega) == bytes(x.omega)
         assert bytes(a.mobius) == bytes(x.mobius)
@@ -106,9 +109,10 @@ def _spf():
 
 
 @pytest.mark.parametrize("seg", [8, 1024, 7777])
-def test_first_segments_match_spf_oracle(seg):
-    # the first segment decides n below 2(b - 1) / R element by element
-    t = build_tables(1, 30000, segment_size=seg)
+def test_first_segments_match_spf_oracle(seg, monkeypatch):
+    # the first window decides n below 2(b - 1) / R element by element
+    monkeypatch.setattr(sieve, "_WINDOW", seg)
+    t = build_tables(1, 30000)
     assert np.array_equal(t.omega, _spf()[1:30000])
 
 
@@ -121,13 +125,14 @@ def test_windows_straddling_the_threshold_cut(a):
     assert np.array_equal(got, _spf()[a:b])
 
 
-def test_extra_primes_and_short_windows():
+def test_extra_primes_and_short_windows(monkeypatch):
     # the streamed histograms pass every prime to isqrt(top) to each window
     primes = primes_up_to(6324)
     for a, b in [(1, 4097), (4097, 8193), (999_000, 10 ** 6 + 1)]:
         assert np.array_equal(_omega_segment(a, b, primes), _spf()[a:b])
+    monkeypatch.setattr(sieve, "_WINDOW", 8)
     for top in (2, 3, 4):
-        t = build_tables(1, top + 1, segment_size=8)
+        t = build_tables(1, top + 1)
         assert t.omega.tolist() == _spf()[1:top + 1].tolist()
         assert t.squarefree.tolist() == [True, True, True, False][:top]
 
