@@ -2,11 +2,14 @@
 
 One router and one walk. _routed_slices sends the tiny primes and those
 dividing lc(f) to roots_mod_p, one at a time, for both batched entry points
-(root_table and batch_root_counts); every other p, singular or not, takes
-the batched gcd(x^p - x, f), which lists each distinct root once. Every
-lift mod p^j is lift_levels, one Hensel walk: a root has exactly one child
-where f' does not vanish mod p, else none or p. Every root this module
-hands back has been re-verified by evaluating f exactly.
+(root_table and batch_root_counts). Every other p, singular or not, takes
+a batched path chosen by the shape of f alone: the closed forms of
+modpoly.batch_closed_roots when deg f <= 2 or f = a x^q + c (q an odd
+prime, c != 0), else gcd(x^p - x, f), which lists each distinct root once.
+Neither factors anything, lc(f) included. Every lift mod p^j is
+lift_levels, one Hensel walk: a root has exactly one child where f' does
+not vanish mod p, else none or p. Every root this module hands back has
+been re-verified by evaluating f exactly.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import modpoly
 from .errors import CapacityError
-from .factorint import factorize, is_prime
+from .factorint import is_prime
 from .poly import IntPolynomial, profile
 
 # crossover between the O(p) residue scan and the O(deg^2 log p) gcd
@@ -162,36 +165,50 @@ _PRIME_SLICE = 1 << 13
 _SPLIT_LANES = 1 << 14
 
 
-def _routed_slices(f: IntPolynomial, primes: np.ndarray):
+def _routed_slices(f: IntPolynomial, primes: np.ndarray, roots: bool = False):
     """The one prime router of root_table and batch_root_counts.
 
-    Yields (lo, P, slow, counts, G) for each slice P = primes[lo:lo +
-    _PRIME_SLICE]. slow marks the primes left to the one-prime path: p <=
+    Yields (lo, P, slow, counts, found, G) for each slice P = primes[lo:lo
+    + _PRIME_SLICE]. slow marks the primes left to the one-prime path: p <=
     _BATCH_MIN_PRIME and the p dividing lc(f), which include those dividing
-    the content. Every other p keeps f of full degree mod p, so gcd(x^p - x,
-    f) lists each distinct root once, singular p or not: counts and G are
-    batch_split_part's over P[~slow].
+    the content; they are found as lc mod p = 0, so nothing is factored.
+    Every other p keeps f of full degree mod p, and counts are over
+    P[~slow]. The route depends on the shape of f alone:
+
+    - deg f <= 2, or f = a x^q + c with q an odd prime and c != 0: the
+      closed forms of modpoly.batch_closed_roots, with found the roots of
+      P[~slow], flat and ascending within each lane (None unless roots is
+      set), and G None;
+    - every other f: batch_split_part's gcd(x^p - x, f), which lists each
+      distinct root once, singular p or not, with G its gcds and found None.
     """
-    lc = abs(profile(f).leading)
-    lc_primes = list(factorize(lc)) if lc > 1 else []
+    if f.degree < 1:
+        raise ValueError("degree >= 1 required")
+    q = modpoly.closed_form_exponent(f.coeffs)
     for lo in range(0, len(primes), _PRIME_SLICE):
         P = primes[lo:lo + _PRIME_SLICE]
-        slow = (P <= _BATCH_MIN_PRIME) | np.isin(P, lc_primes)
-        yield (lo, P, slow) + modpoly.batch_split_part(list(f.coeffs),
-                                                       P[~slow])
+        slow = ((P <= _BATCH_MIN_PRIME)
+                | (modpoly.reduce_coeffs([f.leading], P)[0] == 0))
+        if q:
+            yield (lo, P, slow) + modpoly.batch_closed_roots(
+                f.coeffs, q, P[~slow], roots) + (None,)
+        else:
+            counts, G = modpoly.batch_split_part(list(f.coeffs), P[~slow])
+            yield lo, P, slow, counts, None, G
 
 
 def batch_root_counts(f: IntPolynomial, primes: np.ndarray) -> np.ndarray:
     """rho_f(p) for every p in primes (sorted ascending), vectorized.
 
     The slow primes of _routed_slices are counted one at a time; the rest,
-    singular ones included, come from the batched split, whose gcds are
-    held for one slice at a time next to the int64 result. Nothing is
-    factored beyond lc(f), so f need not be squarefree.
+    singular ones included, come from the closed-form counts (at most one
+    power per prime) or from the batched split, whose gcds are held for
+    one slice at a time next to the int64 result. Nothing is factored, so
+    f need not be squarefree.
     """
     primes = np.asarray(primes, dtype=np.int64)
     out = np.zeros(len(primes), dtype=np.int64)
-    for lo, P, slow, counts, _ in _routed_slices(f, primes):
+    for lo, P, slow, counts, *_ in _routed_slices(f, primes):
         part = out[lo:lo + len(P)]
         part[slow] = [count_roots_mod_p(f, p) for p in P[slow].tolist()]
         part[~slow] = counts
@@ -232,6 +249,16 @@ class RootTable:
     roots: np.ndarray
 
 
+def _place(out: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
+           roots: np.ndarray) -> None:
+    """Write lane i's counts[i] roots, flat in roots lane by lane, to out
+    from offsets[i] on: root j is number j - (roots of the lanes before
+    it) of its lane."""
+    pos = np.repeat(offsets - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(len(roots))
+    out[pos] = roots
+
+
 def _split_gathered(f: IntPolynomial, gathered: list, out: np.ndarray) -> None:
     """Split the gathered multi-root lanes, (G, counts, primes, offsets)
     column blocks, by one batch_linear_roots call; certify the roots and
@@ -241,25 +268,25 @@ def _split_gathered(f: IntPolynomial, gathered: list, out: np.ndarray) -> None:
     gathered.clear()
     lanes, roots = modpoly.batch_linear_roots(G, counts, P)
     _certify_batch(f, P, counts, lanes, roots)
-    # lanes ascend and lane i holds counts[i] roots, so root j is number
-    # j - (roots of the lanes before it) of its lane
-    pos = np.repeat(offsets - (np.cumsum(counts) - counts), counts)
-    pos += np.arange(len(roots))
-    out[pos] = roots
+    _place(out, offsets, counts, roots)
 
 
 def root_table(f: IntPolynomial, primes: np.ndarray) -> RootTable:
     """Roots of f mod p for many primes (sorted ascending) at once.
 
-    One slice of _PRIME_SLICE primes at a time: _routed_slices gives
-    gcd(x^p - x, f) for its fast lanes, whose count is the lane's number of
-    roots. A lane with one root gives it at once as -G_0 mod p, certified
-    with its slice; the slow primes go through roots_mod_p. The lanes with
-    more roots are gathered across slices and split by batch_linear_roots
-    (batched equal-degree splitting) about _SPLIT_LANES at a time, since a
-    split call has a fixed cost of its own. Each lane's root count must
-    match the degree of its gcd, and every root is re-verified by exact
-    evaluation of f mod p.
+    One slice of _PRIME_SLICE primes at a time; the slow primes of
+    _routed_slices go through roots_mod_p. When deg f <= 2 or f = a x^q + c
+    (q an odd prime, c != 0), the fast lanes get their roots, ascending,
+    from the closed forms: a q-th root by generalized Tonelli-Shanks, times
+    the q-th roots of unity, or the one root where q does not divide
+    p - 1. Every other f gets gcd(x^p - x, f) for its fast lanes, whose
+    count is the lane's number of roots: a lane with one root gives it at
+    once as -G_0 mod p, and the lanes with more are gathered across slices
+    and split by batch_linear_roots (batched equal-degree splitting) about
+    _SPLIT_LANES at a time, since a split call has a fixed cost of its
+    own. Either way each lane's root count must match, and every root is
+    re-verified by exact evaluation of f mod p, a slice or a split at a
+    time.
 
     The roots go straight to their place in the result, which grows by
     one slice at a time: each prime's place follows from the counts of the
@@ -270,19 +297,25 @@ def root_table(f: IntPolynomial, primes: np.ndarray) -> RootTable:
     counts = np.zeros(len(primes), dtype=np.int64)
     roots = np.zeros(0, dtype=np.int64)
     total, gathered = 0, []
-    for lo, P, slow, fast_counts, G in _routed_slices(f, primes):
+    for lo, P, slow, fast_counts, found, G in _routed_slices(f, primes,
+                                                            roots=True):
         c = counts[lo:lo + len(P)]
         fast = P[~slow]
         c[~slow] = fast_counts
-        found = [roots_mod_p(f, p) for p in P[slow].tolist()]
-        c[slow] = [len(r) for r in found]
+        slow_roots = [roots_mod_p(f, p) for p in P[slow].tolist()]
+        c[slow] = [len(r) for r in slow_roots]
         offsets = total + np.cumsum(c) - c
         total += int(c.sum())
         # a realloc of the one buffer: no second copy of the result exists
         roots.resize(total, refcheck=False)
-        for start, r in zip(offsets[slow].tolist(), found):
+        for start, r in zip(offsets[slow].tolist(), slow_roots):
             roots[start:start + len(r)] = r
         offsets = offsets[~slow]
+        if G is None:
+            lanes = np.repeat(np.arange(len(fast)), fast_counts)
+            _certify_batch(f, fast, fast_counts, lanes, found)
+            _place(roots, offsets, fast_counts, found)
+            continue
         one = fast_counts == 1
         single = (-G[0, one]) % fast[one]
         _certify_batch(f, fast[one], fast_counts[one],

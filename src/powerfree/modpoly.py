@@ -18,17 +18,24 @@ arrays, which is what makes root collection to p ~ 10^6 affordable:
   scaling;
 - batch_linear_roots splits those gcds into their roots by equal-degree
   splitting (Cantor-Zassenhaus): lanes grouped by degree, the same ladder
-  for (x + a)^((p-1)/2), the same Euclid, an exact vectorized division.
+  for (x + a)^((p-1)/2), the same Euclid, an exact vectorized division;
+- batch_closed_roots needs neither, for deg f <= 2 and for the binomials
+  a x^q + c with q an odd prime: a count is at most one power per lane
+  (Euler's criterion), and the roots come from one q-th root kernel,
+  _qth_root, generalized Tonelli-Shanks, times the q-th roots of unity.
 
 Every batched value that enters a product is a residue in [0, p), with
-p < 2^31, so one product is at most (p - 1)^2 < 2^62. The Euclid and the
-exact division reduce once per coefficient per step, where a sum or
-difference of two products stays inside int64. The ladder reduces lazily:
+p < 2^31, so one product is at most (p - 1)^2 < 2^62. The Euclid, the
+exact division and the closed forms reduce after every product, where a
+sum or difference of two products stays inside int64; every exponent of
+a power is below p. The ladder reduces lazily:
 an accumulator absorbs up to _product_budget(max p) products on top of one
 residue, which keeps it below 2^63 (the bound and its proof are at
 _product_budget).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -216,7 +223,7 @@ def _pow_vec(base: np.ndarray, expo: np.ndarray, mod: np.ndarray) -> np.ndarray:
     result = np.ones_like(mod)
     b = base % mod
     e = expo.copy()
-    while e.max() > 0:
+    while e.any():
         # multiply every lane, by b where the exponent bit is set and by 1
         # elsewhere: arithmetic, so there is no gather, scatter or branch
         result = result * (1 + (e & 1) * (b - 1)) % mod
@@ -492,3 +499,201 @@ def batch_linear_roots(G: np.ndarray, counts: np.ndarray, primes: np.ndarray):
     roots = np.concatenate(found_roots)
     order = np.lexsort((roots, lanes))
     return lanes[order], roots[order]
+
+
+# -------------------------------------------------------------- closed forms
+#
+# Two shapes of f need no ladder: deg f <= 2, and the binomials a x^q + c
+# with q an odd prime and c != 0. In a lane where p does not divide lc(f),
+# both come down to one q-th root y of a residue B, and the roots are
+# (h + y w^j) g for j < q, w a primitive q-th root of unity:
+#
+# - c2 x^2 + c1 x + c0: q = 2, B = c1^2 - 4 c0 c2, h = -c1, g = 1/(2 c2);
+# - c1 x + c0: B = 0, h = -c0, g = 1/c1;
+# - a x^q + c: (a x)^q = -c a^(q-1), so B = -c a^(q-1), h = 0, g = 1/a.
+#
+# B = 0 gives the one root h g. When q does not divide p - 1, y -> y^q is
+# a bijection of F_p, so there is again one root, y = B^(q^-1 mod (p - 1)).
+# Otherwise there are q roots when B^((p-1)/q) = 1 (Euler's criterion),
+# and none when not. Counting takes at most that one power per lane.
+
+
+def closed_form_exponent(coeffs) -> int:
+    """The q of the closed forms for f: 2 when deg f <= 2, q when f is
+    a x^q + c with q an odd prime and c != 0, and 0 for every other f."""
+    d = len(coeffs) - 1
+    if d <= 2:
+        return 2
+    binomial = coeffs[0] != 0 and not any(coeffs[1:d])
+    return d if binomial and d % 2 and _next_prime(d - 1) == d else 0
+
+
+def _next_prime(n: int) -> int:
+    """The least prime above n, by trial division (n is small here)."""
+    n += 1
+    while any(n % k == 0 for k in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def _inverse_mod(q: int, m: np.ndarray) -> np.ndarray:
+    """q^-1 mod m per lane, for the prime q and every m >= 1 prime to q.
+
+    It is v = (k m + 1) / q with k = -m^-1 mod q: q divides k m + 1, so v
+    is an integer, q v = 1 + k m = 1 (mod m), and k < q makes v <= m. With
+    q and m below 2^31, k m < 2^62.
+    """
+    inverses = np.array([0] + [pow(i, -1, q) for i in range(1, q)],
+                        dtype=np.int64)
+    k = (-inverses[m % q]) % q
+    return (k * m + 1) // q
+
+
+def _pow_small(x: np.ndarray, n: int, P: np.ndarray) -> np.ndarray:
+    """x^n mod P per lane for one exponent n >= 1, by square and multiply
+    over the bits of n; each product is of two residues, below 2^62."""
+    r = x
+    for bit in bin(n)[3:]:
+        r = r * r % P
+        if bit == "1":
+            r = r * x % P
+    return r
+
+
+def _pow_q(x: np.ndarray, n: np.ndarray, q: int, P: np.ndarray):
+    """x^(q^n) mod P per lane, for n >= 0 per lane: n q-th powers, each
+    over the lanes that still need one."""
+    x, lane, r = x.copy(), np.flatnonzero(n > 0), 0
+    while len(lane):
+        x[lane] = _pow_small(x[lane], q, P[lane])
+        r += 1
+        lane = lane[n[lane] > r]
+    return x
+
+
+def _qth_root(B: np.ndarray, q: int, P: np.ndarray):
+    """(hit, y, w) for q prime dividing every p - 1 and every B nonzero:
+    hit marks the lanes where B is a q-th power mod p. On those lanes, in
+    order, y^q = B and w is a primitive q-th root of unity.
+
+    Generalized Tonelli-Shanks (Adleman, Manders and Miller, FOCS 1977).
+    Write p - 1 = q^s t with t prime to q; the q-Sylow subgroup S of F_p^*
+    is cyclic of order q^s. With v = q^-1 mod t = (k t + 1)/q and u =
+    B^(v-1), y = u B has y^q = B e, where e = u^q B^(q-1) = (B^t)^k. As k
+    is prime to q, e has the order of B^t in S, so B^((p-1)/q) = 1, B is a
+    q-th power, exactly when e^(q^(s-1)) = 1: one full power per lane.
+
+    For the roots, the first of the small bases z = 2, 3, 5, 7, ... with
+    z^((p-1)/q) != 1 in a lane makes C = z^t a generator of S and w =
+    C^(q^(s-1)); only primes are tried, since a product of q-th powers is
+    one, so the least non-residue is prime. Each round
+    keeps C of order q^m with e in the group of C^q, and w = C^(q^(m-1)).
+    While e != 1, let q^i be its order (i < m): e^(q^(i-1)) = w^j for one
+    j in [1, q). With b = C^(q^(m-i-1)), of order q^(i+1), and d =
+    b^(q-j), y d moves e to e d^q, whose q^(i-1)-th power is w^j w^(q-j) =
+    1; C becomes b^q and m becomes i. So at most s - 1 rounds run, each of
+    small powers only. At s = 1, e = 1 at once, and for q = 2 w = -1 needs
+    no search. Every exponent is below p and every product is of two
+    residues, below 2^62.
+    """
+    t, s = P - 1, np.zeros_like(P)
+    while (div := t % q == 0).any():
+        t[div] //= q
+        s[div] += 1
+    u = _pow_vec(B, _inverse_mod(q, t) - 1, P)
+    e = _pow_small(u, q, P) * _pow_small(B, q - 1, P) % P
+    hit = _pow_q(e, s - 1, q, P) == 1
+    P, t, s, e = P[hit], t[hit], s[hit], e[hit]
+    y = u[hit] * B[hit] % P
+    C, w = np.zeros_like(P), P - 1
+    lane = np.arange(len(P)) if q > 2 else np.flatnonzero(s > 1)
+    z = 2
+    while len(lane):
+        if z >= int(P[lane].min()):
+            raise ArithmeticError(f"no {q}-th power non-residue found")
+        cz = _pow_vec(np.full(len(lane), z), t[lane], P[lane])
+        wz = _pow_q(cz, s[lane] - 1, q, P[lane])
+        new = wz != 1
+        C[lane[new]], w[lane[new]] = cz[new], wz[new]
+        lane, z = lane[~new], _next_prime(z)
+    L = np.flatnonzero(s > 1)
+    PL, m, C, wL, e = P[L], s[L], C[L], w[L], e[L]
+    for _ in range(int(s.max(initial=1))):
+        keep = e != 1
+        L, PL, m, C, wL, e = (x[keep] for x in (L, PL, m, C, wL, e))
+        if not len(L):
+            return hit, y, w
+        # the order q^i of e, and a = e^(q^(i-1)), one q-th power a step
+        a, i, cur, step = e, np.zeros_like(L), e, 0
+        while (i == 0).any():
+            step += 1
+            nxt = _pow_small(cur, q, PL)
+            new = (i == 0) & (nxt == 1)
+            a, i = np.where(new, cur, a), np.where(new, step, i)
+            cur = nxt
+        # a has order q, so a = w^j for one j in [1, q)
+        j, wj = np.zeros_like(L), wL
+        for k in range(1, q):
+            j[a == wj] = k
+            wj = wj * wL % PL
+        b = _pow_q(C, m - i - 1, q, PL)
+        d = _pow_vec(b, q - j, PL)
+        y[L] = y[L] * d % PL
+        C = _pow_small(b, q, PL)
+        e = e * _pow_small(d, q, PL) % PL
+        m = i
+    raise ArithmeticError(f"{q}-th roots did not converge in s - 1 rounds")
+
+
+def batch_closed_roots(coeffs, q: int, primes: np.ndarray, roots: bool = True):
+    """Roots mod p of f for every p in primes by the closed forms, for
+    q = closed_form_exponent(coeffs) != 0 and every p odd, below 2^31 and
+    prime to lc(f), as local_roots routes them.
+
+    Returns (counts, found): counts[i] is the number of distinct roots mod
+    primes[i]. With roots, found holds them flat, lane by lane, ascending
+    within each lane; without, found is None and a lane costs at most one
+    power. Every factor of a product is a residue, so a product is below
+    2^62; the discriminant subtracts 4 (c0 c2 mod p) < 2^33 from one.
+    """
+    P = np.asarray(primes, dtype=np.int64)
+    d = len(coeffs) - 1
+    C = reduce_coeffs(coeffs, P)
+    h = np.zeros_like(P)
+    if d == 2:
+        B = (C[1] * C[1] - 4 * (C[0] * C[2] % P)) % P
+        h, a = -C[1], 2 * C[2] % P
+    elif d == 1:
+        B, h, a = np.zeros_like(P), -C[0], C[1]
+    else:
+        a = C[d]
+        B = -C[0] if coeffs[-1] == 1 else -C[0] * _pow_small(a, q - 1, P)
+        B %= P
+    one = (B == 0) | ((P - 1) % q != 0)
+    many = np.flatnonzero(~one)
+    Pm, counts = P[many], np.ones_like(P)
+    if not roots:
+        # Euler's criterion, the one power of a lane
+        counts[many] = np.where(_pow_vec(B[many], (Pm - 1) // q, Pm) == 1,
+                                q, 0)
+        return counts, None
+    hit, y, w = _qth_root(B[many], q, Pm)
+    counts[many] = np.where(hit, q, 0)
+    g = a if (a == 1).all() else _pow_vec(a, P - 2, P)
+    found = np.empty(int(counts.sum()), dtype=np.int64)
+    start = np.cumsum(counts) - counts
+    # one root: y = 0 where B = 0, else q does not divide p - 1
+    o = np.flatnonzero(one)
+    yo, Po = B[o], P[o]
+    on = yo != 0
+    yo[on] = _pow_vec(yo[on], _inverse_mod(q, Po[on] - 1), Po[on])
+    found[start[o]] = (h[o] + yo) % Po * g[o] % Po
+    full = many[hit]
+    Pf = P[full]
+    R = np.empty((q, len(full)), dtype=np.int64)
+    for j in range(q):
+        R[j] = (h[full] + y) % Pf * g[full] % Pf
+        y = y * w % Pf
+    R.sort(axis=0)
+    found[start[full] + np.arange(q)[:, None]] = R
+    return counts, found

@@ -244,13 +244,6 @@ def test_streamed_counts_match_brute_omega(stream_case, window, monkeypatch):
         assert h.selected == int(w.sum())
 
 
-def test_streamed_counts_thread_and_table_invariant(stream_case, monkeypatch):
-    cond, jm, want = stream_case
-    monkeypatch.setattr(sieve, "_WINDOW", 1024)
-    got = _interval_counts(STREAM_N, STREAM_MAPS, cond, STREAM_CUTS, jm)
-    assert got.tolist() == want.tolist()
-
-
 def test_convergence_report_streams_in_bounded_memory(traced_peak,
                                                       monkeypatch):
     # today's cost is the condition mask (1 byte per n) plus O(window);

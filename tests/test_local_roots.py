@@ -277,7 +277,7 @@ def test_batch_root_counts_vs_scalar():
 
 def test_batch_root_counts_unfactored_discriminant():
     # the discriminant of this quadratic has a cofactor factorize cannot
-    # split; batch_root_counts factors only lc(f), so it never asks
+    # split; batch_root_counts factors nothing, so it never asks
     f = IntPolynomial.parse("-4999999993,-4999999994,3000000008")
     primes = primes_up_to(1100)
     got = batch_root_counts(f, primes)
@@ -462,3 +462,114 @@ def test_root_table_transients_are_flat_in_P(traced_peak):
         t, peak = traced_peak(lambda: root_table(f, primes))
         extra.append(peak - t.counts.nbytes - t.p.nbytes - t.roots.nbytes)
     assert extra[1] < extra[0] + 2 ** 20, extra
+
+
+def test_root_table_lc_beyond_the_witness_range():
+    # lc = 10^25 + 13 lies past factorint's proven primality range; the
+    # router finds the primes dividing it as lc mod p = 0, without factoring
+    f = IntPolynomial((1, 10 ** 25 + 13))
+    primes = primes_up_to(1000)
+    table = root_table(f, primes)
+    check_table_layout(table)
+    for p in primes.tolist():
+        assert roots_at(table, p) == list(roots_mod_p(f, p)), p
+    assert np.array_equal(batch_root_counts(f, primes), table.counts)
+
+
+# the closed forms: quadratics (D prime to p, D = 0 at 61 for x^2 - 61,
+# and the linear factors of x^2 + x and 3x^2 + 2x - 5) and binomials
+# a x^q + c, c = 2 * 53 * 59 vanishing at two primes above the cutoff
+CLOSED_POLYS = ["5,0,0,1", "2,0,0,1", "7,0,0,3", "7,0,0,0,0,1", "1,0,1",
+                "2,0,1", "0,1,1", "-5,2,3", "6254,0,0,1", "-61,0,1"]
+
+
+def _ladder_roots(f, primes):
+    """(counts, lane primes, roots) of the batched ladder and split over the
+    primes above the cutoff that do not divide lc(f)."""
+    fast = primes[(primes > 50) & (f.leading % primes != 0)]
+    counts, G = modpoly.batch_split_part(list(f.coeffs), fast)
+    lanes, roots = modpoly.batch_linear_roots(G, counts, fast)
+    return fast, counts, fast[lanes], roots
+
+
+def test_closed_forms_match_the_ladder(monkeypatch):
+    # every prime in (50, 2e5], so both sides of p mod 3, 4, 8 and 9
+    primes = primes_up_to(2 * 10 ** 5)
+    want = {t: _ladder_roots(IntPolynomial.parse(t), primes)
+            for t in CLOSED_POLYS}
+
+    def boom(*args):
+        raise AssertionError("ladder run for a closed-form f")
+
+    monkeypatch.setattr(modpoly, "batch_split_part", boom)
+    monkeypatch.setattr(modpoly, "batch_linear_roots", boom)
+    seen = {}
+    for text, (fast, counts, lane_p, roots) in want.items():
+        f = IntPolynomial.parse(text)
+        assert modpoly.closed_form_exponent(f.coeffs) in (2, f.degree)
+        table = root_table(f, primes)
+        check_table_layout(table)
+        on = np.isin(table.p, fast)
+        assert np.array_equal(table.p[on], lane_p), text
+        assert np.array_equal(table.roots[on], roots), text
+        got = batch_root_counts(f, primes)
+        assert np.array_equal(got, table.counts), text
+        assert np.array_equal(got[np.isin(primes, fast)], counts), text
+        seen[text] = set(counts.tolist())
+    assert seen["5,0,0,1"] == {0, 1, 3} and seen["1,0,1"] == {0, 2}
+    assert seen["7,0,0,0,0,1"] == {0, 1, 5} and seen["-5,2,3"] == {2}
+    assert 1 in seen["-61,0,1"] and 1 in seen["6254,0,0,1"]
+    for m, sides in ((3, {1, 2}), (4, {1, 3}), (8, {1, 3, 5, 7}),
+                     (9, {1, 2, 4, 5, 7, 8})):
+        assert set((primes[primes > 50] % m).tolist()) == sides
+
+
+# p - 1 of high 2-adic (2^16 + 1, 3 * 2^18 + 1), 3-adic (2 * 3^9 + 1 and
+# 8 * 3^10 + 1) and 5-adic (4 * 5^6 + 1, 12 * 5^7 + 1)
+# valuation: the long cases of Tonelli-Shanks and its q-th root form
+VALUATION_PRIMES = [65537, 786433, 39367, 472393, 62501, 937501]
+
+
+def test_closed_forms_match_the_scan():
+    rng = random.Random(24)
+    primes = primes_up_to(10 ** 6)
+    seeded = rng.sample(primes[primes > SCAN_LIMIT].tolist(), 12)
+    sides = set()
+    for p in sorted(seeded) + VALUATION_PRIMES:
+        assert sympy.isprime(p)
+        sides.add((p % 3, p % 4, p % 8 in (1, 7), p % 9 == 1))
+        for text in CLOSED_POLYS + ["-1,0,0,0,0,0,0,1", "3,0,0,0,0,-2"]:
+            f = IntPolynomial.parse(text)
+            table = root_table(f, np.array([p]))
+            assert table.roots.tolist() == list(_scan_roots(f, p)), (text, p)
+    assert {s[0] for s in sides} == {1, 2} and {s[1] for s in sides} == {1, 3}
+    assert {s[2] for s in sides} == {s[3] for s in sides} == {True, False}
+
+
+def test_square_roots_match_sqrt_mod_p():
+    # x^2 - a has the roots +-sqrt(a): the closed form's square root lane by
+    # lane against the scalar Tonelli-Shanks, squares and non-squares alike
+    rng = random.Random(2401)
+    primes = np.array(sorted(rng.sample(primes_up_to(10 ** 6)[100:].tolist(),
+                                        40) + VALUATION_PRIMES[:2]))
+    for a in [2, 3, 5, -1, -3, 10 ** 9 + 7] + rng.sample(range(10 ** 6), 8):
+        table = root_table(IntPolynomial.from_coeffs([-a, 0, 1]), primes)
+        for p in primes.tolist():
+            s = modpoly.sqrt_mod_p(a, p)
+            want = [] if s is None else sorted({s, (p - s) % p})
+            assert roots_at(table, p) == want, (a, p)
+
+
+def test_cubic_binomial_stays_off_the_ladder(monkeypatch):
+    # x^3 + 5 to 10^6: every prime above 50 takes the closed forms
+    primes = primes_up_to(10 ** 6)
+
+    def boom(*args):
+        raise AssertionError("batch_split_part called for x^3 + 5")
+
+    monkeypatch.setattr(modpoly, "batch_split_part", boom)
+    f = IntPolynomial.parse("5,0,0,1")
+    table = root_table(f, primes)
+    counts = batch_root_counts(f, primes)
+    assert np.array_equal(table.counts, counts)
+    assert int(counts.sum()) == len(table.roots) > 7 * 10 ** 4

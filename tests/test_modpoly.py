@@ -346,3 +346,40 @@ def test_batch_split_part_skips_inverse_for_monic(monkeypatch):
     counts3, G3 = batch_split_part([15, 0, 0, 3], primes)
     assert len(calls) == 2
     assert np.array_equal(counts, counts3) and np.array_equal(G, G3)
+
+
+def test_qth_root_kernel_vs_pow():
+    # q-th powers and non-powers at primes with q | p - 1, among them high
+    # q-adic valuations of p - 1 and primes just below 2^31: hit must be
+    # Euler's criterion, y a q-th root of B and w of multiplicative order q
+    rng = random.Random(2402)
+    cases = {2: [65537, 786433, 2147483629, 2147483549],
+             3: [39367, 472393, 2147483563, 1811939329],
+             5: [62501, 937501, 2147483171],
+             7: [29, 43, 2147483647]}
+    for q, extra in cases.items():
+        pool = [p for p in primes_up_to(3 * 10 ** 5).tolist()
+                if p > 50 and (p - 1) % q == 0]
+        primes = sorted(rng.sample(pool, 40)) + extra
+        assert all(sympy.isprime(p) and (p - 1) % q == 0 for p in primes)
+        B = [pow(rng.randrange(1, p), q if i % 2 else 1, p)
+             for i, p in enumerate(primes)]
+        P = np.array(primes, dtype=np.int64)
+        hit, y, w = modpoly._qth_root(np.array(B, dtype=np.int64), q, P)
+        want = [pow(b, (p - 1) // q, p) == 1 for b, p in zip(B, primes)]
+        assert hit.tolist() == want and sum(want) > len(primes) // 2, q
+        for b, p, r, u in zip(np.array(B)[hit].tolist(), P[hit].tolist(),
+                              y.tolist(), w.tolist()):
+            assert pow(r, q, p) == b, (q, p)
+            assert u != 1 and pow(u, q, p) == 1, (q, p)
+
+
+def test_closed_form_exponent_shapes():
+    cases = {(5, 0, 0, 1): 3, (1, 0, 1): 2, (0, 1, 1): 2, (3, 5): 2,
+             (7, 0, 0, 0, 0, 2): 5, (-1,) + (0,) * 12 + (1,): 13,
+             (0, 0, 0, 1): 0,           # c = 0
+             (1, 0, 0, 0, 1): 0,        # x^4 + 1, composite degree
+             (4, 1, 0, 1): 0,           # not a binomial
+             (1,) + (0,) * 8 + (1,): 0}  # x^9 + 1
+    for coeffs, q in cases.items():
+        assert modpoly.closed_form_exponent(coeffs) == q, coeffs
