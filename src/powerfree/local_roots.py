@@ -190,8 +190,9 @@ def _routed_slices(f: IntPolynomial, primes: np.ndarray, roots: bool = False):
         slow = ((P <= _BATCH_MIN_PRIME)
                 | (modpoly.reduce_coeffs([f.leading], P)[0] == 0))
         if q:
-            yield (lo, P, slow) + modpoly.batch_closed_roots(
-                f.coeffs, q, P[~slow], roots) + (None,)
+            counts, found = modpoly.batch_closed_roots(f.coeffs, q, P[~slow],
+                                                       roots)
+            yield lo, P, slow, counts, found, None
         else:
             counts, G = modpoly.batch_split_part(list(f.coeffs), P[~slow])
             yield lo, P, slow, counts, None, G

@@ -659,14 +659,13 @@ def batch_closed_roots(coeffs, q: int, primes: np.ndarray, roots: bool = True):
     P = np.asarray(primes, dtype=np.int64)
     d = len(coeffs) - 1
     C = reduce_coeffs(coeffs, P)
-    h = np.zeros_like(P)
     if d == 2:
         B = (C[1] * C[1] - 4 * (C[0] * C[2] % P)) % P
         h, a = -C[1], 2 * C[2] % P
     elif d == 1:
         B, h, a = np.zeros_like(P), -C[0], C[1]
     else:
-        a = C[d]
+        a, h = C[d], np.zeros_like(P)
         B = -C[0] if coeffs[-1] == 1 else -C[0] * _pow_small(a, q - 1, P)
         B %= P
     one = (B == 0) | ((P - 1) % q != 0)
